@@ -32,10 +32,12 @@ from .mesh import (
     write_mesh_listing,
 )
 from .fem2d import (
+    AffinePlate,
     BCKind,
     BoundaryConditionSet,
     DegenerateElementError,
     LinearSystem,
+    PlateFactor,
     PlateParameters,
     SingularSystemError,
     TemperatureField,
@@ -87,10 +89,12 @@ __all__ = [
     "generate_structured_mesh",
     "nodes_on_wall",
     "write_mesh_listing",
+    "AffinePlate",
     "BCKind",
     "BoundaryConditionSet",
     "DegenerateElementError",
     "LinearSystem",
+    "PlateFactor",
     "PlateParameters",
     "SingularSystemError",
     "TemperatureField",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -224,10 +225,17 @@ _TRUTHY = {"1": True, "yes": True, "true": True, "on": True,
            "0": False, "no": False, "false": False, "off": False}
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 def _convert(kind: str, raw: str, where: str):
     try:
         if kind == "float":
-            return float(raw)
+            return _finite(raw)
         if kind == "int":
             return int(raw)
         if kind == "str":
@@ -244,7 +252,7 @@ def _convert(kind: str, raw: str, where: str):
                 )
             return _BC_KINDS[raw.lower()]
         if kind == "end":
-            return None if raw.lower() == "free" else float(raw)
+            return None if raw.lower() == "free" else _finite(raw)
     except ValueError as exc:
         raise CliError("config-error", f"bad value for {where}: {exc}") from exc
     raise AssertionError(f"unhandled converter {kind}")

@@ -104,15 +104,13 @@ def generate_structured_mesh(
         for i in range(nx + 1)
     )
 
-    elements = []
-    for j in range(ny):
-        for i in range(nx):
-            ll = node_id(i, j)
-            lr = node_id(i + 1, j)
-            ur = node_id(i + 1, j + 1)
-            ul = node_id(i, j + 1)
-            elements.append(Triangle(ll, lr, ur))
-            elements.append(Triangle(ll, ur, ul))
+    # Lower-left node of every cell, x-fastest; each cell gives the
+    # triangles (ll, lr, ur) and (ll, ur, ul) in that order.
+    ll = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)[None, :]).ravel()
+    lr, ul = ll + 1, ll + nx + 1
+    ur = ul + 1
+    tris = np.stack([ll, lr, ur, ll, ur, ul], axis=1).reshape(-1, 3)
+    elements = tuple(Triangle(*t) for t in tris.tolist())
 
     boundary = []
     for i in range(nx):  # bottom, left to right
@@ -124,10 +122,11 @@ def generate_structured_mesh(
     for j in range(ny, 0, -1):  # left, top to bottom
         boundary.append(BoundaryEdge(node_id(0, j), node_id(0, j - 1), Wall.LEFT))
 
-    mesh = Mesh2D(nodes, tuple(elements), tuple(boundary), width_cm, height_cm)
+    mesh = Mesh2D(nodes, elements, tuple(boundary), width_cm, height_cm)
 
-    coords = mesh.coord_array()
-    total = sum(triangle_area(coords, t) for t in mesh.elements)
+    x, y = mesh.coord_array()[tris].transpose(2, 0, 1)  # (E, 3) each
+    area2 = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
+    total = 0.5 * float(area2.sum())
     target = width_cm * height_cm
     if abs(total - target) > 1e-9 * target:
         raise AssertionError(f"mesh area {total} != plate area {target}")

@@ -9,21 +9,26 @@ envelopes.  Sensitivity of a parameter is summarized by the width of the
 full-support envelope: its per-node values, their average, and their
 population variance.
 
-Vertex solves are independent; with ``workers > 1`` they run on a thread
-pool, and the reduction order is fixed so results are identical for any
-worker count.
+The plate is affine in the three parameters, so a sweep assembles it
+once (:class:`~fuzzyheat.fem2d.AffinePlate`), groups the corners of all
+levels by their ``h`` and factors once per distinct ``h``; every corner
+with that ``h`` reuses the factor.  With ``workers > 1`` the groups run
+on a thread pool; each corner's arithmetic does not depend on the
+grouping and the reduction order is fixed, so results are identical for
+any worker count.
 """
 
 from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .fem2d import BoundaryConditionSet, PlateParameters, solve_crisp
+from .fem2d import AffinePlate, BoundaryConditionSet, PlateParameters
+from .fem2d import solve_crisp  # noqa: F401  (kept importable from this module)
 from .fuzzy import AlphaLevels, Interval, TriangularFuzzyNumber, alpha_cut
 from .mesh import Mesh2D
 
@@ -182,11 +187,12 @@ def propagate(
     """Sweep the scenario through the crisp solver, level by level.
 
     For each alpha level the fuzzy parameters are cut to intervals and
-    the solver runs once per corner of the resulting box; the per-node
-    envelope is the min / max over those solves.  At alpha = 1 every cut
-    collapses to its modal point, so the top level is the single crisp
-    modal solve, reached through exactly the same code path as
-    :func:`~fuzzyheat.fem2d.solve_crisp`.
+    the plate is solved once per corner of the resulting box; the
+    per-node envelope is the min / max over those solves.  The plate is
+    assembled once and factored once per distinct ``h`` over all levels.
+    At alpha = 1 every cut collapses to its modal point, so the top level
+    is the single crisp modal solve, reached through exactly the same
+    factor and solve as :func:`~fuzzyheat.fem2d.solve_crisp`.
     """
     levels = tuple(scenario.alpha_levels)
     per_level_vertices = [_vertex_tuples(scenario.cut(a)) for a in levels]
@@ -196,23 +202,41 @@ def propagate(
         for alpha, vertices in zip(levels, per_level_vertices)
         for vertex in vertices
     ]
+    by_h: dict[float, list[int]] = {}
+    for i, (_, (h, _, _)) in enumerate(jobs):
+        by_h.setdefault(h, []).append(i)
 
-    def run(job: tuple[float, tuple[float, ...]]) -> np.ndarray:
-        alpha, (h, q, t_inf) = job
-        params = replace(base, h=h, q=q, t_inf=t_inf)
-        try:
-            return solve_crisp(mesh, params, bc).values
-        except Exception as exc:
-            raise PropagationError(
-                f"crisp solve failed at alpha={alpha} vertex "
-                f"h={h}, q={q}, t_inf={t_inf}: {exc}"
-            ) from exc
+    try:
+        plate = AffinePlate(mesh, base, bc)
+    except ValueError as exc:
+        raise PropagationError(f"plate assembly failed: {exc}") from exc
 
+    def run(group: list[int]) -> list[np.ndarray]:
+        """Factor once at the group's ``h``, then solve each corner."""
+        factor, out = None, []
+        for i in group:
+            alpha, (h, q, t_inf) = jobs[i]
+            try:
+                if factor is None:
+                    factor = plate.factor(h)
+                out.append(plate.solve(factor, q, t_inf).values)
+            except Exception as exc:
+                raise PropagationError(
+                    f"crisp solve failed at alpha={alpha} vertex "
+                    f"h={h}, q={q}, t_inf={t_inf}: {exc}"
+                ) from exc
+        return out
+
+    groups = list(by_h.values())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
+            solved = list(pool.map(run, groups))
     else:
-        results = [run(job) for job in jobs]
+        solved = [run(group) for group in groups]
+    results: list = [None] * len(jobs)
+    for group, values in zip(groups, solved):
+        for i, T in zip(group, values):
+            results[i] = T
 
     lower = np.empty((len(levels), mesh.n_nodes))
     upper = np.empty((len(levels), mesh.n_nodes))

@@ -341,3 +341,17 @@ def test_rod_zero_steps_echoes_initial_condition(tmp_path):
     assert len(rows) == 1
     assert rows[0][0] == "0"
     assert all(v == "0.75" for v in rows[0][1:])
+
+
+@pytest.mark.parametrize("command", ["solve", "fuzzy-sweep"])
+@pytest.mark.parametrize(
+    "section,key", [("parameters", "q"), ("parameters", "t_inf"), ("material", "k"), ("rod", "dt")]
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_is_config_error(tmp_path, capsys, command, section, key, value):
+    path = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+    code = main([command, "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config-error: bad value for [{section}] {key}:")
+    assert err.count("\n") == 1

@@ -145,3 +145,16 @@ def test_mesh_listing_format():
     assert lines[0].startswith("node 0 ")
     assert any(line.startswith("tri 0 ") for line in lines)
     assert any(line.endswith(" bottom") for line in lines)
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (2, 5)])
+def test_triangles_match_cell_by_cell_loop(nx, ny):
+    """Each cell, x-fastest, splits into (ll, lr, ur) then (ll, ur, ul)."""
+    expected = []
+    for j in range(ny):
+        for i in range(nx):
+            ll, ul = j * (nx + 1) + i, (j + 1) * (nx + 1) + i
+            expected += [(ll, ll + 1, ul + 1), (ll, ul + 1, ul)]
+    m = generate_structured_mesh(3.0, 2.0, nx, ny)
+    assert [t.nodes for t in m.elements] == expected
+    assert all(type(n) is int for t in m.elements for n in t.nodes)
