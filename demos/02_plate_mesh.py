@@ -12,7 +12,7 @@ from fuzzyheat import Wall, generate_structured_mesh, nodes_on_wall, write_mesh_
 from fuzzyheat.mesh import triangle_area
 
 mesh = generate_structured_mesh(20.0, 10.0, 5, 5)
-coords = mesh.coord_array()
+coords = mesh.coords
 
 print(f"plate {mesh.width_cm} x {mesh.height_cm} cm")
 print(f"nodes: {mesh.n_nodes}, triangles: {len(mesh.elements)}, boundary edges: {len(mesh.boundary)}")

@@ -33,6 +33,6 @@ for j in reversed(range(6)):
 # With h = 0 the plate reduces to 1D conduction: T(x) = T_fixed + q/k (W - x).
 no_conv = PlateParameters(k=1.5, h=0.0, q=2.0, t_inf=25.0, t_fixed=100.0)
 T_lin = solve_crisp(mesh, no_conv, bc).values
-coords = mesh.coord_array()
+coords = mesh.coords
 exact = 100.0 + (2.0 / 1.5) * (20.0 - coords[:, 0])
 print(f"\nconduction-only vs closed form: max |error| = {np.abs(T_lin - exact).max():.3e} K")

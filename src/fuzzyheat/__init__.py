@@ -22,10 +22,7 @@ from .fuzzy import (
     tfn_from_tolerance,
 )
 from .mesh import (
-    BoundaryEdge,
     Mesh2D,
-    Node2D,
-    Triangle,
     Wall,
     generate_structured_mesh,
     nodes_on_wall,
@@ -81,10 +78,7 @@ __all__ = [
     "interval_sub",
     "membership",
     "tfn_from_tolerance",
-    "BoundaryEdge",
     "Mesh2D",
-    "Node2D",
-    "Triangle",
     "Wall",
     "generate_structured_mesh",
     "nodes_on_wall",

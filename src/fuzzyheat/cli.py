@@ -23,9 +23,9 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .fem2d import (
 )
 from .fuzzy import AlphaLevels, tfn_from_tolerance
 from .ioutil import fmt
-from .mesh import Mesh2D, Wall, generate_structured_mesh
+from .mesh import Mesh2D, generate_structured_mesh
 from .uq import (
     FuzzyScenario,
     FuzzyTemperatureField,
@@ -59,6 +59,7 @@ _EXIT_CODES = {
     "singular-system": 4,
     "solver-error": 4,
     "io-error": 5,
+    "memory-error": 6,
 }
 
 
@@ -69,69 +70,95 @@ class CliError(Exception):
         self.exit_code = _EXIT_CODES.get(category, 1)
 
 
+_BC_KINDS = {kind.value: kind for kind in BCKind}
+_TRUTHY = configparser.ConfigParser.BOOLEAN_STATES  # 1/0, yes/no, true/false, on/off
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
+def _bool(raw: str) -> bool:
+    if raw.lower() not in _TRUTHY:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return _TRUTHY[raw.lower()]
+
+
+def _bc_kind(raw: str) -> BCKind:
+    if raw.lower() not in _BC_KINDS:
+        raise ValueError(
+            f"not a boundary kind: {raw!r} (choose from {', '.join(sorted(_BC_KINDS))})"
+        )
+    return _BC_KINDS[raw.lower()]
+
+
+def _end(raw: str) -> Optional[float]:
+    return None if raw.lower() == "free" else _finite(raw)
+
+
+def _ini(section: str, default, convert: Callable[[str], object], key: str = ""):
+    """A config field read from ``[section] key`` (the field name unless
+    ``key`` is given) through ``convert``, which raises ``ValueError``."""
+    return field(default=default, metadata={"section": section, "key": key, "convert": convert})
+
+
 @dataclass(frozen=True)
 class RodRunConfig:
-    length: float = 1.0
-    n_elems: int = 10
-    k: float = 1.0
-    u1: float = 0.0
-    q_src: float = 0.0
-    dt: float = 0.01
-    steps: int = 100
-    theta: float = 1.0
-    left: Optional[float] = 0.0
-    right: Optional[float] = 1.0
-    initial: float = 0.0
+    length: float = _ini("rod", 1.0, _finite)
+    n_elems: int = _ini("rod", 10, int)
+    k: float = _ini("rod", fem1d.Rod1D.k, _finite)
+    u1: float = _ini("rod", fem1d.Rod1D.u1, _finite)
+    q_src: float = _ini("rod", fem1d.Rod1D.Q_src, _finite)
+    dt: float = _ini("rod", 0.01, _finite)
+    steps: int = _ini("rod", 100, int)
+    theta: float = _ini("rod", 1.0, _finite)
+    left: Optional[float] = _ini("rod", 0.0, _end)
+    right: Optional[float] = _ini("rod", 1.0, _end)
+    initial: float = _ini("rod", 0.0, _finite)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run settings; every field has a documented default."""
 
-    width_cm: float = 20.0
-    height_cm: float = 10.0
-    nx: int = 5
-    ny: int = 5
-    k: float = 1.5
-    g: float = 0.0
-    boundary: dict = field(
-        default_factory=lambda: {
-            Wall.LEFT: BCKind.FLUX,
-            Wall.RIGHT: BCKind.DIRICHLET,
-            Wall.TOP: BCKind.CONVECTION,
-            Wall.BOTTOM: BCKind.ADIABATIC,
-        }
-    )
-    h: float = 1.2
-    q: float = 2.0
-    t_inf: float = 25.0
-    t_fixed: float = 100.0
-    h_fuzzy: bool = True
-    q_fuzzy: bool = True
-    t_inf_fuzzy: bool = False
-    h_pct: float = 0.05
-    q_pct: float = 0.05
-    t_inf_pct: float = 0.05
-    alpha_level_count: int = 11
-    out_dir: str = "out"
+    width_cm: float = _ini("plate", 20.0, _finite)
+    height_cm: float = _ini("plate", 10.0, _finite)
+    nx: int = _ini("plate", 5, int)
+    ny: int = _ini("plate", 5, int)
+    k: float = _ini("material", PlateParameters.k, _finite)
+    g: float = _ini("material", PlateParameters.G, _finite)
+    left: BCKind = _ini("boundary", BoundaryConditionSet.left, _bc_kind)
+    right: BCKind = _ini("boundary", BoundaryConditionSet.right, _bc_kind)
+    top: BCKind = _ini("boundary", BoundaryConditionSet.top, _bc_kind)
+    bottom: BCKind = _ini("boundary", BoundaryConditionSet.bottom, _bc_kind)
+    h: float = _ini("parameters", PlateParameters.h, _finite)
+    q: float = _ini("parameters", PlateParameters.q, _finite)
+    t_inf: float = _ini("parameters", PlateParameters.t_inf, _finite)
+    t_fixed: float = _ini("parameters", PlateParameters.t_fixed, _finite)
+    h_fuzzy: bool = _ini("fuzzy", True, _bool)
+    q_fuzzy: bool = _ini("fuzzy", True, _bool)
+    t_inf_fuzzy: bool = _ini("fuzzy", False, _bool)
+    h_pct: float = _ini("fuzzy", 0.05, _finite)
+    q_pct: float = _ini("fuzzy", 0.05, _finite)
+    t_inf_pct: float = _ini("fuzzy", 0.05, _finite)
+    alpha_level_count: int = _ini("fuzzy", len(FuzzyScenario.alpha_levels), int, "alpha_levels")
+    out_dir: str = _ini("output", "out", str, "directory")
     rod: RodRunConfig = RodRunConfig()
 
     def mesh(self) -> Mesh2D:
-        return generate_structured_mesh(self.width_cm, self.height_cm, self.nx, self.ny)
+        try:
+            return generate_structured_mesh(self.width_cm, self.height_cm, self.nx, self.ny)
+        except ValueError as exc:
+            raise CliError("config-error", str(exc)) from exc
 
     def parameters(self) -> PlateParameters:
-        return PlateParameters(
-            k=self.k, G=self.g, h=self.h, q=self.q,
-            t_inf=self.t_inf, t_fixed=self.t_fixed,
-        )
+        return PlateParameters(self.k, self.g, self.h, self.q, self.t_inf, self.t_fixed)
 
     def boundary_conditions(self) -> BoundaryConditionSet:
-        return BoundaryConditionSet(
-            left=self.boundary[Wall.LEFT],
-            right=self.boundary[Wall.RIGHT],
-            top=self.boundary[Wall.TOP],
-            bottom=self.boundary[Wall.BOTTOM],
-        )
+        return BoundaryConditionSet(self.left, self.right, self.top, self.bottom)
 
     def scenario(self, selector: str) -> FuzzyScenario:
         """Build the fuzzy scenario a selector names.
@@ -157,105 +184,28 @@ class RunConfig:
                 "scenario has no fuzzy parameter; enable at least one of "
                 "h_fuzzy, q_fuzzy, t_inf_fuzzy in [fuzzy] or pick a named scenario",
             )
-        crisp_and_pct = (
-            (self.h, self.h_pct),
-            (self.q, self.q_pct),
-            (self.t_inf, self.t_inf_pct),
-        )
-        entries = [
-            tfn_from_tolerance(value, pct) if fuzzy else value
-            for fuzzy, (value, pct) in zip(flags, crisp_and_pct)
-        ]
+        values = (self.h, self.q, self.t_inf)
+        pcts = (self.h_pct, self.q_pct, self.t_inf_pct)
+        try:
+            entries = [
+                tfn_from_tolerance(value, pct) if fuzzy else value
+                for fuzzy, value, pct in zip(flags, values, pcts)
+            ]
+        except ValueError as exc:
+            raise CliError("invalid-scenario", str(exc)) from exc
         return FuzzyScenario(
             h=entries[0], q=entries[1], t_inf=entries[2],
             alpha_levels=AlphaLevels.uniform(self.alpha_level_count),
         )
 
 
-_BC_KINDS = {kind.value: kind for kind in BCKind}
-
-# section -> key -> (converter name, default); parse_config walks this
-# schema and rejects anything outside it by name.
-_SCHEMA = {
-    "plate": {
-        "width_cm": ("float", 20.0),
-        "height_cm": ("float", 10.0),
-        "nx": ("int", 5),
-        "ny": ("int", 5),
-    },
-    "material": {"k": ("float", 1.5), "g": ("float", 0.0)},
-    "boundary": {
-        "left": ("bc", BCKind.FLUX),
-        "right": ("bc", BCKind.DIRICHLET),
-        "top": ("bc", BCKind.CONVECTION),
-        "bottom": ("bc", BCKind.ADIABATIC),
-    },
-    "parameters": {
-        "h": ("float", 1.2),
-        "q": ("float", 2.0),
-        "t_inf": ("float", 25.0),
-        "t_fixed": ("float", 100.0),
-    },
-    "fuzzy": {
-        "h_fuzzy": ("bool", True),
-        "q_fuzzy": ("bool", True),
-        "t_inf_fuzzy": ("bool", False),
-        "h_pct": ("float", 0.05),
-        "q_pct": ("float", 0.05),
-        "t_inf_pct": ("float", 0.05),
-        "alpha_levels": ("int", 11),
-    },
-    "rod": {
-        "length": ("float", 1.0),
-        "n_elems": ("int", 10),
-        "k": ("float", 1.0),
-        "u1": ("float", 0.0),
-        "q_src": ("float", 0.0),
-        "dt": ("float", 0.01),
-        "steps": ("int", 100),
-        "theta": ("float", 1.0),
-        "left": ("end", 0.0),
-        "right": ("end", 1.0),
-        "initial": ("float", 0.0),
-    },
-    "output": {"directory": ("str", "out")},
+# (section, key) -> (config class, field): the INI keys parse_config accepts.
+_KEYS = {
+    (f.metadata["section"], f.metadata["key"] or f.name): (cls, f)
+    for cls in (RunConfig, RodRunConfig)
+    for f in fields(cls)
+    if f.metadata
 }
-
-_TRUTHY = {"1": True, "yes": True, "true": True, "on": True,
-           "0": False, "no": False, "false": False, "off": False}
-
-
-def _finite(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {raw!r}")
-    return value
-
-
-def _convert(kind: str, raw: str, where: str):
-    try:
-        if kind == "float":
-            return _finite(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "str":
-            return raw
-        if kind == "bool":
-            if raw.lower() not in _TRUTHY:
-                raise ValueError(f"not a boolean: {raw!r}")
-            return _TRUTHY[raw.lower()]
-        if kind == "bc":
-            if raw.lower() not in _BC_KINDS:
-                raise ValueError(
-                    f"not a boundary kind: {raw!r} "
-                    f"(choose from {', '.join(sorted(_BC_KINDS))})"
-                )
-            return _BC_KINDS[raw.lower()]
-        if kind == "end":
-            return None if raw.lower() == "free" else _finite(raw)
-    except ValueError as exc:
-        raise CliError("config-error", f"bad value for {where}: {exc}") from exc
-    raise AssertionError(f"unhandled converter {kind}")
 
 
 def parse_config(path) -> RunConfig:
@@ -273,61 +223,24 @@ def parse_config(path) -> RunConfig:
     except OSError as exc:
         raise CliError("io-error", f"cannot read {path}: {exc}") from exc
 
-    values: dict[str, dict] = {}
+    given: dict[type, dict] = {RunConfig: {}, RodRunConfig: {}}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in {known for known, _ in _KEYS}:
             raise CliError("config-error", f"unknown section [{section}] in {path}")
-        values[section] = {}
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _KEYS:
                 raise CliError(
                     "config-error", f"unknown key {key!r} in section [{section}]"
                 )
-            kind, _ = _SCHEMA[section][key]
-            values[section][key] = _convert(kind, raw, f"[{section}] {key}")
+            cls, f = _KEYS[section, key]
+            try:
+                given[cls][f.name] = f.metadata["convert"](raw)
+            except ValueError as exc:
+                raise CliError(
+                    "config-error", f"bad value for [{section}] {key}: {exc}"
+                ) from exc
 
-    def get(section: str, key: str):
-        return values.get(section, {}).get(key, _SCHEMA[section][key][1])
-
-    cfg = RunConfig(
-        width_cm=get("plate", "width_cm"),
-        height_cm=get("plate", "height_cm"),
-        nx=get("plate", "nx"),
-        ny=get("plate", "ny"),
-        k=get("material", "k"),
-        g=get("material", "g"),
-        boundary={
-            Wall.LEFT: get("boundary", "left"),
-            Wall.RIGHT: get("boundary", "right"),
-            Wall.TOP: get("boundary", "top"),
-            Wall.BOTTOM: get("boundary", "bottom"),
-        },
-        h=get("parameters", "h"),
-        q=get("parameters", "q"),
-        t_inf=get("parameters", "t_inf"),
-        t_fixed=get("parameters", "t_fixed"),
-        h_fuzzy=get("fuzzy", "h_fuzzy"),
-        q_fuzzy=get("fuzzy", "q_fuzzy"),
-        t_inf_fuzzy=get("fuzzy", "t_inf_fuzzy"),
-        h_pct=get("fuzzy", "h_pct"),
-        q_pct=get("fuzzy", "q_pct"),
-        t_inf_pct=get("fuzzy", "t_inf_pct"),
-        alpha_level_count=get("fuzzy", "alpha_levels"),
-        out_dir=get("output", "directory"),
-        rod=RodRunConfig(
-            length=get("rod", "length"),
-            n_elems=get("rod", "n_elems"),
-            k=get("rod", "k"),
-            u1=get("rod", "u1"),
-            q_src=get("rod", "q_src"),
-            dt=get("rod", "dt"),
-            steps=get("rod", "steps"),
-            theta=get("rod", "theta"),
-            left=get("rod", "left"),
-            right=get("rod", "right"),
-            initial=get("rod", "initial"),
-        ),
-    )
+    cfg = RunConfig(**given[RunConfig], rod=RodRunConfig(**given[RodRunConfig]))
     _validate(cfg)
     return cfg
 
@@ -369,8 +282,8 @@ def _open_out(out_dir: Path, name: str):
 
 def write_nodes_csv(stream, mesh: Mesh2D) -> None:
     stream.write("node_id,x_cm,y_cm\n")
-    for n in mesh.nodes:
-        stream.write(f"{n.id},{fmt(n.x)},{fmt(n.y)}\n")
+    for i, (x, y) in enumerate(mesh.coords.tolist()):
+        stream.write(f"{i},{fmt(x)},{fmt(y)}\n")
 
 
 def write_temperature_csv(stream, result: TemperatureField) -> None:
@@ -403,16 +316,17 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> None:
         result = solve_crisp(mesh, cfg.parameters(), cfg.boundary_conditions())
     except SingularSystemError as exc:
         raise CliError("singular-system", str(exc)) from exc
+    except ValueError as exc:  # degenerate elements, overflowing loads
+        raise CliError("solver-error", str(exc)) from exc
 
     with _open_out(out_dir, "nodes.csv") as fh:
         write_nodes_csv(fh, mesh)
     with _open_out(out_dir, "temperature.csv") as fh:
         write_temperature_csv(fh, result)
     T = result.values
-    print(
-        f"temperature: min {fmt(T.min())} max {fmt(T.max())} "
-        f"mean {fmt(float(np.mean(T)))}"
-    )
+    with np.errstate(over="ignore"):  # inf when the sum overflows
+        mean = float(np.mean(T))
+    print(f"temperature: min {fmt(T.min())} max {fmt(T.max())} mean {fmt(mean)}")
 
 
 def cmd_fuzzy_sweep(
@@ -515,7 +429,9 @@ def main(argv=None) -> int:
             cmd_fuzzy_sweep(cfg, selectors, out_dir, workers=args.workers)
         elif args.command == "rod":
             cmd_rod(cfg, out_dir)
-    except CliError as exc:
+    except (CliError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):
+            exc = CliError("memory-error", str(exc) or "out of memory")
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return exc.exit_code
     return 0

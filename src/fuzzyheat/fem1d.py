@@ -145,8 +145,9 @@ def theta_step(
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
 
-    S = M + theta * dt * A
-    rhs = (M - (1.0 - theta) * dt * A) @ state.values + dt * b
+    with np.errstate(over="ignore", invalid="ignore"):  # huge k or dt; caught below
+        S = M + theta * dt * A
+        rhs = (M - (1.0 - theta) * dt * A) @ state.values + dt * b
     S, rhs = apply_end_conditions(S, rhs, bc)
     try:
         phi = np.linalg.solve(S, rhs)

@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .mesh import BoundaryEdge, Mesh2D, Triangle, Wall, edge_length, nodes_on_wall
+from .mesh import WALLS, Mesh2D, Wall, triangle_area
 
 _MIN_AREA = 1e-14
 
@@ -97,9 +97,6 @@ class BoundaryConditionSet:
     def kind(self, wall: Wall) -> BCKind:
         return getattr(self, wall.value)
 
-    def dirichlet_walls(self) -> list[Wall]:
-        return [w for w in Wall if self.kind(w) is BCKind.DIRICHLET]
-
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -138,58 +135,66 @@ class TemperatureField:
         self.values.setflags(write=False)
 
 
-def element_stiffness(tri: Triangle, coords: np.ndarray, k: float) -> np.ndarray:
-    """Conduction stiffness ``k * A * B^T B`` of a linear triangle.
+def _doubled_areas(coords: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Twice the signed areas of (E, 3) node-index triangles; a degenerate
+    or inverted triangle raises :class:`DegenerateElementError`."""
+    area2 = 2.0 * triangle_area(coords, tris)
+    bad = np.flatnonzero(area2 <= 2.0 * _MIN_AREA)
+    if bad.size:
+        raise DegenerateElementError(
+            f"triangle {tuple(tris[bad[0]].tolist())} degenerate or inverted "
+            f"(2A={area2[bad[0]]})"
+        )
+    return area2
+
+
+def _edge_lengths(coords: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Lengths of (B, 2) node-index edges; a zero-length edge raises
+    :class:`DegenerateElementError`."""
+    d = coords[edges[:, 1]] - coords[edges[:, 0]]
+    length = np.hypot(d[:, 0], d[:, 1])
+    bad = np.flatnonzero(length <= 0.0)
+    if bad.size:
+        a, b = edges[bad[0]].tolist()
+        raise DegenerateElementError(f"edge ({a}, {b}) has zero length")
+    return length
+
+
+def element_stiffness(tri, coords: np.ndarray, k: float) -> np.ndarray:
+    """Conduction stiffness ``k * A * B^T B`` of a linear triangle given
+    as a row of three node indices.
 
     ``B`` holds the constant shape-function gradients.  Rows sum to zero:
     a constant temperature field drives no flux.
     """
-    (x0, y0), (x1, y1), (x2, y2) = coords[list(tri.nodes)]
-    area2 = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)  # twice the signed area
-    if area2 <= 2.0 * _MIN_AREA:
-        raise DegenerateElementError(
-            f"triangle {tri.nodes} degenerate or inverted (2A={area2})"
-        )
+    area2 = _doubled_areas(coords, np.array([tri]))[0]
+    (x0, y0), (x1, y1), (x2, y2) = coords[list(tri)]
     b = np.array([y1 - y2, y2 - y0, y0 - y1])
     c = np.array([x2 - x1, x0 - x2, x1 - x0])
     grads = np.vstack([b, c]) / area2  # 2x3 matrix of shape-function gradients
     return k * (0.5 * area2) * (grads.T @ grads)
 
 
-def edge_convection_matrix(edge: BoundaryEdge, coords: np.ndarray, h: float) -> np.ndarray:
-    """Robin boundary matrix ``(h L / 6) [[2, 1], [1, 2]]`` of an edge."""
-    L = edge_length(coords, edge)
-    if L <= 0.0:
-        raise DegenerateElementError(f"edge ({edge.a}, {edge.b}) has zero length")
+def edge_convection_matrix(edge, coords: np.ndarray, h: float) -> np.ndarray:
+    """Robin boundary matrix ``(h L / 6) [[2, 1], [1, 2]]`` of an edge
+    given as a pair of node indices."""
+    L = _edge_lengths(coords, np.array([edge]))[0]
     return (h * L / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
 
 
-def edge_flux_vector(edge: BoundaryEdge, coords: np.ndarray, q: float) -> np.ndarray:
+def edge_flux_vector(edge, coords: np.ndarray, q: float) -> np.ndarray:
     """Load from a prescribed inward flux: ``q L / 2`` per edge node."""
-    L = edge_length(coords, edge)
-    if L <= 0.0:
-        raise DegenerateElementError(f"edge ({edge.a}, {edge.b}) has zero length")
-    return np.full(2, 0.5 * q * L)
+    return np.full(2, 0.5 * q * _edge_lengths(coords, np.array([edge]))[0])
 
 
-def edge_ambient_vector(
-    edge: BoundaryEdge, coords: np.ndarray, h: float, t_inf: float
-) -> np.ndarray:
+def edge_ambient_vector(edge, coords: np.ndarray, h: float, t_inf: float) -> np.ndarray:
     """Ambient part of the Robin condition: ``h t_inf L / 2`` per edge node."""
-    L = edge_length(coords, edge)
-    if L <= 0.0:
-        raise DegenerateElementError(f"edge ({edge.a}, {edge.b}) has zero length")
-    return np.full(2, 0.5 * h * t_inf * L)
+    return np.full(2, 0.5 * h * t_inf * _edge_lengths(coords, np.array([edge]))[0])
 
 
-def element_source_vector(tri: Triangle, coords: np.ndarray, G_src: float) -> np.ndarray:
+def element_source_vector(tri, coords: np.ndarray, G_src: float) -> np.ndarray:
     """Load from a uniform volumetric source: ``G A / 3`` per vertex."""
-    (x0, y0), (x1, y1), (x2, y2) = coords[list(tri.nodes)]
-    area2 = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-    if area2 <= 2.0 * _MIN_AREA:
-        raise DegenerateElementError(
-            f"triangle {tri.nodes} degenerate or inverted (2A={area2})"
-        )
+    area2 = _doubled_areas(coords, np.array([tri]))[0]
     return np.full(3, G_src * (0.5 * area2) / 3.0)
 
 
@@ -203,23 +208,18 @@ def assemble(m: Mesh2D, p: PlateParameters, bc: BoundaryConditionSet) -> LinearS
     n = m.n_nodes
     K = np.zeros((n, n))
     f = np.zeros(n)
-    coords = m.coord_array()
+    coords = m.coords
 
     for tri in m.elements:
-        idx = list(tri.nodes)
-        K[np.ix_(idx, idx)] += element_stiffness(tri, coords, p.k)
+        K[np.ix_(tri, tri)] += element_stiffness(tri, coords, p.k)
         if p.G != 0.0:
-            f[idx] += element_source_vector(tri, coords, p.G)
+            f[tri] += element_source_vector(tri, coords, p.G)
 
-    for edge in m.boundary:
-        kind = bc.kind(edge.wall)
-        idx = [edge.a, edge.b]
-        if kind is BCKind.CONVECTION:
-            K[np.ix_(idx, idx)] += edge_convection_matrix(edge, coords, p.h)
-            f[idx] += edge_ambient_vector(edge, coords, p.h, p.t_inf)
-        elif kind is BCKind.FLUX:
-            f[idx] += edge_flux_vector(edge, coords, p.q)
-        # DIRICHLET handled later, ADIABATIC contributes nothing.
+    for edge in _boundary_edges(m, bc, BCKind.CONVECTION):
+        K[np.ix_(edge, edge)] += edge_convection_matrix(edge, coords, p.h)
+        f[edge] += edge_ambient_vector(edge, coords, p.h, p.t_inf)
+    for edge in _boundary_edges(m, bc, BCKind.FLUX):
+        f[edge] += edge_flux_vector(edge, coords, p.q)
 
     return LinearSystem(K, f)
 
@@ -299,13 +299,15 @@ def _diagnose(K: np.ndarray, reason: str) -> str:
     )
 
 
+def _boundary_edges(m: Mesh2D, bc: BoundaryConditionSet, kind: BCKind) -> np.ndarray:
+    """The (B, 2) boundary edges whose wall has a condition kind, in mesh order."""
+    codes = [code for code, wall in enumerate(WALLS) if bc.kind(wall) is kind]
+    return m.boundary[np.isin(m.walls, codes)]
+
+
 def dirichlet_nodes(m: Mesh2D, bc: BoundaryConditionSet) -> list[int]:
-    """Nodes constrained by the fixed-temperature walls, deduplicated."""
-    seen: dict[int, None] = {}
-    for wall in bc.dirichlet_walls():
-        for node in nodes_on_wall(m, wall):
-            seen[node] = None
-    return list(seen)
+    """Nodes constrained by the fixed-temperature walls, sorted."""
+    return np.unique(_boundary_edges(m, bc, BCKind.DIRICHLET)).tolist()
 
 
 @dataclass(frozen=True)
@@ -340,56 +342,34 @@ class AffinePlate:
     """
 
     def __init__(self, m: Mesh2D, p: PlateParameters, bc: BoundaryConditionSet):
-        n = m.n_nodes
-        coords = m.coord_array()
-        tris = np.array([t.nodes for t in m.elements], dtype=np.intp).reshape(-1, 3)
+        n, coords, tris = m.n_nodes, m.coords, m.elements
+        area2 = _doubled_areas(coords, tris)
         x, y = coords[tris, 0], coords[tris, 1]
-        area2 = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
-            y[:, 1] - y[:, 0]
-        )  # twice the signed area
-        bad = np.flatnonzero(area2 <= 2.0 * _MIN_AREA)
-        if bad.size:
-            raise DegenerateElementError(
-                f"triangle {tuple(tris[bad[0]].tolist())} degenerate or inverted "
-                f"(2A={area2[bad[0]]})"
-            )
         # Shape-function gradients, as in element_stiffness.
         gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], 1)
         gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], 1)
         gx /= area2[:, None]
         gy /= area2[:, None]
-        ke = (p.k * (0.5 * area2))[:, None, None] * (
-            gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # factor() rejects inf
+            ke = (p.k * (0.5 * area2))[:, None, None] * (
+                gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
+            )
 
         # Flux and convection edges; Dirichlet and adiabatic ones add nothing.
-        loaded = [
-            (e.a, e.b, bc.kind(e.wall) is BCKind.CONVECTION)
-            for e in m.boundary
-            if bc.kind(e.wall) in (BCKind.CONVECTION, BCKind.FLUX)
-        ]
-        edges = np.array([e[:2] for e in loaded], dtype=np.intp).reshape(-1, 2)
-        conv = np.array([e[2] for e in loaded], dtype=bool)
-        d = coords[edges[:, 1]] - coords[edges[:, 0]]
-        length = np.hypot(d[:, 0], d[:, 1])
-        bad = np.flatnonzero(length <= 0.0)
-        if bad.size:
-            a, b = edges[bad[0]].tolist()
-            raise DegenerateElementError(f"edge ({a}, {b}) has zero length")
-        conv_edges = edges[conv]
-        kc = (length[conv] / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
+        flux_edges = _boundary_edges(m, bc, BCKind.FLUX)
+        conv_edges = _boundary_edges(m, bc, BCKind.CONVECTION)
+        flux_length = _edge_lengths(coords, flux_edges)
+        conv_length = _edge_lengths(coords, conv_edges)
+        kc = (conv_length / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
 
         def scatter(index: np.ndarray, weights: np.ndarray) -> np.ndarray:
-            return np.bincount(index.ravel(), weights.ravel(), minlength=n)
+            return np.bincount(index.ravel(), np.repeat(weights, index.shape[1]), minlength=n)
 
-        half_length = np.repeat(0.5 * length, 2).reshape(-1, 2)
-        self._f_q = scatter(edges[~conv], half_length[~conv])
-        self._f_a = scatter(conv_edges, half_length[conv])
-        self._f_G = scatter(tris, np.repeat((0.5 * area2) / 3.0, 3))
+        self._f_q = scatter(flux_edges, 0.5 * flux_length)
+        self._f_a = scatter(conv_edges, 0.5 * conv_length)
+        self._f_G = scatter(tris, (0.5 * area2) / 3.0)
 
-        fixed = np.zeros(n, dtype=bool)
-        fixed[dirichlet_nodes(m, bc)] = True
-        self._free = np.flatnonzero(~fixed)
+        self._free = np.setdiff1d(np.arange(n), dirichlet_nodes(m, bc))
         n_free = self._free.size
         rank = np.full(n, -1, dtype=np.intp)
         rank[self._free] = np.arange(n_free)
@@ -436,14 +416,19 @@ class AffinePlate:
         """Banded Cholesky of ``K_k + h K_c`` on the free nodes.
 
         Raises :class:`SingularSystemError` when the matrix is not
-        positive definite or its squared pivot ratio is below 1e-13.
+        positive definite or its squared pivot ratio is below 1e-13, and
+        ``ValueError`` when a huge ``k`` or ``h`` overflows it.
         """
         if not np.isfinite(h) or h < 0.0:
             raise ValueError(f"convection coefficient must be finite and >= 0, got h={h}")
         if self._free.size == 0:
             return PlateFactor(h, self._ab_k, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ab = self._ab_k + h * self._ab_c
+        if not np.isfinite(ab).all():
+            raise ValueError(f"plate matrix overflows the float range at h={h}")
         try:
-            cb = scipy.linalg.cholesky_banded(self._ab_k + h * self._ab_c)
+            cb = scipy.linalg.cholesky_banded(ab, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             minor = re.match(r"(\d+)-th leading minor", str(exc))
             where = f" at leading minor {minor.group(1)} of {self._free.size}" if minor else ""
@@ -475,7 +460,8 @@ class AffinePlate:
 
         Two banded triangular solves: the solve itself and one step of
         iterative refinement.  A relative residual above 1e-10 raises
-        :class:`SingularSystemError`.
+        :class:`SingularSystemError`; loads or temperatures that overflow
+        the float range raise ``ValueError``.
         """
         if not (np.isfinite(q) and np.isfinite(t_inf)):
             raise ValueError(f"parameters must be finite, got q={q}, t_inf={t_inf}")
@@ -484,22 +470,30 @@ class AffinePlate:
         if free.size == 0:
             return TemperatureField(T)
 
-        loads = q * self._f_q + (h * t_inf) * self._f_a + self._G * self._f_G
-        rhs = self._t_fixed * (self._l_k + h * self._l_c) + loads[free]
-        chol = (factor.cb, False)
-        T[free] = scipy.linalg.cho_solve_banded(chol, rhs)
-        T[free] += scipy.linalg.cho_solve_banded(chol, (loads - self._matvec(h, T))[free])
-
-        # Norm of the full constrained right-hand side, fixed rows included.
-        f_norm = np.hypot(np.linalg.norm(rhs), self._t_fixed * np.sqrt(self._n_fixed))
-        residual = np.linalg.norm((self._matvec(h, T) - loads)[free])
-        if f_norm > 0.0 and residual > 1e-10 * f_norm:
-            raise SingularSystemError(
-                _pivot_diagnosis(
-                    f"relative residual {residual / f_norm:.3e} exceeds 1e-10",
-                    factor.pivot_ratio,
-                )
+        at = f"h={h}, q={q}, t_inf={t_inf}, t_fixed={self._t_fixed}"
+        with np.errstate(over="ignore", invalid="ignore"):
+            loads = q * self._f_q + (h * t_inf) * self._f_a + self._G * self._f_G
+            rhs = self._t_fixed * (self._l_k + h * self._l_c) + loads[free]
+            if not np.isfinite(rhs).all():
+                raise ValueError(f"right-hand side overflows the float range at {at}")
+            chol = (factor.cb, False)
+            T[free] = scipy.linalg.cho_solve_banded(chol, rhs, check_finite=False)
+            T[free] += scipy.linalg.cho_solve_banded(
+                chol, (loads - self._matvec(h, T))[free], check_finite=False
             )
+            if not np.isfinite(T).all():
+                raise ValueError(f"temperatures overflow the float range at {at}")
+
+            # Norm of the full constrained right-hand side, fixed rows included.
+            f_norm = np.hypot(np.linalg.norm(rhs), self._t_fixed * np.sqrt(self._n_fixed))
+            residual = np.linalg.norm((self._matvec(h, T) - loads)[free])
+            if f_norm > 0.0 and residual > 1e-10 * f_norm:
+                raise SingularSystemError(
+                    _pivot_diagnosis(
+                        f"relative residual {residual / f_norm:.3e} exceeds 1e-10",
+                        factor.pivot_ratio,
+                    )
+                )
         return TemperatureField(T)
 
 

@@ -12,6 +12,7 @@ pure, so instances can be shared freely across worker threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -186,6 +187,8 @@ def tfn_from_tolerance(v: float, pct: float) -> TriangularFuzzyNumber:
     hi = v * (1.0 + pct)
     if v < 0.0:
         lo, hi = hi, lo
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"tolerance {pct} of {v} overflows the float range")
     return TriangularFuzzyNumber(lo, v, hi)
 
 

@@ -4,12 +4,14 @@ The plate ``[0, width] x [0, height]`` is divided into an ``nx`` by
 ``ny`` grid of cells, each split into two counter-clockwise triangles
 along the lower-left to upper-right diagonal.  Boundary edges are tagged
 with the wall they lie on so that boundary conditions can be assigned
-per wall.  Meshes are immutable after construction and safe to share.
+per wall.  A mesh is a handful of read-only arrays, safe to share.
 """
 
 from __future__ import annotations
 
 import io
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,59 +25,43 @@ class Wall(str, Enum):
     BOTTOM = "bottom"
 
 
-@dataclass(frozen=True)
-class Node2D:
-    id: int
-    x: float
-    y: float
+# Mesh2D.walls holds each edge's wall as its position in this tuple.
+WALLS = tuple(Wall)
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Counter-clockwise triple of node indices."""
-
-    n0: int
-    n1: int
-    n2: int
-
-    @property
-    def nodes(self) -> tuple[int, int, int]:
-        return (self.n0, self.n1, self.n2)
-
-
-@dataclass(frozen=True)
-class BoundaryEdge:
-    a: int
-    b: int
-    wall: Wall
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh2D:
-    nodes: tuple[Node2D, ...]
-    elements: tuple[Triangle, ...]
-    boundary: tuple[BoundaryEdge, ...]
+    """Node coordinates ``coords`` (n, 2), counter-clockwise node triples
+    ``elements`` (E, 3), boundary edges ``boundary`` (B, 2) and their
+    wall codes ``walls`` (B,), all read-only, plus the plate size."""
+
+    coords: np.ndarray
+    elements: np.ndarray
+    boundary: np.ndarray
+    walls: np.ndarray
     width_cm: float
     height_cm: float
 
+    def __post_init__(self) -> None:
+        for name, dtype, shape in (("coords", float, (-1, 2)), ("elements", np.intp, (-1, 3)),
+                                   ("boundary", np.intp, (-1, 2)), ("walls", np.int8, (-1,))):
+            arr = np.array(getattr(self, name), dtype=dtype).reshape(shape)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if len(self.walls) != len(self.boundary):
+            raise ValueError(f"{len(self.walls)} wall codes for {len(self.boundary)} edges")
+
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    def coord_array(self) -> np.ndarray:
-        """Node coordinates as an (n_nodes, 2) float array."""
-        return np.array([(n.x, n.y) for n in self.nodes], dtype=float)
+        return len(self.coords)
 
 
-def triangle_area(coords: np.ndarray, tri: Triangle) -> float:
-    """Signed area of a triangle; positive for counter-clockwise vertices."""
-    (x0, y0), (x1, y1), (x2, y2) = coords[list(tri.nodes)]
-    return 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
-
-
-def edge_length(coords: np.ndarray, edge: BoundaryEdge) -> float:
-    d = coords[edge.b] - coords[edge.a]
-    return float(np.hypot(d[0], d[1]))
+def triangle_area(coords: np.ndarray, tris):
+    """Signed areas of triangles given as node-index rows, one row or
+    (E, 3); positive for counter-clockwise vertices."""
+    x, y = coords[tris, 0], coords[tris, 1]
+    return 0.5 * ((x[..., 1] - x[..., 0]) * (y[..., 2] - y[..., 0])
+                  - (x[..., 2] - x[..., 0]) * (y[..., 1] - y[..., 0]))
 
 
 def generate_structured_mesh(
@@ -92,69 +78,52 @@ def generate_structured_mesh(
         raise ValueError(f"plate dimensions must be positive: {width_cm} x {height_cm}")
     if nx < 1 or ny < 1:
         raise ValueError(f"need at least one cell per direction, got nx={nx}, ny={ny}")
+    # Keeps the coordinates, the doubled cell areas and their sum normal floats.
+    cell2 = (width_cm / nx) * (height_cm / ny)
+    if not (sys.float_info.min <= cell2 and math.isfinite(2.0 * width_cm * nx * height_cm * ny)):
+        raise ValueError(
+            f"plate {width_cm} x {height_cm} cm on a {nx} x {ny} grid is outside the float range"
+        )
 
-    def node_id(i: int, j: int) -> int:
-        return j * (nx + 1) + i
-
-    # width * i / nx is exact at both ends, so wall membership tests can
-    # compare coordinates with ==.
-    nodes = tuple(
-        Node2D(node_id(i, j), width_cm * i / nx, height_cm * j / ny)
-        for j in range(ny + 1)
-        for i in range(nx + 1)
-    )
+    ids = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)  # ids[j, i]
+    x, y = np.meshgrid(width_cm * np.arange(nx + 1) / nx, height_cm * np.arange(ny + 1) / ny)
 
     # Lower-left node of every cell, x-fastest; each cell gives the
     # triangles (ll, lr, ur) and (ll, ur, ul) in that order.
-    ll = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)[None, :]).ravel()
+    ll = ids[:-1, :-1].ravel()
     lr, ul = ll + 1, ll + nx + 1
     ur = ul + 1
     tris = np.stack([ll, lr, ur, ll, ur, ul], axis=1).reshape(-1, 3)
-    elements = tuple(Triangle(*t) for t in tris.tolist())
 
-    boundary = []
-    for i in range(nx):  # bottom, left to right
-        boundary.append(BoundaryEdge(node_id(i, 0), node_id(i + 1, 0), Wall.BOTTOM))
-    for j in range(ny):  # right, bottom to top
-        boundary.append(BoundaryEdge(node_id(nx, j), node_id(nx, j + 1), Wall.RIGHT))
-    for i in range(nx, 0, -1):  # top, right to left
-        boundary.append(BoundaryEdge(node_id(i, ny), node_id(i - 1, ny), Wall.TOP))
-    for j in range(ny, 0, -1):  # left, top to bottom
-        boundary.append(BoundaryEdge(node_id(0, j), node_id(0, j - 1), Wall.LEFT))
+    # Start node of every boundary edge, counter-clockwise: bottom left to
+    # right, right bottom to top, top right to left, left top to bottom.
+    ring = np.concatenate([ids[0, :-1], ids[:-1, -1], ids[-1, :0:-1], ids[:0:-1, 0]])
+    codes = [WALLS.index(w) for w in (Wall.BOTTOM, Wall.RIGHT, Wall.TOP, Wall.LEFT)]
+    mesh = Mesh2D(
+        np.stack([x.ravel(), y.ravel()], axis=1),
+        tris,
+        np.stack([ring, np.roll(ring, -1)], axis=1),
+        np.repeat(codes, [nx, ny, nx, ny]),
+        width_cm,
+        height_cm,
+    )
 
-    mesh = Mesh2D(nodes, elements, tuple(boundary), width_cm, height_cm)
-
-    x, y = mesh.coord_array()[tris].transpose(2, 0, 1)  # (E, 3) each
-    area2 = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
-    total = 0.5 * float(area2.sum())
+    total = float(triangle_area(mesh.coords, tris).sum())
     target = width_cm * height_cm
     if abs(total - target) > 1e-9 * target:
         raise AssertionError(f"mesh area {total} != plate area {target}")
     return mesh
 
 
-def _wall_position(node: Node2D, wall: Wall) -> float:
-    """Sort key along a wall: x on horizontal walls, y on vertical ones."""
-    return node.y if wall in (Wall.LEFT, Wall.RIGHT) else node.x
-
-
 def nodes_on_wall(m: Mesh2D, wall: Wall) -> list[int]:
-    """Ids of the nodes lying exactly on a wall, sorted by position.
+    """Ids of the nodes of the edges tagged with a wall, sorted by
+    position along it (x on horizontal walls, y on vertical ones).
 
     Corner nodes belong to both adjacent walls.
     """
-    if wall is Wall.LEFT:
-        picked = [n for n in m.nodes if n.x == 0.0]
-    elif wall is Wall.RIGHT:
-        picked = [n for n in m.nodes if n.x == m.width_cm]
-    elif wall is Wall.BOTTOM:
-        picked = [n for n in m.nodes if n.y == 0.0]
-    elif wall is Wall.TOP:
-        picked = [n for n in m.nodes if n.y == m.height_cm]
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown wall: {wall}")
-    picked.sort(key=lambda n: _wall_position(n, wall))
-    return [n.id for n in picked]
+    nodes = np.unique(m.boundary[m.walls == WALLS.index(wall)])
+    along = m.coords[nodes, 1 if wall in (Wall.LEFT, Wall.RIGHT) else 0]
+    return nodes[np.argsort(along, kind="stable")].tolist()
 
 
 def write_mesh_listing(m: Mesh2D, stream: io.TextIOBase) -> None:
@@ -163,9 +132,9 @@ def write_mesh_listing(m: Mesh2D, stream: io.TextIOBase) -> None:
     One record per line: ``node id x y``, ``tri id n0 n1 n2`` and
     ``edge a b wall``.
     """
-    for n in m.nodes:
-        stream.write(f"node {n.id} {n.x!r} {n.y!r}\n")
-    for i, t in enumerate(m.elements):
-        stream.write(f"tri {i} {t.n0} {t.n1} {t.n2}\n")
-    for e in m.boundary:
-        stream.write(f"edge {e.a} {e.b} {e.wall.value}\n")
+    for i, (x, y) in enumerate(m.coords.tolist()):
+        stream.write(f"node {i} {x!r} {y!r}\n")
+    for i, (n0, n1, n2) in enumerate(m.elements.tolist()):
+        stream.write(f"tri {i} {n0} {n1} {n2}\n")
+    for (a, b), w in zip(m.boundary.tolist(), m.walls.tolist()):
+        stream.write(f"edge {a} {b} {WALLS[w].value}\n")

@@ -3,9 +3,10 @@
 The pipeline has three stages: fuzzy inputs are cut into intervals level
 by level, each interval box is propagated through the crisp plate solver
 by the vertex method (one solve per corner of the box, exact for
-responses that are monotone in each parameter, which holds for this
-linear problem), and the per-node minima / maxima form the temperature
-envelopes.  Sensitivity of a parameter is summarized by the width of the
+responses that are monotone in each parameter: always in ``q`` and
+``t_inf``, where the response is affine, but not guaranteed in ``h``,
+where a wide fuzzy ``h`` can put a node's extremum inside the box), and
+the per-node minima / maxima form the temperature envelopes.  Sensitivity of a parameter is summarized by the width of the
 full-support envelope: its per-node values, their average, and their
 population variance.
 
@@ -258,9 +259,10 @@ def sensitivity(field: FuzzyTemperatureField, label: str) -> SensitivityReport:
     The variance is the population variance (divide by the node count):
     the widths are the complete population over the mesh, not a sample.
     """
-    widths = field.widths(0.0)
-    average = float(np.mean(widths))
-    variance = float(np.mean((widths - average) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf beyond the float range
+        widths = field.widths(0.0)
+        average = float(np.mean(widths))
+        variance = float(np.mean((widths - average) ** 2))
     return SensitivityReport(label, widths, average, variance)
 
 

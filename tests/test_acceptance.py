@@ -116,7 +116,7 @@ def test_fem_patch_affine():
     default 5x5 mesh. Runtime < 1 s."""
     start = time.perf_counter()
     m = generate_structured_mesh(20, 10, 5, 5)
-    coords = m.coord_array()
+    coords = m.coords
     adiabatic = BoundaryConditionSet(
         left=BCKind.ADIABATIC, right=BCKind.ADIABATIC,
         top=BCKind.ADIABATIC, bottom=BCKind.ADIABATIC,
@@ -142,7 +142,7 @@ def _manufactured_l2_error(n: int, W=20.0, H=10.0, k=1.5) -> float:
     matrix.
     """
     m = generate_structured_mesh(W, H, n, n)
-    coords = m.coord_array()
+    coords = m.coords
     adiabatic = BoundaryConditionSet(
         left=BCKind.ADIABATIC, right=BCKind.ADIABATIC,
         top=BCKind.ADIABATIC, bottom=BCKind.ADIABATIC,
@@ -152,7 +152,7 @@ def _manufactured_l2_error(n: int, W=20.0, H=10.0, k=1.5) -> float:
     coef = k * np.pi**2 * (1.0 / W**2 + 1.0 / H**2)
     f = np.zeros(m.n_nodes)
     for tri in m.elements:
-        idx = list(tri.nodes)
+        idx = list(tri)
         cx, cy = coords[idx].mean(axis=0)
         g = coef * np.sin(np.pi * cx / W) * np.sin(np.pi * cy / H)
         f[idx] += element_source_vector(tri, coords, g)
@@ -164,7 +164,7 @@ def _manufactured_l2_error(n: int, W=20.0, H=10.0, k=1.5) -> float:
     mass_e = (1.0 / 12.0) * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
     l2_sq = 0.0
     for tri in m.elements:
-        idx = list(tri.nodes)
+        idx = list(tri)
         (x0, y0), (x1, y1), (x2, y2) = coords[idx]
         area = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
         ee = e[idx]
@@ -197,7 +197,7 @@ def test_analytic_linear_profile():
         m = generate_structured_mesh(W, 10.0, 5, 5)
         p = PlateParameters(k=k, G=0.0, h=0.0, q=2.0, t_inf=25.0, t_fixed=100.0)
         T = solve_crisp(m, p, bc)
-        coords = m.coord_array()
+        coords = m.coords
         exact = 100.0 + (2.0 / k) * (W - coords[:, 0])
         assert np.abs(T.values - exact).max() <= 1e-8, f"k={k}"
     _pass("analytic linear conduction profile (1e-8)")

@@ -18,8 +18,7 @@ from fuzzyheat.fem2d import (
     solve_crisp,
 )
 from fuzzyheat.fuzzy import tfn_from_tolerance
-from fuzzyheat.mesh import BoundaryEdge, Mesh2D, Node2D, Triangle, Wall
-from fuzzyheat.mesh import generate_structured_mesh
+from fuzzyheat.mesh import WALLS, Mesh2D, Wall, generate_structured_mesh
 from fuzzyheat.uq import FuzzyScenario, PropagationError, propagate
 
 D, F, C, A = BCKind.DIRICHLET, BCKind.FLUX, BCKind.CONVECTION, BCKind.ADIABATIC
@@ -117,14 +116,13 @@ def test_solve_rejects_non_finite_parameters(q, t_inf):
         plate.solve(plate.factor(1.2), q, t_inf)
 
 
-def _one_triangle_mesh(points):
-    nodes = tuple(Node2D(i, x, y) for i, (x, y) in enumerate(points))
-    boundary = (
-        BoundaryEdge(0, 1, Wall.BOTTOM),
-        BoundaryEdge(1, 2, Wall.RIGHT),
-        BoundaryEdge(2, 0, Wall.LEFT),
-    )
-    return Mesh2D(nodes, (Triangle(0, 1, 2),), boundary, 1.0, 1.0)
+LOOP = ((0, 1, Wall.BOTTOM), (1, 2, Wall.RIGHT), (2, 0, Wall.LEFT))
+
+
+def _one_triangle_mesh(points, edges=LOOP):
+    boundary = [(a, b) for a, b, _ in edges]
+    walls = [WALLS.index(w) for _, _, w in edges]
+    return Mesh2D(points, [(0, 1, 2)], boundary, walls, 1.0, 1.0)
 
 
 def test_degenerate_triangle_rejected():
@@ -134,8 +132,7 @@ def test_degenerate_triangle_rejected():
 
 
 def test_zero_length_loaded_edge_rejected():
-    m = _one_triangle_mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    m = Mesh2D(m.nodes, m.elements, m.boundary + (BoundaryEdge(1, 1, Wall.TOP),), 1.0, 1.0)
+    m = _one_triangle_mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], LOOP + ((1, 1, Wall.TOP),))
     with pytest.raises(DegenerateElementError, match="zero length"):
         AffinePlate(m, PlateParameters(), BoundaryConditionSet())
 

@@ -5,7 +5,6 @@ import pytest
 
 from fuzzyheat.cli import CliError, main, parse_config
 from fuzzyheat.fem2d import BCKind
-from fuzzyheat.mesh import Wall
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -68,8 +67,8 @@ def test_minimal_config_fills_defaults(tmp_path):
     cfg = parse_config(write_config(tmp_path, MINIMAL))
     assert (cfg.width_cm, cfg.height_cm, cfg.nx, cfg.ny) == (20.0, 10.0, 5, 5)
     assert len(cfg.mesh().elements) == 50
-    assert cfg.boundary[Wall.LEFT] is BCKind.FLUX
-    assert cfg.boundary[Wall.RIGHT] is BCKind.DIRICHLET
+    assert cfg.left is BCKind.FLUX
+    assert cfg.right is BCKind.DIRICHLET
     assert cfg.h == 1.2 and cfg.q == 2.0
     assert cfg.h_pct == 0.05
     assert cfg.alpha_level_count == 11

@@ -21,20 +21,14 @@ from fuzzyheat.fem2d import (
     solve,
     solve_crisp,
 )
-from fuzzyheat.mesh import (
-    BoundaryEdge,
-    Triangle,
-    Wall,
-    generate_structured_mesh,
-    nodes_on_wall,
-)
+from fuzzyheat.mesh import WALLS, Wall, generate_structured_mesh, nodes_on_wall
 
-UNIT_TRI = Triangle(0, 1, 2)
+UNIT_TRI = (0, 1, 2)
 UNIT_COORDS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def horizontal_edge(length):
-    return BoundaryEdge(0, 1, Wall.BOTTOM), np.array([[0.0, 0.0], [length, 0.0]])
+    return (0, 1), np.array([[0.0, 0.0], [length, 0.0]])
 
 
 # --- element stiffness ------------------------------------------------------
@@ -118,7 +112,7 @@ def test_edge_ambient_vector():
 
 
 def test_zero_length_edge_rejected():
-    edge = BoundaryEdge(0, 1, Wall.BOTTOM)
+    edge = (0, 1)
     coords = np.zeros((2, 2))
     with pytest.raises(DegenerateElementError):
         edge_flux_vector(edge, coords, 1.0)
@@ -255,16 +249,16 @@ def test_linear_conduction_profile(k, q, t_fixed):
         top=BCKind.ADIABATIC, bottom=BCKind.ADIABATIC,
     )
     T = solve_crisp(m, p, bc)
-    for node, (x, _) in zip(m.nodes, m.coord_array()):
+    for node, (x, _) in enumerate(m.coords):
         expected = t_fixed + (q / k) * (W - x)
-        assert T.values[node.id] == pytest.approx(expected, abs=1e-8)
+        assert T.values[node] == pytest.approx(expected, abs=1e-8)
 
 
 def test_patch_affine_all_dirichlet():
     """Affine fields are reproduced exactly by linear elements."""
     a, b, c = 7.0, 0.25, -0.4
     m = generate_structured_mesh(20, 10, 5, 5)
-    coords = m.coord_array()
+    coords = m.coords
     exact = a + b * coords[:, 0] + c * coords[:, 1]
 
     sys = assemble(m, PlateParameters(k=1.5, h=0.0, q=0.0, G=0.0), all_adiabatic())
@@ -280,7 +274,7 @@ def test_patch_affine_flux_consistent():
     a, b, k = 5.0, 0.3, 2.0
     W = 4.0
     m = generate_structured_mesh(W, 2.0, 4, 3)
-    coords = m.coord_array()
+    coords = m.coords
     exact = a + b * coords[:, 0]
 
     p = PlateParameters(k=k, G=0.0, h=0.0, q=-k * b, t_inf=0.0, t_fixed=a + b * W)
@@ -305,15 +299,15 @@ def test_energy_balance():
     free[dirichlet_nodes(m, bc)] = False
     assert np.abs(reactions[free]).max() < 1e-9  # free equations hold
 
-    coords = m.coord_array()
+    coords = m.coords
     flux_in = p.q * m.height_cm  # left wall length
     source_in = p.G * m.width_cm * m.height_cm
     conv_out = sum(
         p.h
-        * np.linalg.norm(coords[e.b] - coords[e.a])
-        * (0.5 * (T[e.a] + T[e.b]) - p.t_inf)
-        for e in m.boundary
-        if bc.kind(e.wall) is BCKind.CONVECTION
+        * np.linalg.norm(coords[b] - coords[a])
+        * (0.5 * (T[a] + T[b]) - p.t_inf)
+        for (a, b), code in zip(m.boundary, m.walls)
+        if bc.kind(WALLS[code]) is BCKind.CONVECTION
     )
     balance = flux_in + source_in + reactions.sum() - conv_out
     assert abs(balance) <= 1e-8 * max(abs(flux_in) + abs(source_in), abs(conv_out))
