@@ -55,7 +55,6 @@ from .fem1d import (
 from .uq import (
     FuzzyScenario,
     FuzzyTemperatureField,
-    PropagationError,
     ScenarioComparison,
     SensitivityReport,
     compare_scenarios,
@@ -105,7 +104,6 @@ __all__ = [
     "theta_step",
     "FuzzyScenario",
     "FuzzyTemperatureField",
-    "PropagationError",
     "ScenarioComparison",
     "SensitivityReport",
     "compare_scenarios",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -44,9 +45,9 @@ from .mesh import Mesh2D, generate_structured_mesh
 from .uq import (
     FuzzyScenario,
     FuzzyTemperatureField,
-    PropagationError,
     SensitivityReport,
     compare_scenarios,
+    mean_power,
     propagate,
     sensitivity,
 )
@@ -68,6 +69,19 @@ class CliError(Exception):
         super().__init__(message)
         self.category = category
         self.exit_code = _EXIT_CODES.get(category, 1)
+
+
+@contextlib.contextmanager
+def _solver_errors():
+    # The solvers' exceptions; any other exception is a bug and keeps its traceback.
+    try:
+        yield
+    except (SingularSystemError, fem1d.SingularStepError) as exc:
+        raise CliError("singular-system", str(exc)) from exc
+    except ValueError as exc:  # degenerate elements, overflowing loads or matrices
+        raise CliError("solver-error", str(exc)) from exc
+    except MemoryError as exc:
+        raise CliError("memory-error", str(exc) or "out of memory") from exc
 
 
 _BC_KINDS = {kind.value: kind for kind in BCKind}
@@ -312,21 +326,14 @@ def write_sensitivity_csv(stream, report: SensitivityReport) -> None:
 
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> None:
     mesh = cfg.mesh()
-    try:
-        result = solve_crisp(mesh, cfg.parameters(), cfg.boundary_conditions())
-    except SingularSystemError as exc:
-        raise CliError("singular-system", str(exc)) from exc
-    except ValueError as exc:  # degenerate elements, overflowing loads
-        raise CliError("solver-error", str(exc)) from exc
+    result = solve_crisp(mesh, cfg.parameters(), cfg.boundary_conditions())
 
     with _open_out(out_dir, "nodes.csv") as fh:
         write_nodes_csv(fh, mesh)
     with _open_out(out_dir, "temperature.csv") as fh:
         write_temperature_csv(fh, result)
     T = result.values
-    with np.errstate(over="ignore"):  # inf when the sum overflows
-        mean = float(np.mean(T))
-    print(f"temperature: min {fmt(T.min())} max {fmt(T.max())} mean {fmt(mean)}")
+    print(f"temperature: min {fmt(T.min())} max {fmt(T.max())} mean {fmt(mean_power(T))}")
 
 
 def cmd_fuzzy_sweep(
@@ -336,6 +343,8 @@ def cmd_fuzzy_sweep(
         raise CliError("invalid-scenario", "no scenario selected")
     if len(set(selectors)) != len(selectors):
         raise CliError("invalid-scenario", f"duplicate scenario in {list(selectors)}")
+    if workers < 1:
+        raise CliError("config-error", f"--workers must be >= 1, got {workers}")
 
     mesh = cfg.mesh()
     base = cfg.parameters()
@@ -343,11 +352,7 @@ def cmd_fuzzy_sweep(
 
     reports = []
     for selector in selectors:
-        scenario = cfg.scenario(selector)
-        try:
-            envelope = propagate(mesh, base, bc, scenario, workers=workers)
-        except PropagationError as exc:
-            raise CliError("solver-error", str(exc)) from exc
+        envelope = propagate(mesh, base, bc, cfg.scenario(selector), workers=workers)
         report = sensitivity(envelope, selector)
         reports.append(report)
 
@@ -372,18 +377,13 @@ def cmd_rod(cfg: RunConfig, out_dir: Path) -> None:
     M, A, b = fem1d.assemble_1d(rod)
     bc = fem1d.EndConditions(rc.left, rc.right)
 
-    state = fem1d.TransientState(0.0, np.full(rod.n_nodes, rc.initial))
-    states = [state]
-    try:
-        for _ in range(rc.steps):
-            state = fem1d.theta_step(M, A, b, state, rc.dt, rc.theta, bc)
-            states.append(state)
-    except fem1d.SingularStepError as exc:
-        raise CliError("singular-system", str(exc)) from exc
+    states = [fem1d.TransientState(0.0, np.full(rod.n_nodes, rc.initial))]
+    for _ in range(rc.steps):
+        states.append(fem1d.theta_step(M, A, b, states[-1], rc.dt, rc.theta, bc))
 
     with _open_out(out_dir, "rod_timeseries.csv") as fh:
         fem1d.write_timeseries(fh, states)
-    print(f"rod: {rc.steps} steps of dt={fmt(rc.dt)}, final time {fmt(state.time)}")
+    print(f"rod: {rc.steps} steps of dt={fmt(rc.dt)}, final time {fmt(states[-1].time)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,16 +422,14 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
-        if args.command == "solve":
-            cmd_solve(cfg, out_dir)
-        elif args.command == "fuzzy-sweep":
-            selectors = args.scenario or ["custom"]
-            cmd_fuzzy_sweep(cfg, selectors, out_dir, workers=args.workers)
-        elif args.command == "rod":
-            cmd_rod(cfg, out_dir)
-    except (CliError, MemoryError) as exc:
-        if isinstance(exc, MemoryError):
-            exc = CliError("memory-error", str(exc) or "out of memory")
+        with _solver_errors():
+            if args.command == "solve":
+                cmd_solve(cfg, out_dir)
+            elif args.command == "fuzzy-sweep":
+                cmd_fuzzy_sweep(cfg, args.scenario or ["custom"], out_dir, workers=args.workers)
+            elif args.command == "rod":
+                cmd_rod(cfg, out_dir)
+    except CliError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return exc.exit_code
     return 0

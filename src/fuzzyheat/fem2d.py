@@ -484,9 +484,10 @@ class AffinePlate:
             if not np.isfinite(T).all():
                 raise ValueError(f"temperatures overflow the float range at {at}")
 
-            # Norm of the full constrained right-hand side, fixed rows included.
-            f_norm = np.hypot(np.linalg.norm(rhs), self._t_fixed * np.sqrt(self._n_fixed))
-            residual = np.linalg.norm((self._matvec(h, T) - loads)[free])
+            # Norm of the full constrained right-hand side, fixed rows included;
+            # scipy's (BLAS nrm2) scales as it sums, so it overflows only if the norm does.
+            f_norm = np.hypot(scipy.linalg.norm(rhs), self._t_fixed * np.sqrt(self._n_fixed))
+            residual = scipy.linalg.norm((self._matvec(h, T) - loads)[free], check_finite=False)
             if f_norm > 0.0 and residual > 1e-10 * f_norm:
                 raise SingularSystemError(
                     _pivot_diagnosis(

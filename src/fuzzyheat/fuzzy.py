@@ -164,14 +164,15 @@ def alpha_cut(t: TriangularFuzzyNumber, alpha: float) -> Interval:
     """Interval of values whose membership in ``t`` is at least ``alpha``.
 
     Equals ``[a_l + (a_m - a_l)*alpha, a_r - (a_r - a_m)*alpha]``; the
-    endpoints are evaluated as convex combinations so that alpha = 0
-    returns exactly the support, alpha = 1 collapses exactly onto the
-    modal point, and the bounds stay ordered under rounding.
+    endpoints are convex combinations, exact at alpha = 0 and 1, clamped
+    so that rounding never moves them off ``[a_l, a_m]`` and ``[a_m, a_r]``.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     w = 1.0 - alpha
-    return Interval(t.a_l * w + t.a_m * alpha, t.a_r * w + t.a_m * alpha)
+    lo = min(max(t.a_l * w + t.a_m * alpha, t.a_l), t.a_m)
+    hi = max(min(t.a_r * w + t.a_m * alpha, t.a_r), t.a_m)
+    return Interval(lo, hi)
 
 
 def tfn_from_tolerance(v: float, pct: float) -> TriangularFuzzyNumber:

@@ -1,34 +1,34 @@
 """Fuzzy uncertainty propagation and sensitivity statistics.
 
-The pipeline has three stages: fuzzy inputs are cut into intervals level
-by level, each interval box is propagated through the crisp plate solver
-by the vertex method (one solve per corner of the box, exact for
-responses that are monotone in each parameter: always in ``q`` and
-``t_inf``, where the response is affine, but not guaranteed in ``h``,
-where a wide fuzzy ``h`` can put a node's extremum inside the box), and
-the per-node minima / maxima form the temperature envelopes.  Sensitivity of a parameter is summarized by the width of the
+Fuzzy inputs are cut into intervals level by level, the crisp plate is
+solved at every corner of each interval box (the vertex method), and
+the per-node minima / maxima form the temperature envelopes.  The vertex
+method is exact for responses monotone in each parameter: always in
+``q`` and ``t_inf``, where the response is affine, but not guaranteed
+in ``h``, where a wide fuzzy ``h`` can put a node's extremum inside the
+box.  Sensitivity of a parameter is summarized by the width of the
 full-support envelope: its per-node values, their average, and their
 population variance.
 
 The plate is affine in the three parameters, so a sweep assembles it
-once (:class:`~fuzzyheat.fem2d.AffinePlate`), groups the corners of all
-levels by their ``h`` and factors once per distinct ``h``; every corner
-with that ``h`` reuses the factor.  With ``workers > 1`` the groups run
-on a thread pool; each corner's arithmetic does not depend on the
-grouping and the reduction order is fixed, so results are identical for
-any worker count.
+once (:class:`~fuzzyheat.fem2d.AffinePlate`), factors it once per
+distinct ``h`` and solves it once per distinct corner ``(h, q, t_inf)``
+of all levels.  With ``workers > 1`` the ``h`` groups run on a thread
+pool; each corner's arithmetic does not depend on the grouping, so
+results are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .fem2d import AffinePlate, BoundaryConditionSet, PlateParameters
+from .fem2d import AffinePlate, BoundaryConditionSet, PlateParameters, SingularSystemError
 from .fem2d import solve_crisp  # noqa: F401  (kept importable from this module)
 from .fuzzy import AlphaLevels, Interval, TriangularFuzzyNumber, alpha_cut
 from .mesh import Mesh2D
@@ -37,10 +37,6 @@ FuzzyOrCrisp = Union[float, TriangularFuzzyNumber]
 
 # Fixed parameter order; vertex enumeration and reductions follow it.
 PARAM_NAMES = ("h", "q", "t_inf")
-
-
-class PropagationError(RuntimeError):
-    """A crisp solve failed during a sweep; message identifies the vertex."""
 
 
 @dataclass(frozen=True)
@@ -165,19 +161,6 @@ class ScenarioComparison:
         return "\n".join(lines)
 
 
-def _vertex_tuples(cuts: dict[str, Interval]) -> list[tuple[float, ...]]:
-    """Corners of the parameter box in fixed order, without duplicates.
-
-    Crisp (degenerate) parameters contribute a single coordinate, so an
-    m-parameter fuzzy scenario yields at most 2**m distinct corners.
-    """
-    axes = []
-    for name in PARAM_NAMES:
-        iv = cuts[name]
-        axes.append((iv.lo,) if iv.lo == iv.hi else (iv.lo, iv.hi))
-    return list(dict.fromkeys(itertools.product(*axes)))
-
-
 def propagate(
     mesh: Mesh2D,
     base: PlateParameters,
@@ -187,70 +170,56 @@ def propagate(
 ) -> FuzzyTemperatureField:
     """Sweep the scenario through the crisp solver, level by level.
 
-    For each alpha level the fuzzy parameters are cut to intervals and
-    the plate is solved once per corner of the resulting box; the
-    per-node envelope is the min / max over those solves.  The plate is
-    assembled once and factored once per distinct ``h`` over all levels.
-    At alpha = 1 every cut collapses to its modal point, so the top level
-    is the single crisp modal solve, reached through exactly the same
-    factor and solve as :func:`~fuzzyheat.fem2d.solve_crisp`.
+    For each alpha level the fuzzy parameters are cut to intervals; the
+    per-node envelope is the min / max of the temperatures over the
+    corners of the resulting box.  At alpha = 1 every cut collapses to
+    its modal point, so the top level is the single crisp modal solve,
+    reached through exactly the same factor and solve as
+    :func:`~fuzzyheat.fem2d.solve_crisp`.  A failed solve keeps its type
+    (``ValueError`` or ``SingularSystemError``) and gains the corner in
+    front of its message.
     """
     levels = tuple(scenario.alpha_levels)
-    per_level_vertices = [_vertex_tuples(scenario.cut(a)) for a in levels]
-
-    jobs = [
-        (alpha, vertex)
-        for alpha, vertices in zip(levels, per_level_vertices)
-        for vertex in vertices
+    # The corners of each level's box, repeats included where a cut is a point.
+    boxes = [
+        list(itertools.product(*((iv.lo, iv.hi) for iv in scenario.cut(a).values())))
+        for a in levels
     ]
-    by_h: dict[float, list[int]] = {}
-    for i, (_, (h, _, _)) in enumerate(jobs):
-        by_h.setdefault(h, []).append(i)
+    by_h: dict[float, list[tuple[float, float, float]]] = {}
+    for corner in dict.fromkeys(itertools.chain.from_iterable(boxes)):
+        by_h.setdefault(corner[0], []).append(corner)
 
     try:
         plate = AffinePlate(mesh, base, bc)
     except ValueError as exc:
-        raise PropagationError(f"plate assembly failed: {exc}") from exc
+        raise type(exc)(f"plate assembly failed: {exc}") from exc
 
-    def run(group: list[int]) -> list[np.ndarray]:
+    def run(corners: list[tuple[float, float, float]]) -> dict:
         """Factor once at the group's ``h``, then solve each corner."""
-        factor, out = None, []
-        for i in group:
-            alpha, (h, q, t_inf) = jobs[i]
+        factor, out = None, {}
+        for h, q, t_inf in corners:
             try:
-                if factor is None:
-                    factor = plate.factor(h)
-                out.append(plate.solve(factor, q, t_inf).values)
-            except Exception as exc:
-                raise PropagationError(
+                factor = factor or plate.factor(h)
+                out[h, q, t_inf] = plate.solve(factor, q, t_inf).values
+            except (ValueError, SingularSystemError) as exc:
+                alpha = next(a for a, box in zip(levels, boxes) if (h, q, t_inf) in box)
+                raise type(exc)(
                     f"crisp solve failed at alpha={alpha} vertex "
                     f"h={h}, q={q}, t_inf={t_inf}: {exc}"
                 ) from exc
         return out
 
-    groups = list(by_h.values())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(run, groups))
+            solved = list(pool.map(run, by_h.values()))
     else:
-        solved = [run(group) for group in groups]
-    results: list = [None] * len(jobs)
-    for group, values in zip(groups, solved):
-        for i, T in zip(group, values):
-            results[i] = T
+        solved = [run(corners) for corners in by_h.values()]
+    T = {corner: values for part in solved for corner, values in part.items()}
 
-    lower = np.empty((len(levels), mesh.n_nodes))
-    upper = np.empty((len(levels), mesh.n_nodes))
-    pos = 0
-    for li, vertices in enumerate(per_level_vertices):
-        block = results[pos : pos + len(vertices)]
-        pos += len(vertices)
-        lower[li] = np.minimum.reduce(block)
-        upper[li] = np.maximum.reduce(block)
-
-    crisp = results[-1]  # top level is the lone modal solve
-    assert len(per_level_vertices[-1]) == 1
-    return FuzzyTemperatureField(levels, lower, upper, crisp)
+    lower = [np.minimum.reduce([T[c] for c in box]) for box in boxes]
+    upper = [np.maximum.reduce([T[c] for c in box]) for box in boxes]
+    # Every corner of the top level's box is the modal point.
+    return FuzzyTemperatureField(levels, lower, upper, T[boxes[-1][0]])
 
 
 def sensitivity(field: FuzzyTemperatureField, label: str) -> SensitivityReport:
@@ -261,9 +230,20 @@ def sensitivity(field: FuzzyTemperatureField, label: str) -> SensitivityReport:
     """
     with np.errstate(over="ignore", invalid="ignore"):  # inf beyond the float range
         widths = field.widths(0.0)
-        average = float(np.mean(widths))
-        variance = float(np.mean((widths - average) ** 2))
+        average = mean_power(widths)
+        variance = mean_power(widths - average, 2)
     return SensitivityReport(label, widths, average, variance)
+
+
+def mean_power(x: np.ndarray, p: int = 1) -> float:
+    """``np.mean(x ** p)``, but finite whenever the true value is: on
+    overflow ``x`` is scaled into (-1, 1) by a power of two (exactly)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.mean(x**p)
+        if not np.isfinite(m) and np.isfinite(x).all():
+            e = math.frexp(float(np.abs(x).max()))[1]
+            m = np.ldexp(np.mean(np.ldexp(x, -e) ** p), e * p)
+    return float(m)
 
 
 def compare_scenarios(a: SensitivityReport, b: SensitivityReport) -> ScenarioComparison:

@@ -9,6 +9,7 @@ from fuzzyheat.fem2d import (
     BCKind,
     BoundaryConditionSet,
     DegenerateElementError,
+    PlateFactor,
     PlateParameters,
     SingularSystemError,
     apply_dirichlet,
@@ -19,7 +20,7 @@ from fuzzyheat.fem2d import (
 )
 from fuzzyheat.fuzzy import tfn_from_tolerance
 from fuzzyheat.mesh import WALLS, Mesh2D, Wall, generate_structured_mesh
-from fuzzyheat.uq import FuzzyScenario, PropagationError, propagate
+from fuzzyheat.uq import FuzzyScenario, propagate
 
 D, F, C, A = BCKind.DIRICHLET, BCKind.FLUX, BCKind.CONVECTION, BCKind.ADIABATIC
 
@@ -137,10 +138,24 @@ def test_zero_length_loaded_edge_rejected():
         AffinePlate(m, PlateParameters(), BoundaryConditionSet())
 
 
+@pytest.mark.parametrize("t_fixed", [100.0, 1e200])
+def test_residual_check_holds_at_any_load_scale(t_fixed):
+    """A factor 1.01 times too large leaves a relative residual of
+    2.5e-4 to 3.3e-4 after the refinement step; above about 1e154 the
+    squares in a naive norm overflow and would hide it."""
+    m = generate_structured_mesh(20.0, 10.0, 3, 2)
+    plate = AffinePlate(m, PlateParameters(t_fixed=t_fixed), BoundaryConditionSet())
+    good = plate.factor(1.2)
+    bad = PlateFactor(good.h, good.cb * 1.01, good.pivot_ratio)
+    assert np.isfinite(plate.solve(good, 2.0, 25.0).values).all()
+    with pytest.raises(SingularSystemError, match=r"relative residual [23]\.\d{3}e-04"):
+        plate.solve(bad, 2.0, 25.0)
+
+
 def test_sweep_wraps_plate_assembly_failure():
     m = _one_triangle_mesh([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     sc = FuzzyScenario(h=tfn_from_tolerance(1.2, 0.05), q=2.0, t_inf=25.0)
-    with pytest.raises(PropagationError, match="plate assembly failed"):
+    with pytest.raises(DegenerateElementError, match="plate assembly failed"):
         propagate(m, PlateParameters(), BoundaryConditionSet(), sc)
 
 

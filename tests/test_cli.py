@@ -1,5 +1,11 @@
 """End-to-end tests of the command line front end."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -175,13 +181,32 @@ def test_solve_reruns_are_byte_identical(tmp_path):
     assert (out1 / "nodes.csv").read_bytes() == (out2 / "nodes.csv").read_bytes()
 
 
-def test_solve_singular_system_reports_category(tmp_path, capsys):
+@pytest.mark.parametrize("command", [
+    pytest.param(["solve"], id="solve"),
+    pytest.param(["fuzzy-sweep", "--workers", "1"], id="fuzzy-sweep"),
+    pytest.param(["fuzzy-sweep", "--workers", "2"], id="fuzzy-sweep-workers-2"),
+])
+def test_solve_singular_system_reports_category(tmp_path, capsys, command):
     cfg_path = write_config(tmp_path, SINGULAR)
-    code = main(["solve", "--config", cfg_path, "--out", str(tmp_path / "out")])
+    code = main(command[:1] + ["--config", cfg_path, "--out", str(tmp_path / "out")]
+                + command[1:])
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("error: singular-system:")
     assert err.count("\n") == 1  # a single line
+
+
+def test_solve_mean_is_finite_at_huge_temperatures(tmp_path, capsys):
+    """The temperatures are finite and so is their mean, though their
+    plain sum overflows."""
+    cfg_path = write_config(tmp_path, "[parameters]\nt_fixed = 1e308\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 0
+    mean = float(capsys.readouterr().out.split("mean ")[1])
+    _, rows = read_csv(out / "temperature.csv")
+    expected = math.fsum(float(t) / 16 for _, t in rows) / len(rows) * 16
+    assert math.isfinite(mean)
+    assert mean == pytest.approx(expected, rel=1e-8)
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -270,6 +295,27 @@ def test_sweep_worker_count_is_byte_identical(tmp_path):
          "--scenario", "all", "--workers", "4"]
     ) == 0
     assert (out1 / "envelope.csv").read_bytes() == (out4 / "envelope.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_workers_below_one(tmp_path, capsys, workers):
+    cfg_path = write_config(tmp_path, MINIMAL)
+    code = main(["fuzzy-sweep", "--config", cfg_path, "--out", str(tmp_path / "out"),
+                 "--workers", workers])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config-error: --workers must be >= 1, got {workers}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_does_not_load_scipy_sparse():
+    """``scipy.sparse`` would add about a fifth to the CLI start-up time."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, fuzzyheat.cli; print([m for m in sys.modules if 'scipy.sparse' in m])"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # --- rod command ----------------------------------------------------------------------

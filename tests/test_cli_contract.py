@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyheat import cli
+from fuzzyheat import cli, fem2d
 from fuzzyheat.fem2d import BCKind
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -65,6 +65,20 @@ def test_memory_error_is_one_categorized_line(tmp_path, monkeypatch, message, sh
     code, err = run(["solve", "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == cli._EXIT_CODES["memory-error"] == 6
     assert err == f"error: memory-error: {shown}\n"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_memory_error_in_a_sweep_keeps_its_category(tmp_path, monkeypatch, workers):
+    def exhausted(self, h):
+        raise MemoryError("Unable to allocate 1.5 GiB for an array")
+
+    monkeypatch.setattr(fem2d.AffinePlate, "factor", exhausted)
+    config = tmp_path / "run.ini"
+    config.write_text("[plate]\nnx = 2\n")
+    code, err = run(["fuzzy-sweep", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--workers", workers])
+    assert code == 6
+    assert err == "error: memory-error: Unable to allocate 1.5 GiB for an array\n"
 
 
 def test_readme_config_block_is_the_defaults(tmp_path):

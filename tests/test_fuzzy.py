@@ -1,5 +1,7 @@
 """Tests for triangular fuzzy numbers and interval arithmetic."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +119,24 @@ def test_alpha_cut_linear_interpolation():
     cut = alpha_cut(TriangularFuzzyNumber(1.14, 1.2, 1.26), 0.5)
     assert cut.lo == pytest.approx(1.17, abs=TOL)
     assert cut.hi == pytest.approx(1.23, abs=TOL)
+
+
+def test_alpha_cut_stays_inside_its_legs():
+    """Exactly, with no tolerance: rounding of the convex combinations
+    must not push a bound past ``a_l``, ``a_m`` or ``a_r``.  Zero-width
+    legs and fully crisp numbers are drawn too."""
+    rng = random.Random(7)
+    for _ in range(20_000):
+        a_l, a_m, a_r = sorted(rng.uniform(-10.0, 10.0) for _ in range(3))
+        legs = rng.randrange(4)
+        if legs & 1:
+            a_m = a_l
+        if legs & 2:
+            a_r = a_m
+        t = TriangularFuzzyNumber(a_l, a_m, a_r)
+        alpha = rng.random()
+        cut = alpha_cut(t, alpha)
+        assert a_l <= cut.lo <= a_m <= cut.hi <= a_r, (t, alpha, cut)
 
 
 def test_alpha_cut_rejects_out_of_range():

@@ -3,15 +3,22 @@
 import numpy as np
 import pytest
 
-from fuzzyheat.fem2d import BCKind, BoundaryConditionSet, PlateParameters, solve_crisp
+from fuzzyheat.fem2d import (
+    AffinePlate,
+    BCKind,
+    BoundaryConditionSet,
+    PlateParameters,
+    SingularSystemError,
+    solve_crisp,
+)
 from fuzzyheat.fuzzy import AlphaLevels, TriangularFuzzyNumber, tfn_from_tolerance
 from fuzzyheat.mesh import generate_structured_mesh, nodes_on_wall, Wall
 from fuzzyheat.uq import (
     FuzzyScenario,
     FuzzyTemperatureField,
-    PropagationError,
     SensitivityReport,
     compare_scenarios,
+    mean_power,
     propagate,
     sensitivity,
 )
@@ -142,8 +149,29 @@ def test_failed_vertex_identified():
     )
     sc = FuzzyScenario(h=TriangularFuzzyNumber(0.0, 0.5, 1.0), q=1.0, t_inf=25.0,
                        alpha_levels=AlphaLevels.uniform(2))
-    with pytest.raises(PropagationError, match="h=0"):
+    with pytest.raises(SingularSystemError, match="h=0"):
         propagate(mesh, base, bc, sc)
+
+
+@pytest.mark.parametrize("h,q,solves", [
+    # A crisp h written as a fuzzy number: every level cuts to 1.2.
+    (TriangularFuzzyNumber(1.2, 1.2, 1.2), 2.0, 1),
+    # A zero-width right leg: every level shares the corner q = 2.0, so
+    # 10 lower bounds plus 2.0 make 11 distinct corners of 21.
+    (1.2, TriangularFuzzyNumber(1.9, 2.0, 2.0), 11),
+])
+def test_sweep_solves_each_distinct_corner_once(monkeypatch, h, q, solves):
+    corners = []
+    original = AffinePlate.solve
+
+    def counting(self, factor, q, t_inf):
+        corners.append((factor.h, q, t_inf))
+        return original(self, factor, q, t_inf)
+
+    monkeypatch.setattr(AffinePlate, "solve", counting)
+    mesh, base, bc = default_plate()
+    propagate(mesh, base, bc, FuzzyScenario(h=h, q=q, t_inf=25.0))
+    assert len(corners) == len(set(corners)) == solves
 
 
 # --- envelope container -------------------------------------------------------
@@ -195,6 +223,28 @@ def test_sensitivity_scaling_law():
     assert doubled.variance_of_widths == pytest.approx(
         4.0 * base.variance_of_widths, rel=1e-12
     )
+
+
+def test_sensitivity_average_is_finite_at_huge_widths():
+    report = sensitivity(synthetic_field([1e308, 1e308, 1.5e308], center=0.0), "huge")
+    assert report.average_width == pytest.approx(3.5 / 3 * 1e308, rel=1e-15)
+    # The deviations are about 3e307, so the true variance is beyond the float range.
+    assert report.variance_of_widths == np.inf
+
+
+def test_mean_power_is_finite_whenever_the_true_value_is():
+    assert mean_power(np.full(5, 1e308)) == 1e308
+    assert mean_power(np.array([1e308, 1e308, -1e308, -1e308])) == 0.0
+    # Squares of 1e155 overflow, but their mean over 100 values does not.
+    assert mean_power(np.array([1e155] + [0.0] * 99), 2) == pytest.approx(1e308, rel=1e-14)
+    assert mean_power(np.full(3, 1e200), 2) == np.inf
+    assert np.isnan(mean_power(np.array([np.inf, -np.inf])))
+
+
+def test_mean_power_matches_numpy_bit_for_bit_on_ordinary_values():
+    x = np.random.default_rng(3).normal(50.0, 20.0, 1001)
+    assert mean_power(x) == float(np.mean(x))
+    assert mean_power(x - 50.0, 2) == float(np.mean((x - 50.0) ** 2))
 
 
 # --- comparison -----------------------------------------------------------------
