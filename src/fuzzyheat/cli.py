@@ -207,6 +207,12 @@ class RunConfig:
             ]
         except ValueError as exc:
             raise CliError("invalid-scenario", str(exc)) from exc
+        if flags[0] and entries[0].a_l < 0:
+            raise CliError(
+                "invalid-scenario",
+                f"fuzzy h goes below 0: h = {self.h} with h_pct = {self.h_pct} "
+                f"gives a lower bound of {entries[0].a_l}",
+            )
         return FuzzyScenario(
             h=entries[0], q=entries[1], t_inf=entries[2],
             alpha_levels=AlphaLevels.uniform(self.alpha_level_count),
@@ -230,9 +236,9 @@ def parse_config(path) -> RunConfig:
 
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise CliError("config-error", f"cannot parse {path}: {exc}") from exc
     except OSError as exc:
         raise CliError("io-error", f"cannot read {path}: {exc}") from exc
@@ -343,7 +349,7 @@ def cmd_fuzzy_sweep(
         raise CliError("invalid-scenario", "no scenario selected")
     if len(set(selectors)) != len(selectors):
         raise CliError("invalid-scenario", f"duplicate scenario in {list(selectors)}")
-    if workers < 1:
+    if workers < 1:  # only validated: the sweep is serial, the option kept for old command lines
         raise CliError("config-error", f"--workers must be >= 1, got {workers}")
 
     mesh = cfg.mesh()
@@ -352,7 +358,7 @@ def cmd_fuzzy_sweep(
 
     reports = []
     for selector in selectors:
-        envelope = propagate(mesh, base, bc, cfg.scenario(selector), workers=workers)
+        envelope = propagate(mesh, base, bc, cfg.scenario(selector))
         report = sensitivity(envelope, selector)
         reports.append(report)
 
@@ -409,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario selector; repeat to sweep and compare two scenarios",
     )
     p_sweep.add_argument(
-        "--workers", type=int, default=1, help="solver threads (output is identical)"
+        "--workers", type=int, default=1, help="accepted for compatibility; no effect (>= 1)"
     )
 
     p_rod = sub.add_parser("rod", help="1D transient rod run")

@@ -13,16 +13,13 @@ population variance.
 The plate is affine in the three parameters, so a sweep assembles it
 once (:class:`~fuzzyheat.fem2d.AffinePlate`), factors it once per
 distinct ``h`` and solves it once per distinct corner ``(h, q, t_inf)``
-of all levels.  With ``workers > 1`` the ``h`` groups run on a thread
-pool; each corner's arithmetic does not depend on the grouping, so
-results are identical for any worker count.
+of all levels.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -145,11 +142,8 @@ class ScenarioComparison:
     more_sensitive_by_variance: Optional[str]
 
     def summary(self) -> str:
-        lines = [
-            f"{r.label}: average width {r.average_width:.9g}, "
-            f"variance {r.variance_of_widths:.9g}"
-            for r in (self.a, self.b)
-        ]
+        """One verdict line per metric."""
+        lines = []
         for metric, winner in (
             ("average width", self.more_sensitive_by_average),
             ("variance", self.more_sensitive_by_variance),
@@ -166,7 +160,6 @@ def propagate(
     base: PlateParameters,
     bc: BoundaryConditionSet,
     scenario: FuzzyScenario,
-    workers: int = 1,
 ) -> FuzzyTemperatureField:
     """Sweep the scenario through the crisp solver, level by level.
 
@@ -194,27 +187,19 @@ def propagate(
     except ValueError as exc:
         raise type(exc)(f"plate assembly failed: {exc}") from exc
 
-    def run(corners: list[tuple[float, float, float]]) -> dict:
-        """Factor once at the group's ``h``, then solve each corner."""
-        factor, out = None, {}
+    T: dict[tuple[float, float, float], np.ndarray] = {}
+    for corners in by_h.values():  # one factorization per distinct h
+        factor = None
         for h, q, t_inf in corners:
             try:
                 factor = factor or plate.factor(h)
-                out[h, q, t_inf] = plate.solve(factor, q, t_inf).values
+                T[h, q, t_inf] = plate.solve(factor, q, t_inf).values
             except (ValueError, SingularSystemError) as exc:
                 alpha = next(a for a, box in zip(levels, boxes) if (h, q, t_inf) in box)
                 raise type(exc)(
                     f"crisp solve failed at alpha={alpha} vertex "
                     f"h={h}, q={q}, t_inf={t_inf}: {exc}"
                 ) from exc
-        return out
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(run, by_h.values()))
-    else:
-        solved = [run(corners) for corners in by_h.values()]
-    T = {corner: values for part in solved for corner, values in part.items()}
 
     lower = [np.minimum.reduce([T[c] for c in box]) for box in boxes]
     upper = [np.maximum.reduce([T[c] for c in box]) for box in boxes]

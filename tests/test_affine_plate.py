@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fuzzyheat.cli import RunConfig, cmd_fuzzy_sweep
 from fuzzyheat.fem2d import (
     AffinePlate,
     BCKind,
@@ -160,9 +161,10 @@ def test_sweep_wraps_plate_assembly_failure():
 
 
 @pytest.mark.parametrize("workers", [1, 4])
-def test_default_sweep_factors_once_per_distinct_h(monkeypatch, workers):
+def test_default_sweep_factors_once_per_distinct_h(monkeypatch, tmp_path, workers):
     """11 levels of fuzzy h and q: 10 * 4 + 1 = 41 corners, but only
-    10 * 2 + 1 = 21 distinct h values, so 21 banded factorizations."""
+    10 * 2 + 1 = 21 distinct h values, so 21 banded factorizations,
+    whatever ``--workers`` the CLI sweep is given."""
     calls = []
     original = scipy.linalg.cholesky_banded
 
@@ -175,5 +177,9 @@ def test_default_sweep_factors_once_per_distinct_h(monkeypatch, workers):
     sc = FuzzyScenario(
         h=tfn_from_tolerance(1.2, 0.05), q=tfn_from_tolerance(2.0, 0.05), t_inf=25.0
     )
-    propagate(m, PlateParameters(), BoundaryConditionSet(), sc, workers=workers)
+    propagate(m, PlateParameters(), BoundaryConditionSet(), sc)
+    assert len(calls) == 21
+
+    calls.clear()
+    cmd_fuzzy_sweep(RunConfig(), ["custom"], tmp_path, workers=workers)
     assert len(calls) == 21

@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fuzzyheat.cli import CliError, main, parse_config
-from fuzzyheat.fem2d import BCKind
+from fuzzyheat.fem2d import AffinePlate, BCKind
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -259,6 +260,10 @@ def test_sweep_two_scenarios_compared(tmp_path, capsys):
         assert (out / name / "sensitivity.csv").is_file()
     stdout = capsys.readouterr().out
     assert "more sensitive by average width:" in stdout or "by average width: tie" in stdout
+    lines = stdout.splitlines()
+    assert len(lines) == 4  # one summary line per scenario, then one verdict per metric
+    for name in ("h-only", "q-only"):
+        assert sum(line.startswith(f"{name}: average width ") for line in lines) == 1
 
 
 def test_sweep_all_crisp_rejected_with_guidance(tmp_path, capsys):
@@ -270,6 +275,26 @@ def test_sweep_all_crisp_rejected_with_guidance(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid-scenario:")
     assert "h_fuzzy" in err
+
+
+@pytest.mark.parametrize("selector", ["custom", "h-only", "all"])
+def test_fuzzy_h_below_zero_is_invalid_scenario(tmp_path, capsys, selector):
+    cfg_path = write_config(tmp_path, "[fuzzy]\nh_pct = 1.5\n")
+    out = tmp_path / "out"
+    code = main(["fuzzy-sweep", "--config", cfg_path, "--out", str(out), "--scenario", selector])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-scenario: fuzzy h goes below 0:")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_fuzzy_h_down_to_zero_is_accepted(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, "[fuzzy]\nh_pct = 1\n")
+    code = main(["fuzzy-sweep", "--config", cfg_path, "--out", str(tmp_path / "out"),
+                 "--scenario", "h-only"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_sweep_duplicate_scenario_rejected(tmp_path, capsys):
@@ -295,6 +320,22 @@ def test_sweep_worker_count_is_byte_identical(tmp_path):
          "--scenario", "all", "--workers", "4"]
     ) == 0
     assert (out1 / "envelope.csv").read_bytes() == (out4 / "envelope.csv").read_bytes()
+
+
+def test_sweep_factors_on_the_calling_thread_for_any_worker_count(tmp_path, monkeypatch):
+    threads = []
+    original = AffinePlate.factor
+
+    def recording(self, h):
+        threads.append(threading.get_ident())
+        return original(self, h)
+
+    monkeypatch.setattr(AffinePlate, "factor", recording)
+    cfg_path = write_config(tmp_path, MINIMAL)
+    assert main(["fuzzy-sweep", "--config", cfg_path, "--out", str(tmp_path / "out"),
+                 "--workers", "2"]) == 0
+    assert len(threads) == 21  # default h+q sweep: one factorization per distinct h
+    assert set(threads) == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -399,4 +440,19 @@ def test_non_finite_float_is_config_error(tmp_path, capsys, command, section, ke
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config-error: bad value for [{section}] {key}:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "fuzzy-sweep", "rod"])
+@pytest.mark.parametrize("data", [
+    pytest.param(b"[plate]\nnx = 5 \xe9\n", id="latin-1"),
+    pytest.param("[plate]\nnx = 5\n".encode("utf-16"), id="utf-16-bom"),
+])
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys, command, data):
+    path = tmp_path / "run.ini"
+    path.write_bytes(data)
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config-error: cannot parse {path}: ")
     assert err.count("\n") == 1

@@ -127,17 +127,6 @@ def test_random_samples_inside_zero_alpha_box_stay_inside_envelope():
         assert np.all(sample <= env.upper[0] + 1e-8)
 
 
-def test_worker_count_does_not_change_results():
-    mesh, base, bc = default_plate()
-    sc = FuzzyScenario(h=tfn_from_tolerance(base.h, 0.05),
-                       q=tfn_from_tolerance(base.q, 0.05), t_inf=base.t_inf)
-    one = propagate(mesh, base, bc, sc, workers=1)
-    four = propagate(mesh, base, bc, sc, workers=4)
-    np.testing.assert_array_equal(one.lower, four.lower)
-    np.testing.assert_array_equal(one.upper, four.upper)
-    np.testing.assert_array_equal(one.crisp, four.crisp)
-
-
 def test_failed_vertex_identified():
     # h = 0 at the lower vertex makes the system pure Neumann (singular):
     # no fixed wall, no convection once h vanishes.
