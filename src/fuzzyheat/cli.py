@@ -302,30 +302,27 @@ def _open_out(out_dir: Path, name: str):
 
 def write_nodes_csv(stream, mesh: Mesh2D) -> None:
     stream.write("node_id,x_cm,y_cm\n")
-    for i, (x, y) in enumerate(mesh.coords.tolist()):
-        stream.write(f"{i},{fmt(x)},{fmt(y)}\n")
+    stream.writelines(f"{i},{fmt(x)},{fmt(y)}\n" for i, (x, y) in enumerate(mesh.coords.tolist()))
 
 
 def write_temperature_csv(stream, result: TemperatureField) -> None:
     stream.write("node_id,T\n")
-    for i, t in enumerate(result.values):
-        stream.write(f"{i},{fmt(t)}\n")
+    stream.writelines(f"{i},{fmt(t)}\n" for i, t in enumerate(result.values.tolist()))
 
 
 def write_envelope_csv(stream, envelope: FuzzyTemperatureField) -> None:
     stream.write("node_id,alpha,lower,upper\n")
-    for node in range(envelope.n_nodes):
-        for li, alpha in enumerate(envelope.levels):
-            stream.write(
-                f"{node},{fmt(alpha)},{fmt(envelope.lower[li, node])},"
-                f"{fmt(envelope.upper[li, node])}\n"
-            )
+    alphas = [fmt(alpha) for alpha in envelope.levels]
+    stream.writelines(  # one node's levels as Python floats at a time, not the whole envelope
+        f"{node},{alpha},{fmt(lo)},{fmt(hi)}\n"
+        for node, (los, his) in enumerate(zip(envelope.lower.T, envelope.upper.T))
+        for alpha, lo, hi in zip(alphas, los.tolist(), his.tolist())
+    )
 
 
 def write_sensitivity_csv(stream, report: SensitivityReport) -> None:
     stream.write("scenario,node_id,width\n")
-    for i, w in enumerate(report.widths):
-        stream.write(f"{report.label},{i},{fmt(w)}\n")
+    stream.writelines(f"{report.label},{i},{fmt(w)}\n" for i, w in enumerate(report.widths.tolist()))
     stream.write(f"{report.label},average_width,{fmt(report.average_width)}\n")
     stream.write(f"{report.label},variance,{fmt(report.variance_of_widths)}\n")
 
@@ -356,9 +353,10 @@ def cmd_fuzzy_sweep(
     base = cfg.parameters()
     bc = cfg.boundary_conditions()
 
+    scenarios = [cfg.scenario(selector) for selector in selectors]  # all checked before any output
     reports = []
-    for selector in selectors:
-        envelope = propagate(mesh, base, bc, cfg.scenario(selector))
+    for selector, scenario in zip(selectors, scenarios):
+        envelope = propagate(mesh, base, bc, scenario)
         report = sensitivity(envelope, selector)
         reports.append(report)
 
@@ -384,8 +382,10 @@ def cmd_rod(cfg: RunConfig, out_dir: Path) -> None:
     bc = fem1d.EndConditions(rc.left, rc.right)
 
     states = [fem1d.TransientState(0.0, np.full(rod.n_nodes, rc.initial))]
-    for _ in range(rc.steps):
-        states.append(fem1d.theta_step(M, A, b, states[-1], rc.dt, rc.theta, bc))
+    if rc.steps > 0:
+        stepper = fem1d.ThetaStepper(M, A, b, rc.dt, rc.theta, bc)
+        for _ in range(rc.steps):
+            states.append(stepper.step(states[-1]))
 
     with _open_out(out_dir, "rod_timeseries.csv") as fh:
         fem1d.write_timeseries(fh, states)

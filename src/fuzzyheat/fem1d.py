@@ -4,7 +4,10 @@ Discretizes ``d(phi)/dt + u1 d(phi)/dx - d/dx(k d(phi)/dx) + Q = 0`` on a
 uniform rod (constant convection velocity ``u1``) with a consistent mass
 matrix and plain Galerkin weighting, then advances in time with a theta
 scheme: theta = 1 is backward Euler (the robust default), theta = 0.5 is
-Crank-Nicolson, theta = 0 explicit.
+Crank-Nicolson, theta = 0 explicit.  :class:`ThetaStepper` forms and
+LU-factors the constrained step matrix once per run (``dt``, ``theta``
+and the end conditions are fixed), so each step is one matrix-vector
+product and one pair of triangular solves.
 
 The convection term carries no stabilization (no upwinding or SUPG), so
 convection-dominated runs are only trustworthy at small cell Peclet and
@@ -19,8 +22,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .ioutil import fmt
+from .ioutil import FLOAT
 
 log = logging.getLogger(__name__)
 
@@ -110,18 +114,71 @@ def assemble_1d(rod: Rod1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return M, A, b
 
 
+def _fixed_ends(bc: EndConditions) -> list[tuple[int, float]]:
+    """``(row, value)`` of each fixed end."""
+    return [(row, value) for row, value in ((0, bc.left), (-1, bc.right)) if value is not None]
+
+
 def apply_end_conditions(
     S: np.ndarray, rhs: np.ndarray, bc: EndConditions
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-replace the end equations with fixed values; returns copies."""
     S = S.copy()
     rhs = rhs.copy()
-    for row, value in ((0, bc.left), (-1, bc.right)):
-        if value is not None:
-            S[row, :] = 0.0
-            S[row, row] = 1.0
-            rhs[row] = value
+    for row, value in _fixed_ends(bc):
+        S[row, :] = 0.0
+        S[row, row] = 1.0
+        rhs[row] = value
     return S, rhs
+
+
+class ThetaStepper:
+    """Theta-scheme steps of ``M d(phi)/dt + A phi = b`` at a fixed ``dt``,
+    ``theta`` and end conditions.
+
+    Each step solves ``(M + theta*dt*A) phi_new = (M - (1-theta)*dt*A) phi
+    + dt*b`` with the end conditions applied.  The step matrix is formed,
+    row-replaced and LU-factored once here (LAPACK ``dgetrf``); a step is
+    one matrix-vector product and one ``dgetrs``.  A steady state of the
+    constrained system is an exact fixed point for any ``theta`` and ``dt``.
+    """
+
+    def __init__(
+        self,
+        M: np.ndarray,
+        A: np.ndarray,
+        b: np.ndarray,
+        dt: float,
+        theta: float,
+        bc: EndConditions,
+    ) -> None:
+        if dt <= 0.0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        if not 0.0 <= theta <= 1.0:
+            raise ValueError(f"theta must be in [0, 1], got {theta}")
+
+        with np.errstate(over="ignore", invalid="ignore"):  # huge k or dt; caught in step
+            S = M + theta * dt * A
+            self._R = M - (1.0 - theta) * dt * A
+            self._load = dt * b
+        S, _ = apply_end_conditions(S, self._load, bc)
+        self._dt = dt
+        self._ends = _fixed_ends(bc)
+        # LAPACK directly: scipy.linalg.lu_factor only warns on a singular matrix.
+        self._lu, self._piv, info = lapack.dgetrf(S)
+        if info > 0:
+            raise SingularStepError("singular step matrix: Singular matrix")
+
+    def step(self, state: TransientState) -> TransientState:
+        """Advance ``state`` by one step of ``dt``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = self._R @ state.values + self._load
+        for row, value in self._ends:
+            rhs[row] = value
+        phi, _ = lapack.dgetrs(self._lu, self._piv, rhs, overwrite_b=True)
+        if not np.all(np.isfinite(phi)):
+            raise SingularStepError("step produced non-finite values")
+        return TransientState(state.time + self._dt, phi)
 
 
 def theta_step(
@@ -133,29 +190,9 @@ def theta_step(
     theta: float,
     bc: EndConditions,
 ) -> TransientState:
-    """One theta-scheme step of ``M d(phi)/dt + A phi = b``.
-
-    Solves ``(M + theta*dt*A) phi_new = (M - (1-theta)*dt*A) phi + dt*b``
-    with the end conditions applied, and advances time by ``dt``.  A
-    steady state of the constrained system is an exact fixed point for
-    any ``theta`` and ``dt``.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must be in [0, 1], got {theta}")
-
-    with np.errstate(over="ignore", invalid="ignore"):  # huge k or dt; caught below
-        S = M + theta * dt * A
-        rhs = (M - (1.0 - theta) * dt * A) @ state.values + dt * b
-    S, rhs = apply_end_conditions(S, rhs, bc)
-    try:
-        phi = np.linalg.solve(S, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularStepError(f"singular step matrix: {exc}") from exc
-    if not np.all(np.isfinite(phi)):
-        raise SingularStepError("step produced non-finite values")
-    return TransientState(state.time + dt, phi)
+    """One theta-scheme step of ``M d(phi)/dt + A phi = b``; see
+    :class:`ThetaStepper`, which a run of many steps should build once."""
+    return ThetaStepper(M, A, b, dt, theta, bc).step(state)
 
 
 def steady_state(A: np.ndarray, b: np.ndarray, bc: EndConditions) -> np.ndarray:
@@ -196,7 +233,8 @@ def write_timeseries(stream: io.TextIOBase, states: Iterable[TransientState]) ->
     if not states:
         raise ValueError("no states to write")
     n = states[0].values.shape[0]
-    header = ",".join(["time"] + [f"node_{i}" for i in range(n)])
-    stream.write(header + "\n")
-    for s in states:
-        stream.write(",".join([fmt(s.time)] + [fmt(v) for v in s.values]) + "\n")
+    if any(s.values.shape != (n,) for s in states):
+        raise ValueError("states differ in node count")
+    stream.write(",".join(["time"] + [f"node_{i}" for i in range(n)]) + "\n")
+    row = ",".join([FLOAT] * (n + 1)) + "\n"  # one format call per row
+    stream.writelines(row.format(s.time, *s.values.tolist()) for s in states)

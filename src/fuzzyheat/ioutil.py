@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-
-def fmt(x: float) -> str:
-    """Format a float with 9 significant digits for CSV emission."""
-    return f"{x:.9g}"
+# Format a float with 9 significant digits for CSV emission.  ``fmt`` is a
+# bound method rather than a function: one Python frame fewer per value.
+FLOAT = "{:.9g}"
+fmt = FLOAT.format

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line front end."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -297,6 +298,19 @@ def test_fuzzy_h_down_to_zero_is_accepted(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_every_scenario_is_checked_before_any_output(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, "[fuzzy]\nh_pct = 1.5\n")
+    out = tmp_path / "out"
+    code = main(["fuzzy-sweep", "--config", cfg_path, "--out", str(out),
+                 "--scenario", "q-only", "--scenario", "h-only"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid-scenario: fuzzy h goes below 0:")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_sweep_duplicate_scenario_rejected(tmp_path, capsys):
     cfg_path = write_config(tmp_path, MINIMAL)
     code = main(
@@ -347,6 +361,34 @@ def test_sweep_rejects_workers_below_one(tmp_path, capsys, workers):
     err = capsys.readouterr().err
     assert err == f"error: config-error: --workers must be >= 1, got {workers}\n"
     assert not (tmp_path / "out").exists()
+
+
+# SHA-256 of output files recorded with the earlier per-step dense rod solve
+# and per-value CSV writes; they pin the factored rod stepper and the
+# streaming writers to the same bytes.
+ROD_GOLDEN = "[rod]\nn_elems = 40\nsteps = 200\ndt = 5e-4\nu1 = 0.5\ntheta = {}\n"
+GOLDEN = {
+    "rod-theta-1": (ROD_GOLDEN.format(1.0), ["rod"], {
+        "rod_timeseries.csv": "54a0af3f6268359e8112370d67f892e923f254c07638c2b12c2ca1372e5cb7c1",
+    }),
+    "rod-theta-0.5": (ROD_GOLDEN.format(0.5), ["rod"], {
+        "rod_timeseries.csv": "17f5665d0b162aa2327b2907bedf3153b05508608216f5f98eaa49ac93f73c7f",
+    }),
+    "sweep-all-5x5": ("", ["fuzzy-sweep", "--scenario", "all"], {
+        "envelope.csv": "10e549f2c37ffcdcff63036d1e180a194c9ca3e6f54fa961466b6e2aff3a9c37",
+        "sensitivity.csv": "4375dbda48b68343a2be22b610b81015b1b0e9c0bcab8bffa28be8bc874b6885",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN)
+def test_outputs_match_golden_bytes(tmp_path, case):
+    text, command, digests = GOLDEN[case]
+    out = tmp_path / "out"
+    assert main([command[0], "--config", write_config(tmp_path, text), "--out", str(out)]
+                + command[1:]) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_cli_import_does_not_load_scipy_sparse():

@@ -1,14 +1,18 @@
 """Tests for the 1D transient convection-diffusion stepper."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
+from fuzzyheat.cli import main
 from fuzzyheat.fem1d import (
     EndConditions,
     Rod1D,
     SingularStepError,
+    ThetaStepper,
     TransientState,
     assemble_1d,
     courant_number,
@@ -153,6 +157,71 @@ def test_singular_step_matrix_reported():
         theta_step(M, A, np.zeros(2), s, 0.1, 1.0, EndConditions())
 
 
+def test_singular_step_matrix_raises_without_warning():
+    zeros = np.zeros((2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularStepError, match=r"^singular step matrix: Singular matrix$"):
+            ThetaStepper(zeros, zeros, np.zeros(2), 0.1, 1.0, EndConditions())
+
+
+# --- factored stepper against a dense per-step solve ---------------------------------
+
+
+def dense_reference_step(M, A, b, phi, dt, theta, bc):
+    """One theta step formed and solved from scratch with ``np.linalg.solve``."""
+    S = M + theta * dt * A
+    rhs = (M - (1.0 - theta) * dt * A) @ phi + dt * b
+    for row, value in ((0, bc.left), (-1, bc.right)):
+        if value is not None:
+            S[row, :] = 0.0
+            S[row, row] = 1.0
+            rhs[row] = value
+    return np.linalg.solve(S, rhs)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("bc", [
+    EndConditions(0.0, 1.0), EndConditions(left=2.0), EndConditions(right=-1.0), EndConditions(),
+], ids=["fixed", "free-right", "free-left", "free"])
+@pytest.mark.parametrize("rod", [
+    Rod1D(1.0, 20, k=1.0), Rod1D(1.0, 20, k=1.0, u1=0.5), Rod1D(2.0, 20, k=0.7, Q_src=3.0),
+    Rod1D(1.0, 20, k=0.0, u1=1.0),
+], ids=["diffusion", "convection", "source", "k0"])
+def test_stepper_matches_dense_reference(theta, bc, rod):
+    M, A, b = assemble_1d(rod)
+    dt = 1e-4  # small enough for the explicit scheme
+    phi0 = np.sin(np.linspace(0.0, 3.0, rod.n_nodes)) + 0.5
+    stepper = ThetaStepper(M, A, b, dt, theta, bc)
+    state, ref = TransientState(0.0, phi0), phi0
+    for _ in range(200):
+        state = stepper.step(state)
+        ref = dense_reference_step(M, A, b, ref, dt, theta, bc)
+        assert np.max(np.abs(state.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert state.time == pytest.approx(200 * dt, rel=1e-12)
+
+
+def count_dgetrf(monkeypatch):
+    calls = []
+    original = lapack.dgetrf
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgetrf", counting)
+    return calls
+
+
+@pytest.mark.parametrize("steps,factorizations", [(200, 1), (0, 0)])
+def test_rod_run_factors_the_step_matrix_once(monkeypatch, tmp_path, steps, factorizations):
+    calls = count_dgetrf(monkeypatch)
+    cfg = tmp_path / "rod.ini"
+    cfg.write_text(f"[rod]\nn_elems = 40\nsteps = {steps}\ndt = 5e-4\nu1 = 0.5\n")
+    assert main(["rod", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == factorizations
+
+
 # --- pure convection -------------------------------------------------------------
 
 
@@ -231,3 +300,8 @@ def test_timeseries_csv_format():
 def test_timeseries_rejects_empty():
     with pytest.raises(ValueError):
         write_timeseries(io.StringIO(), [])
+
+
+def test_timeseries_rejects_ragged_states():
+    with pytest.raises(ValueError, match="node count"):
+        write_timeseries(io.StringIO(), [TransientState(0.0, [0.0, 1.0]), TransientState(1.0, [0.0])])
