@@ -33,14 +33,10 @@ from .fem2d import (
     BCKind,
     BoundaryConditionSet,
     DegenerateElementError,
-    LinearSystem,
     PlateFactor,
     PlateParameters,
     SingularSystemError,
     TemperatureField,
-    apply_dirichlet,
-    assemble,
-    solve,
     solve_crisp,
 )
 from .fem1d import (
@@ -86,14 +82,10 @@ __all__ = [
     "BCKind",
     "BoundaryConditionSet",
     "DegenerateElementError",
-    "LinearSystem",
     "PlateFactor",
     "PlateParameters",
     "SingularSystemError",
     "TemperatureField",
-    "apply_dirichlet",
-    "assemble",
-    "solve",
     "solve_crisp",
     "EndConditions",
     "Rod1D",

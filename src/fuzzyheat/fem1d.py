@@ -4,7 +4,10 @@ Discretizes ``d(phi)/dt + u1 d(phi)/dx - d/dx(k d(phi)/dx) + Q = 0`` on a
 uniform rod (constant convection velocity ``u1``) with a consistent mass
 matrix and plain Galerkin weighting, then advances in time with a theta
 scheme: theta = 1 is backward Euler (the robust default), theta = 0.5 is
-Crank-Nicolson, theta = 0 explicit.  :class:`ThetaStepper` forms and
+Crank-Nicolson, theta = 0 explicit.  For theta < 1/2 the scheme is
+stable only for ``dt <= l**2 / (6 (1 - 2 theta) k)`` on elements of
+length ``l``; above that limit the field grows without bound and is
+trapped only once it overflows.  :class:`ThetaStepper` forms and
 LU-factors the constrained step matrix once per run (``dt``, ``theta``
 and the end conditions are fixed), so each step is one matrix-vector
 product and one pair of triangular solves.

@@ -8,14 +8,12 @@ discrete system is the symmetric ``K @ T = f`` assembled from element
 stiffness matrices, boundary convection matrices, and source / flux /
 ambient load vectors.
 
-Two paths solve it.  :class:`AffinePlate` is the production core: the
-system is affine in ``h``, ``q`` and ``t_inf``, so it assembles the
-parameter-free pieces once per mesh with vectorized scatter-adds, keeps
-the matrix of the free (non-Dirichlet) nodes in LAPACK band form, and
-factors it once per distinct ``h``.  The dense :func:`assemble`,
-:func:`apply_dirichlet` and :func:`solve` build and solve the full
-``n x n`` system per parameter set; they are the reference the core is
-tested against.
+:class:`AffinePlate` is the one solver.  The system is affine in ``h``,
+``q`` and ``t_inf``, so it assembles the parameter-free pieces once per
+mesh with vectorized scatter-adds, reduces them to the free
+(non-Dirichlet) nodes, keeps that matrix in LAPACK band form, and
+factors it once per distinct ``h``; :func:`solve_crisp` is one factor
+and one solve of it.
 
 Sign conventions (unit plate thickness throughout):
   * ``q > 0`` means heat flowing INTO the plate across a flux wall and
@@ -99,32 +97,6 @@ class BoundaryConditionSet:
 
 
 @dataclass(frozen=True)
-class LinearSystem:
-    """Assembled ``K @ T = f`` with symmetric ``K``; immutable once built."""
-
-    K: np.ndarray
-    f: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "K", np.array(self.K, dtype=float))
-        object.__setattr__(self, "f", np.array(self.f, dtype=float))
-        K, f = self.K, self.f
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise ValueError(f"K must be square, got shape {K.shape}")
-        if f.shape != (K.shape[0],):
-            raise ValueError(f"f shape {f.shape} does not match K {K.shape}")
-        scale = np.abs(K).max()
-        if scale > 0.0 and np.abs(K - K.T).max() > 1e-10 * scale:
-            raise ValueError("K is not symmetric")
-        K.setflags(write=False)
-        f.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.f.shape[0]
-
-
-@dataclass(frozen=True)
 class TemperatureField:
     """Nodal temperatures [K], indexed like the mesh nodes."""
 
@@ -158,145 +130,6 @@ def _edge_lengths(coords: np.ndarray, edges: np.ndarray) -> np.ndarray:
         a, b = edges[bad[0]].tolist()
         raise DegenerateElementError(f"edge ({a}, {b}) has zero length")
     return length
-
-
-def element_stiffness(tri, coords: np.ndarray, k: float) -> np.ndarray:
-    """Conduction stiffness ``k * A * B^T B`` of a linear triangle given
-    as a row of three node indices.
-
-    ``B`` holds the constant shape-function gradients.  Rows sum to zero:
-    a constant temperature field drives no flux.
-    """
-    area2 = _doubled_areas(coords, np.array([tri]))[0]
-    (x0, y0), (x1, y1), (x2, y2) = coords[list(tri)]
-    b = np.array([y1 - y2, y2 - y0, y0 - y1])
-    c = np.array([x2 - x1, x0 - x2, x1 - x0])
-    grads = np.vstack([b, c]) / area2  # 2x3 matrix of shape-function gradients
-    return k * (0.5 * area2) * (grads.T @ grads)
-
-
-def edge_convection_matrix(edge, coords: np.ndarray, h: float) -> np.ndarray:
-    """Robin boundary matrix ``(h L / 6) [[2, 1], [1, 2]]`` of an edge
-    given as a pair of node indices."""
-    L = _edge_lengths(coords, np.array([edge]))[0]
-    return (h * L / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-
-
-def edge_flux_vector(edge, coords: np.ndarray, q: float) -> np.ndarray:
-    """Load from a prescribed inward flux: ``q L / 2`` per edge node."""
-    return np.full(2, 0.5 * q * _edge_lengths(coords, np.array([edge]))[0])
-
-
-def edge_ambient_vector(edge, coords: np.ndarray, h: float, t_inf: float) -> np.ndarray:
-    """Ambient part of the Robin condition: ``h t_inf L / 2`` per edge node."""
-    return np.full(2, 0.5 * h * t_inf * _edge_lengths(coords, np.array([edge]))[0])
-
-
-def element_source_vector(tri, coords: np.ndarray, G_src: float) -> np.ndarray:
-    """Load from a uniform volumetric source: ``G A / 3`` per vertex."""
-    area2 = _doubled_areas(coords, np.array([tri]))[0]
-    return np.full(3, G_src * (0.5 * area2) / 3.0)
-
-
-def assemble(m: Mesh2D, p: PlateParameters, bc: BoundaryConditionSet) -> LinearSystem:
-    """Scatter-add all element and boundary contributions into ``K, f``.
-
-    Dirichlet walls contribute nothing here; constrain them afterwards
-    with :func:`apply_dirichlet`.  Adiabatic walls are the natural
-    boundary condition and also contribute nothing.
-    """
-    n = m.n_nodes
-    K = np.zeros((n, n))
-    f = np.zeros(n)
-    coords = m.coords
-
-    for tri in m.elements:
-        K[np.ix_(tri, tri)] += element_stiffness(tri, coords, p.k)
-        if p.G != 0.0:
-            f[tri] += element_source_vector(tri, coords, p.G)
-
-    for edge in _boundary_edges(m, bc, BCKind.CONVECTION):
-        K[np.ix_(edge, edge)] += edge_convection_matrix(edge, coords, p.h)
-        f[edge] += edge_ambient_vector(edge, coords, p.h, p.t_inf)
-    for edge in _boundary_edges(m, bc, BCKind.FLUX):
-        f[edge] += edge_flux_vector(edge, coords, p.q)
-
-    return LinearSystem(K, f)
-
-
-def apply_dirichlet(sys: LinearSystem, nodes, value) -> LinearSystem:
-    """Constrain nodes to fixed temperatures by symmetric elimination.
-
-    ``value`` may be a scalar (applied to every listed node) or a
-    sequence matching ``nodes``.  Each constrained row and column is
-    eliminated (moving ``-K[j, i] * value`` into ``f[j]``), then the
-    diagonal is set to 1 and the right-hand side to the value, which
-    keeps the system symmetric positive definite.  Returns a new system.
-    """
-    nodes = list(nodes)
-    values = np.broadcast_to(np.asarray(value, dtype=float), (len(nodes),))
-
-    fixed: dict[int, float] = {}
-    for i, v in zip(nodes, values):
-        if not 0 <= i < sys.n:
-            raise IndexError(f"node index {i} out of range for system of size {sys.n}")
-        if i in fixed and fixed[i] != v:
-            raise ValueError(
-                f"conflicting constraints on node {i}: {fixed[i]} and {v}"
-            )
-        fixed[i] = float(v)
-    if not fixed:
-        return LinearSystem(sys.K.copy(), sys.f.copy())
-
-    idx = list(fixed)
-    vals = np.array([fixed[i] for i in idx])
-
-    K = sys.K.copy()
-    f = sys.f.copy()
-    f -= K[:, idx] @ vals
-    K[idx, :] = 0.0
-    K[:, idx] = 0.0
-    K[idx, idx] = 1.0
-    f[idx] = vals
-    return LinearSystem(K, f)
-
-
-def solve(sys: LinearSystem) -> TemperatureField:
-    """Direct Cholesky solve of the constrained system.
-
-    One step of iterative refinement keeps the relative residual below
-    1e-10.  Singular or indefinite systems raise
-    :class:`SingularSystemError` with eigenvalue diagnostics.
-    """
-    try:
-        factor = scipy.linalg.cho_factor(sys.K)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystemError(_diagnose(sys.K, str(exc))) from exc
-
-    d = np.abs(np.diag(factor[0]))
-    if (d.min() / d.max()) ** 2 < 1e-13:
-        raise SingularSystemError(_diagnose(sys.K, "near-singular Cholesky pivot"))
-
-    T = scipy.linalg.cho_solve(factor, sys.f)
-    T += scipy.linalg.cho_solve(factor, sys.f - sys.K @ T)
-
-    f_norm = np.linalg.norm(sys.f)
-    residual = np.linalg.norm(sys.K @ T - sys.f)
-    if f_norm > 0.0 and residual > 1e-10 * f_norm:
-        raise SingularSystemError(
-            _diagnose(sys.K, f"relative residual {residual / f_norm:.3e} exceeds 1e-10")
-        )
-    return TemperatureField(T)
-
-
-def _diagnose(K: np.ndarray, reason: str) -> str:
-    eigs = np.linalg.eigvalsh(K)
-    lo, hi = eigs[0], eigs[-1]
-    cond = np.inf if lo <= 0.0 else hi / lo
-    return (
-        f"{reason}; eigenvalue range [{lo:.3e}, {hi:.3e}], "
-        f"condition estimate {cond:.3e}"
-    )
 
 
 def _boundary_edges(m: Mesh2D, bc: BoundaryConditionSet, kind: BCKind) -> np.ndarray:
@@ -336,16 +169,17 @@ class AffinePlate:
     (``-K[free, fixed] @ t_fixed``).  The matrices are stored in LAPACK
     upper band form with the half-bandwidth of the free-node
     connectivity.  :meth:`factor` runs one banded Cholesky per ``h`` and
-    :meth:`solve` reuses it for every ``(q, t_inf)``.  The result equals
-    ``solve(apply_dirichlet(assemble(...), ...))`` up to rounding and
-    makes the same checks.
+    :meth:`solve` reuses it for every ``(q, t_inf)``.  The tests compare
+    the result with a dense per-element assembly solved by
+    ``np.linalg.solve`` (``tests/dense_plate.py``).
     """
 
     def __init__(self, m: Mesh2D, p: PlateParameters, bc: BoundaryConditionSet):
         n, coords, tris = m.n_nodes, m.coords, m.elements
         area2 = _doubled_areas(coords, tris)
         x, y = coords[tris, 0], coords[tris, 1]
-        # Shape-function gradients, as in element_stiffness.
+        # Constant shape-function gradients (b_i, c_i) / 2A, with
+        # b_i = y_j - y_k and c_i = x_k - x_j for (i, j, k) a cyclic vertex order.
         gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], 1)
         gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], 1)
         gx /= area2[:, None]

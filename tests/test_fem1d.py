@@ -140,6 +140,26 @@ def test_backward_euler_unconditionally_stable():
         assert np.linalg.norm(s2.values) <= norm0 * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.25])
+def test_explicit_stability_limit(theta):
+    """Below theta = 1/2 a step is stable only for dt <= l^2 / (6 (1 - 2 theta) k):
+    at 0.9 times the limit the field stays within its end values over 3000
+    steps, at 1.1 times it grows past 1e100."""
+    rod = Rod1D(1.0, 40, k=1.0, u1=0.5)
+    M, A, b = assemble_1d(rod)
+    limit = rod.elem_length**2 / (6.0 * (1.0 - 2.0 * theta) * rod.k)
+    peaks = []
+    for factor in (0.9, 1.1):
+        stepper = ThetaStepper(M, A, b, factor * limit, theta, EndConditions(0.0, 1.0))
+        s, peak = TransientState(0.0, np.zeros(rod.n_nodes)), 0.0
+        for _ in range(3000):
+            s = stepper.step(s)
+            peak = max(peak, np.abs(s.values).max())
+        peaks.append(peak)
+    assert peaks[0] == 1.0
+    assert peaks[1] > 1e100
+
+
 def test_step_argument_validation():
     M, A, b = assemble_1d(Rod1D(1.0, 2))
     s = TransientState(0.0, np.zeros(3))

@@ -1,34 +1,36 @@
-"""Tests for element matrices, assembly, constraints, and the direct solve."""
+"""Tests for the element formulas of the dense test reference, the
+constraint reduction, and the plate solve."""
 
 import numpy as np
 import pytest
 
 from fuzzyheat.fem2d import (
+    AffinePlate,
     BCKind,
     BoundaryConditionSet,
     DegenerateElementError,
-    LinearSystem,
     PlateParameters,
     SingularSystemError,
-    apply_dirichlet,
-    assemble,
     dirichlet_nodes,
-    edge_ambient_vector,
-    edge_convection_matrix,
-    edge_flux_vector,
-    element_source_vector,
-    element_stiffness,
-    solve,
     solve_crisp,
 )
-from fuzzyheat.mesh import WALLS, Wall, generate_structured_mesh, nodes_on_wall
+from fuzzyheat.mesh import WALLS, Mesh2D, Wall, generate_structured_mesh, nodes_on_wall
 
-UNIT_TRI = (0, 1, 2)
+from dense_plate import (
+    assemble,
+    edge_convection,
+    edge_load,
+    element_source,
+    element_stiffness,
+    solve_dirichlet,
+)
+
 UNIT_COORDS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-def horizontal_edge(length):
-    return (0, 1), np.array([[0.0, 0.0], [length, 0.0]])
+def one_triangle(points, edge_walls=((0, 1, Wall.BOTTOM), (1, 2, Wall.RIGHT), (2, 0, Wall.LEFT))):
+    boundary = [(a, b) for a, b, _ in edge_walls]
+    return Mesh2D(points, [(0, 1, 2)], boundary, [WALLS.index(w) for *_, w in edge_walls], 1, 1)
 
 
 # --- element stiffness ------------------------------------------------------
@@ -37,13 +39,13 @@ def horizontal_edge(length):
 def test_unit_right_triangle_stiffness():
     # Analytic integration of the linear shape-function gradients.
     expected = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
-    got = element_stiffness(UNIT_TRI, UNIT_COORDS, k=1.0)
+    got = element_stiffness(UNIT_COORDS, k=1.0)
     np.testing.assert_allclose(got, expected, atol=1e-14)
 
 
 def test_stiffness_linear_in_conductivity():
-    k1 = element_stiffness(UNIT_TRI, UNIT_COORDS, k=1.0)
-    k2 = element_stiffness(UNIT_TRI, UNIT_COORDS, k=2.0)
+    k1 = element_stiffness(UNIT_COORDS, k=1.0)
+    k2 = element_stiffness(UNIT_COORDS, k=2.0)
     np.testing.assert_allclose(k2, 2.0 * k1, atol=1e-14)
 
 
@@ -56,74 +58,65 @@ def test_stiffness_linear_in_conductivity():
     ],
 )
 def test_stiffness_rows_sum_to_zero(coords):
-    ke = element_stiffness(UNIT_TRI, coords, k=1.3)
+    ke = element_stiffness(coords, k=1.3)
     np.testing.assert_allclose(ke.sum(axis=1), np.zeros(3), atol=1e-12)
     np.testing.assert_allclose(ke, ke.T, atol=1e-14)
 
 
 def test_degenerate_triangle_rejected():
-    flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    flat = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
     with pytest.raises(DegenerateElementError):
-        element_stiffness(UNIT_TRI, flat, k=1.0)
+        AffinePlate(one_triangle(flat), PlateParameters(), BoundaryConditionSet())
     inverted = UNIT_COORDS[[0, 2, 1]]  # clockwise
     with pytest.raises(DegenerateElementError):
-        element_stiffness(UNIT_TRI, inverted, k=1.0)
+        AffinePlate(one_triangle(inverted), PlateParameters(), BoundaryConditionSet())
 
 
 # --- edge and source terms --------------------------------------------------
 
 
 def test_edge_convection_matrix_value():
-    edge, coords = horizontal_edge(2.0)
-    got = edge_convection_matrix(edge, coords, h=3.0)
+    got = edge_convection(2.0, h=3.0)
     np.testing.assert_allclose(got, np.array([[2.0, 1.0], [1.0, 2.0]]), atol=1e-14)
 
 
 def test_edge_convection_zero_h():
-    edge, coords = horizontal_edge(1.7)
-    np.testing.assert_array_equal(edge_convection_matrix(edge, coords, 0.0), np.zeros((2, 2)))
+    np.testing.assert_array_equal(edge_convection(1.7, 0.0), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("L,h", [(0.5, 1.0), (2.0, 3.5), (7.25, 0.1)])
 def test_edge_convection_partition_of_unity(L, h):
-    edge, coords = horizontal_edge(L)
-    assert edge_convection_matrix(edge, coords, h).sum() == pytest.approx(h * L, rel=1e-14)
+    assert edge_convection(L, h).sum() == pytest.approx(h * L, rel=1e-14)
 
 
 def test_edge_flux_vector_inflow():
-    edge, coords = horizontal_edge(1.0)
-    np.testing.assert_allclose(edge_flux_vector(edge, coords, 2.0), [1.0, 1.0], atol=1e-14)
-    np.testing.assert_array_equal(edge_flux_vector(edge, coords, 0.0), [0.0, 0.0])
+    np.testing.assert_allclose(edge_load(1.0, 2.0), [1.0, 1.0], atol=1e-14)
+    np.testing.assert_array_equal(edge_load(1.0, 0.0), [0.0, 0.0])
 
 
 @pytest.mark.parametrize("L,q", [(1.0, 2.0), (3.0, -1.5)])
 def test_edge_flux_partition_of_unity(L, q):
-    edge, coords = horizontal_edge(L)
-    assert edge_flux_vector(edge, coords, q).sum() == pytest.approx(q * L, rel=1e-14)
+    assert edge_load(L, q).sum() == pytest.approx(q * L, rel=1e-14)
 
 
 def test_edge_ambient_vector():
-    edge, coords = horizontal_edge(2.0)
-    np.testing.assert_allclose(
-        edge_ambient_vector(edge, coords, h=1.0, t_inf=25.0), [25.0, 25.0], atol=1e-12
-    )
-    np.testing.assert_array_equal(edge_ambient_vector(edge, coords, 0.0, 25.0), [0.0, 0.0])
-    np.testing.assert_array_equal(edge_ambient_vector(edge, coords, 1.0, 0.0), [0.0, 0.0])
+    np.testing.assert_allclose(edge_load(2.0, 1.0 * 25.0), [25.0, 25.0], atol=1e-12)
+    np.testing.assert_array_equal(edge_load(2.0, 0.0 * 25.0), [0.0, 0.0])
+    np.testing.assert_array_equal(edge_load(2.0, 1.0 * 0.0), [0.0, 0.0])
 
 
 def test_zero_length_edge_rejected():
-    edge = (0, 1)
-    coords = np.zeros((2, 2))
-    with pytest.raises(DegenerateElementError):
-        edge_flux_vector(edge, coords, 1.0)
+    # A zero-length edge on the left wall, which carries the flux.
+    edges = ((0, 1, Wall.BOTTOM), (1, 2, Wall.RIGHT), (2, 0, Wall.LEFT), (2, 2, Wall.LEFT))
+    m = one_triangle(UNIT_COORDS, edges)
+    with pytest.raises(DegenerateElementError, match="zero length"):
+        AffinePlate(m, PlateParameters(), BoundaryConditionSet())
 
 
 def test_element_source_vector():
-    got = element_source_vector(UNIT_TRI, UNIT_COORDS, G_src=6.0)  # area 1/2
+    got = element_source(UNIT_COORDS, G=6.0)  # area 1/2
     np.testing.assert_allclose(got, [1.0, 1.0, 1.0], atol=1e-14)
-    np.testing.assert_array_equal(
-        element_source_vector(UNIT_TRI, UNIT_COORDS, 0.0), np.zeros(3)
-    )
+    np.testing.assert_array_equal(element_source(UNIT_COORDS, 0.0), np.zeros(3))
     assert got.sum() == pytest.approx(6.0 * 0.5, rel=1e-14)
 
 
@@ -140,12 +133,12 @@ def all_adiabatic():
 def test_pure_neumann_assembly_is_singular_with_constant_nullspace():
     m = generate_structured_mesh(1, 1, 1, 1)
     p = PlateParameters(k=1.0, G=0.0, h=0.0, q=0.0)
-    sys = assemble(m, p, all_adiabatic())
-    ones = np.ones(sys.n)
-    np.testing.assert_allclose(sys.K @ ones, np.zeros(sys.n), atol=1e-12)
-    np.testing.assert_array_equal(sys.f, np.zeros(sys.n))
+    K, f = assemble(m, p, all_adiabatic())
+    ones = np.ones(m.n_nodes)
+    np.testing.assert_allclose(K @ ones, np.zeros(m.n_nodes), atol=1e-12)
+    np.testing.assert_array_equal(f, np.zeros(m.n_nodes))
     with pytest.raises(SingularSystemError):
-        solve(sys)
+        solve_crisp(m, p, all_adiabatic())
 
 
 def test_single_convection_edge_removes_nullspace():
@@ -155,31 +148,23 @@ def test_single_convection_edge_removes_nullspace():
         left=BCKind.ADIABATIC, right=BCKind.ADIABATIC,
         top=BCKind.CONVECTION, bottom=BCKind.ADIABATIC,
     )
-    sys = assemble(m, p, bc)
-    T = solve(sys)
+    T = solve_crisp(m, p, bc)
     # Uniform ambient temperature is the exact solution.
-    np.testing.assert_allclose(T.values, np.full(sys.n, 30.0), atol=1e-10)
+    np.testing.assert_allclose(T.values, np.full(m.n_nodes, 30.0), atol=1e-10)
 
 
 def test_assembled_matrix_symmetry():
     m = generate_structured_mesh(20, 10, 5, 5)
-    sys = assemble(m, PlateParameters(), BoundaryConditionSet())
-    assert np.abs(sys.K - sys.K.T).max() <= 1e-12 * np.abs(sys.K).max()
-
-
-def test_linear_system_rejects_asymmetric_matrix():
-    with pytest.raises(ValueError):
-        LinearSystem(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
+    K, _ = assemble(m, PlateParameters(), BoundaryConditionSet())
+    assert np.abs(K - K.T).max() <= 1e-12 * np.abs(K).max()
 
 
 # --- Dirichlet constraints ----------------------------------------------------
 
 
 def test_single_node_system_constrained():
-    sys = LinearSystem(np.array([[2.0]]), np.array([5.0]))
-    out = apply_dirichlet(sys, [0], 300.0)
-    T = solve(out)
-    assert T.values[0] == 300.0
+    T = solve_dirichlet(np.array([[2.0]]), np.array([5.0]), [0], 300.0)
+    assert T[0] == 300.0
 
 
 def test_elimination_matches_hand_reduced_system():
@@ -187,55 +172,11 @@ def test_elimination_matches_hand_reduced_system():
     # [[3,-1],[-1,2]] {T1,T2} = {12,13}, solved by hand via Cramer's rule.
     K = np.array([[4.0, -1.0, -1.0], [-1.0, 3.0, -1.0], [-1.0, -1.0, 2.0]])
     f = np.array([1.0, 2.0, 3.0])
-    out = apply_dirichlet(LinearSystem(K, f), [0], 10.0)
-    T = solve(out)
-    np.testing.assert_allclose(T.values, [10.0, 7.4, 10.2], atol=1e-12)
-
-
-def test_constrain_all_nodes_gives_identity():
-    K = np.array([[4.0, -1.0], [-1.0, 3.0]])
-    out = apply_dirichlet(LinearSystem(K, np.zeros(2)), [0, 1], [7.0, 9.0])
-    np.testing.assert_array_equal(out.K, np.eye(2))
-    np.testing.assert_array_equal(out.f, [7.0, 9.0])
-
-
-def test_conflicting_duplicate_constraint_rejected():
-    sys = LinearSystem(np.eye(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        apply_dirichlet(sys, [0, 0], [1.0, 2.0])
-    # Duplicates with the same value are harmless.
-    out = apply_dirichlet(sys, [0, 0], [1.0, 1.0])
-    assert out.f[0] == 1.0
-
-
-def test_constraint_keeps_symmetry_and_original_untouched():
-    m = generate_structured_mesh(2, 1, 2, 2)
-    sys = assemble(m, PlateParameters(), BoundaryConditionSet())
-    before = sys.K.copy()
-    out = apply_dirichlet(sys, nodes_on_wall(m, Wall.RIGHT), 100.0)
-    np.testing.assert_array_equal(sys.K, before)
-    assert np.abs(out.K - out.K.T).max() == 0.0
-
-
-def test_out_of_range_node_rejected():
-    sys = LinearSystem(np.eye(2), np.zeros(2))
-    with pytest.raises(IndexError):
-        apply_dirichlet(sys, [5], 1.0)
+    T = solve_dirichlet(K, f, [0], 10.0)
+    np.testing.assert_allclose(T, [10.0, 7.4, 10.2], atol=1e-12)
 
 
 # --- solve ---------------------------------------------------------------------
-
-
-def test_identity_solve():
-    f = np.array([3.0, -1.0, 2.5])
-    T = solve(LinearSystem(np.eye(3), f))
-    np.testing.assert_array_equal(T.values, f)
-
-
-def test_singular_error_carries_diagnostics():
-    sys = LinearSystem(np.zeros((2, 2)), np.ones(2))
-    with pytest.raises(SingularSystemError, match="condition estimate"):
-        solve(sys)
 
 
 @pytest.mark.parametrize("k,q,t_fixed", [(1.5, 2.0, 100.0), (0.7, -1.2, 40.0)])
@@ -261,11 +202,10 @@ def test_patch_affine_all_dirichlet():
     coords = m.coords
     exact = a + b * coords[:, 0] + c * coords[:, 1]
 
-    sys = assemble(m, PlateParameters(k=1.5, h=0.0, q=0.0, G=0.0), all_adiabatic())
+    K, f = assemble(m, PlateParameters(k=1.5, h=0.0, q=0.0, G=0.0), all_adiabatic())
     boundary = sorted({i for w in Wall for i in nodes_on_wall(m, w)})
-    constrained = apply_dirichlet(sys, boundary, exact[boundary])
-    T = solve(constrained)
-    np.testing.assert_allclose(T.values, exact, atol=1e-9)
+    T = solve_dirichlet(K, f, boundary, exact[boundary])
+    np.testing.assert_allclose(T, exact, atol=1e-9)
 
 
 def test_patch_affine_flux_consistent():
@@ -291,10 +231,10 @@ def test_energy_balance():
     m = generate_structured_mesh(20, 10, 5, 5)
     p = PlateParameters(k=1.5, G=0.3, h=1.2, q=2.0, t_inf=25.0, t_fixed=100.0)
     bc = BoundaryConditionSet()
-    original = assemble(m, p, bc)
+    K, f = assemble(m, p, bc)
     T = solve_crisp(m, p, bc).values
 
-    reactions = original.K @ T - original.f
+    reactions = K @ T - f
     free = np.ones(m.n_nodes, dtype=bool)
     free[dirichlet_nodes(m, bc)] = False
     assert np.abs(reactions[free]).max() < 1e-9  # free equations hold
