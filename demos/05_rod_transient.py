@@ -11,11 +11,10 @@ import numpy as np
 from fuzzyheat import (
     EndConditions,
     Rod1D,
+    ThetaStepper,
     TransientState,
     assemble_1d,
     courant_number,
-    pure_convection_step,
-    theta_step,
 )
 from fuzzyheat.fem1d import steady_state
 
@@ -24,10 +23,11 @@ rod = Rod1D(length=1.0, n_elems=10, k=1.0)
 M, A, b = assemble_1d(rod)
 bc = EndConditions(left=0.0, right=1.0)
 
+stepper = ThetaStepper(M, A, b, dt=0.05, theta=1.0, bc=bc)
 state = TransientState(0.0, np.zeros(rod.n_nodes))
 print("diffusion rod, backward Euler, dt = 0.05:")
 for step in range(1, 61):
-    state = theta_step(M, A, b, state, dt=0.05, theta=1.0, bc=bc)
+    state = stepper.step(state)
     if step in (1, 5, 20, 60):
         dev = np.abs(state.values - steady_state(A, b, bc)).max()
         print(f"  t = {state.time:5.2f}: max deviation from steady {dev:.3e}")
@@ -41,8 +41,9 @@ bc = EndConditions(left=1.0)
 
 dt, steps = 0.02, 100
 print(f"\nconvection rod, u1 = {rod.u1}, Courant = {courant_number(rod, dt):.2f}:")
+stepper = ThetaStepper(*assemble_1d(rod), dt, 0.5, bc)
 for _ in range(steps):
-    state = pure_convection_step(rod, state, dt, theta=0.5, bc=bc)
+    state = stepper.step(state)
 
 # locate the half-height crossing
 i = int(np.argmax(state.values < 0.5)) - 1

@@ -42,11 +42,10 @@ from .fem2d import (
 from .fem1d import (
     EndConditions,
     Rod1D,
+    ThetaStepper,
     TransientState,
     assemble_1d,
     courant_number,
-    pure_convection_step,
-    theta_step,
 )
 from .uq import (
     FuzzyScenario,
@@ -89,11 +88,10 @@ __all__ = [
     "solve_crisp",
     "EndConditions",
     "Rod1D",
+    "ThetaStepper",
     "TransientState",
     "assemble_1d",
     "courant_number",
-    "pure_convection_step",
-    "theta_step",
     "FuzzyScenario",
     "FuzzyTemperatureField",
     "ScenarioComparison",

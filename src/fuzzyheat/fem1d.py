@@ -6,11 +6,12 @@ matrix and plain Galerkin weighting, then advances in time with a theta
 scheme: theta = 1 is backward Euler (the robust default), theta = 0.5 is
 Crank-Nicolson, theta = 0 explicit.  For theta < 1/2 the scheme is
 stable only for ``dt <= l**2 / (6 (1 - 2 theta) k)`` on elements of
-length ``l``; above that limit the field grows without bound and is
-trapped only once it overflows.  :class:`ThetaStepper` forms and
-LU-factors the constrained step matrix once per run (``dt``, ``theta``
-and the end conditions are fixed), so each step is one matrix-vector
-product and one pair of triangular solves.
+length ``l``; above that limit the field grows without bound until a step
+overflows and raises ``ValueError``.  :class:`ThetaStepper`, built once
+per run (``dt``, ``theta`` and the end conditions are fixed), is the one
+way to step a rod: it LU-factors the constrained step matrix once, so each
+step is one matrix-vector product and one pair of triangular solves.
+Pure convection is the rod with ``k = 0`` and ``Q_src = 0``.
 
 The convection term carries no stabilization (no upwinding or SUPG), so
 convection-dominated runs are only trustworthy at small cell Peclet and
@@ -20,16 +21,13 @@ Courant numbers; see :func:`courant_number`.
 from __future__ import annotations
 
 import io
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .ioutil import FLOAT
-
-log = logging.getLogger(__name__)
+from .ioutil import FLOAT, fmt
 
 
 class SingularStepError(RuntimeError):
@@ -144,6 +142,8 @@ class ThetaStepper:
     row-replaced and LU-factored once here (LAPACK ``dgetrf``); a step is
     one matrix-vector product and one ``dgetrs``.  A steady state of the
     constrained system is an exact fixed point for any ``theta`` and ``dt``.
+    Matrices, a load or temperatures that overflow the float range raise
+    ``ValueError``; a singular step matrix, :class:`SingularStepError`.
     """
 
     def __init__(
@@ -160,10 +160,12 @@ class ThetaStepper:
         if not 0.0 <= theta <= 1.0:
             raise ValueError(f"theta must be in [0, 1], got {theta}")
 
-        with np.errstate(over="ignore", invalid="ignore"):  # huge k or dt; caught in step
+        with np.errstate(over="ignore", invalid="ignore"):  # huge k or dt; checked below
             S = M + theta * dt * A
             self._R = M - (1.0 - theta) * dt * A
             self._load = dt * b
+        if not all(np.isfinite(x).all() for x in (S, self._R, self._load)):
+            raise ValueError(f"step matrices or load overflow the float range at dt={fmt(dt)}")
         S, _ = apply_end_conditions(S, self._load, bc)
         self._dt = dt
         self._ends = _fixed_ends(bc)
@@ -179,23 +181,10 @@ class ThetaStepper:
         for row, value in self._ends:
             rhs[row] = value
         phi, _ = lapack.dgetrs(self._lu, self._piv, rhs, overwrite_b=True)
-        if not np.all(np.isfinite(phi)):
-            raise SingularStepError("step produced non-finite values")
-        return TransientState(state.time + self._dt, phi)
-
-
-def theta_step(
-    M: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    state: TransientState,
-    dt: float,
-    theta: float,
-    bc: EndConditions,
-) -> TransientState:
-    """One theta-scheme step of ``M d(phi)/dt + A phi = b``; see
-    :class:`ThetaStepper`, which a run of many steps should build once."""
-    return ThetaStepper(M, A, b, dt, theta, bc).step(state)
+        time = state.time + self._dt
+        if not np.isfinite(phi).all():
+            raise ValueError(f"temperatures overflow the float range at t={fmt(time)}")
+        return TransientState(time, phi)
 
 
 def steady_state(A: np.ndarray, b: np.ndarray, bc: EndConditions) -> np.ndarray:
@@ -212,22 +201,6 @@ def courant_number(rod: Rod1D, dt: float) -> float:
     """Cell Courant number ``|u1| dt / l``; keep well below 1 for
     meaningful unstabilized convection steps."""
     return abs(rod.u1) * dt / rod.elem_length
-
-
-def pure_convection_step(
-    rod: Rod1D, state: TransientState, dt: float, theta: float, bc: EndConditions
-) -> TransientState:
-    """Theta step for the source-free pure convection reduction.
-
-    Requires ``k = 0`` and ``Q_src = 0``.  This is unstabilized Galerkin
-    transport: it stays usable only at small Courant numbers (logged per
-    step); oscillations at sharp fronts are expected, not trapped.
-    """
-    if rod.k != 0.0 or rod.Q_src != 0.0:
-        raise ValueError("pure convection requires k = 0 and Q_src = 0")
-    M, A, b = assemble_1d(rod)
-    log.debug("pure convection step: courant=%g", courant_number(rod, dt))
-    return theta_step(M, A, b, state, dt, theta, bc)
 
 
 def write_timeseries(stream: io.TextIOBase, states: Iterable[TransientState]) -> None:

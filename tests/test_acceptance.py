@@ -14,10 +14,10 @@ from fuzzyheat.cli import main, parse_config
 from fuzzyheat.fem1d import (
     EndConditions,
     Rod1D,
+    ThetaStepper,
     TransientState,
     assemble_1d,
     steady_state,
-    theta_step,
 )
 from fuzzyheat.fem2d import BCKind, BoundaryConditionSet, PlateParameters, solve_crisp
 from fuzzyheat.fuzzy import (
@@ -309,15 +309,17 @@ def test_rod_transient():
     M, A, b = assemble_1d(rod)
     bc = EndConditions(0.0, 1.0)
 
+    stepper = ThetaStepper(M, A, b, dt=0.5, theta=1.0, bc=bc)
     state = TransientState(0.0, np.zeros(rod.n_nodes))
     for _ in range(100):
-        state = theta_step(M, A, b, state, dt=0.5, theta=1.0, bc=bc)
+        state = stepper.step(state)
     assert np.abs(state.values - rod.node_positions()).max() <= 1e-6
 
     fixed = steady_state(A, b, bc)
+    stepper = ThetaStepper(M, A, b, dt=0.7, theta=1.0, bc=bc)
     s = TransientState(0.0, fixed)
     for _ in range(5):
-        s = theta_step(M, A, b, s, dt=0.7, theta=1.0, bc=bc)
+        s = stepper.step(s)
         assert np.abs(s.values - fixed).max() <= 1e-12
 
     elapsed = time.perf_counter() - start

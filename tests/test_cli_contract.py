@@ -51,6 +51,19 @@ def test_overflowing_loads_are_solver_errors(tmp_path, command, key, value):
     assert_contract(code, err)
 
 
+@pytest.mark.parametrize("rod", [
+    "k = 1e308", "dt = 1e308", "u1 = 1e308",
+    "n_elems = 40\ntheta = 0\ndt = 1e-2\nsteps = 400",  # explicit, far above its stable dt
+], ids=["k", "dt", "u1", "unstable-explicit"])
+def test_overflowing_rods_are_solver_errors(tmp_path, rod):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[rod]\n{rod}\n")
+    code, err = run(["rod", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert err.startswith("error: solver-error: ") and err.count("\n") == 1
+    assert_contract(code, err)
+
+
 @pytest.mark.parametrize("message,shown", [
     ("Unable to allocate 193. GiB for an array", "Unable to allocate 193. GiB for an array"),
     ("", "out of memory"),

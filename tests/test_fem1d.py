@@ -16,16 +16,15 @@ from fuzzyheat.fem1d import (
     TransientState,
     assemble_1d,
     courant_number,
-    pure_convection_step,
     steady_state,
-    theta_step,
     write_timeseries,
 )
 
 
 def run_steps(M, A, b, state, dt, theta, bc, n):
+    stepper = ThetaStepper(M, A, b, dt, theta, bc)
     for _ in range(n):
-        state = theta_step(M, A, b, state, dt, theta, bc)
+        state = stepper.step(state)
     return state
 
 
@@ -83,8 +82,8 @@ def test_scalar_backward_euler():
     M = np.array([[1.0]])
     A = np.array([[1.0]])
     b = np.zeros(1)
-    s = theta_step(M, A, b, TransientState(0.0, [1.0]), dt=1.0, theta=1.0,
-                   bc=EndConditions())
+    stepper = ThetaStepper(M, A, b, dt=1.0, theta=1.0, bc=EndConditions())
+    s = stepper.step(TransientState(0.0, [1.0]))
     assert s.values[0] == pytest.approx(0.5, abs=1e-15)
     assert s.time == 1.0
 
@@ -95,7 +94,7 @@ def test_steady_state_is_fixed_point(theta, dt):
     M, A, b = assemble_1d(rod)
     bc = EndConditions(0.0, 2.0)
     phi = steady_state(A, b, bc)
-    s = theta_step(M, A, b, TransientState(0.0, phi), dt, theta, bc)
+    s = ThetaStepper(M, A, b, dt, theta, bc).step(TransientState(0.0, phi))
     np.testing.assert_allclose(s.values, phi, atol=1e-12)
 
 
@@ -123,8 +122,9 @@ def test_conservation_with_free_ends():
     rng = np.random.default_rng(42)
     s = TransientState(0.0, rng.uniform(0.0, 1.0, rod.n_nodes))
     total0 = (M @ s.values).sum()
+    stepper = ThetaStepper(M, A, b, 0.1, 1.0, bc)
     for _ in range(50):
-        s = theta_step(M, A, b, s, 0.1, 1.0, bc)
+        s = stepper.step(s)
         assert (M @ s.values).sum() == pytest.approx(total0, abs=1e-10)
 
 
@@ -136,7 +136,7 @@ def test_backward_euler_unconditionally_stable():
     for dt in rng.uniform(0.01, 100.0, 20):
         s = TransientState(0.0, rng.uniform(-1.0, 1.0, rod.n_nodes))
         norm0 = np.linalg.norm(s.values)
-        s2 = theta_step(M, A, b, s, float(dt), 1.0, bc)
+        s2 = ThetaStepper(M, A, b, float(dt), 1.0, bc).step(s)
         assert np.linalg.norm(s2.values) <= norm0 * (1.0 + 1e-12)
 
 
@@ -162,19 +162,17 @@ def test_explicit_stability_limit(theta):
 
 def test_step_argument_validation():
     M, A, b = assemble_1d(Rod1D(1.0, 2))
-    s = TransientState(0.0, np.zeros(3))
     with pytest.raises(ValueError):
-        theta_step(M, A, b, s, dt=0.0, theta=1.0, bc=EndConditions())
+        ThetaStepper(M, A, b, dt=0.0, theta=1.0, bc=EndConditions())
     with pytest.raises(ValueError):
-        theta_step(M, A, b, s, dt=0.1, theta=1.5, bc=EndConditions())
+        ThetaStepper(M, A, b, dt=0.1, theta=1.5, bc=EndConditions())
 
 
 def test_singular_step_matrix_reported():
     M = np.zeros((2, 2))
     A = np.zeros((2, 2))
-    s = TransientState(0.0, np.ones(2))
     with pytest.raises(SingularStepError):
-        theta_step(M, A, np.zeros(2), s, 0.1, 1.0, EndConditions())
+        ThetaStepper(M, A, np.zeros(2), 0.1, 1.0, EndConditions())
 
 
 def test_singular_step_matrix_raises_without_warning():
@@ -242,28 +240,21 @@ def test_rod_run_factors_the_step_matrix_once(monkeypatch, tmp_path, steps, fact
     assert len(calls) == factorizations
 
 
-# --- pure convection -------------------------------------------------------------
-
-
-def test_pure_convection_requires_clean_rod():
-    with pytest.raises(ValueError):
-        pure_convection_step(
-            Rod1D(1.0, 2, k=1.0, u1=1.0), TransientState(0.0, np.zeros(3)),
-            0.1, 1.0, EndConditions(),
-        )
+# --- pure convection (k = 0, Q_src = 0) ------------------------------------------
 
 
 def test_zero_velocity_leaves_state_unchanged():
     rod = Rod1D(1.0, 10, k=0.0, u1=0.0)
     phi = np.sin(np.linspace(0, np.pi, rod.n_nodes))
-    s = pure_convection_step(rod, TransientState(0.0, phi), 0.1, 1.0, EndConditions())
+    stepper = ThetaStepper(*assemble_1d(rod), 0.1, 1.0, EndConditions())
+    s = stepper.step(TransientState(0.0, phi))
     np.testing.assert_allclose(s.values, phi, atol=1e-14)
 
 
 def test_uniform_field_in_convection_nullspace():
     rod = Rod1D(10.0, 50, k=0.0, u1=1.0)
     s = TransientState(0.0, np.ones(rod.n_nodes))
-    s2 = pure_convection_step(rod, s, 0.05, 1.0, EndConditions(left=1.0))
+    s2 = ThetaStepper(*assemble_1d(rod), 0.05, 1.0, EndConditions(left=1.0)).step(s)
     np.testing.assert_allclose(s2.values, np.ones(rod.n_nodes), atol=1e-12)
 
 
@@ -286,9 +277,10 @@ def test_advected_front_tracks_velocity():
     bc = EndConditions(left=1.0)
 
     def run(dt, steps):
+        stepper = ThetaStepper(*assemble_1d(rod), dt, 0.5, bc)
         s = TransientState(0.0, phi0)
         for _ in range(steps):
-            s = pure_convection_step(rod, s, dt, 0.5, bc)
+            s = stepper.step(s)
         return s.values
 
     assert courant_number(rod, 0.02) == pytest.approx(0.2)
