@@ -11,9 +11,14 @@ ambient load vectors.
 :class:`AffinePlate` is the one solver.  The system is affine in ``h``,
 ``q`` and ``t_inf``, so it assembles the parameter-free pieces once per
 mesh with vectorized scatter-adds, reduces them to the free
-(non-Dirichlet) nodes, keeps that matrix in LAPACK band form, and
-factors it once per distinct ``h``; :func:`solve_crisp` is one factor
-and one solve of it.
+(non-Dirichlet) nodes and keeps that matrix in LAPACK band form.  With
+one convective wall, whose nodes it numbers last, the band Cholesky of
+the ``h``-independent leading block is formed once per plate and each
+distinct ``h`` adds a small dense Cholesky on the wall nodes (static
+condensation onto the wall); any other plate factors the whole band
+once per distinct ``h``.  :func:`solve_crisp` is one factor and one
+solve.  A plate whose band arrays would not fit in the available memory
+raises ``MemoryError`` before allocating them.
 
 Sign conventions (unit plate thickness throughout):
   * ``q > 0`` means heat flowing INTO the plate across a flux wall and
@@ -26,7 +31,6 @@ exactly), so no numerical quadrature is involved.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -145,16 +149,29 @@ def dirichlet_nodes(m: Mesh2D, bc: BoundaryConditionSet) -> list[int]:
 
 @dataclass(frozen=True)
 class PlateFactor:
-    """Banded Cholesky factor of the free-node matrix at one ``h``.
+    """Cholesky factor ``U^T U`` of the free-node matrix at one ``h``.
 
-    ``cb`` is the upper band form returned by
-    :func:`scipy.linalg.cholesky_banded`; ``pivot_ratio`` is the squared
-    ratio of its smallest to largest diagonal entry.
+    With the free nodes numbered so that those on the one convective
+    wall come last, ``U = [[U_ll, U_lb], [0, U_bb]]``.  ``band`` is
+    ``U_ll`` in LAPACK upper band form; it does not depend on ``h`` and
+    every factor of a plate shares it.  ``coupling`` is ``U_lb``, of
+    which ``coupling`` holds the last rows, the only non-zero ones, and
+    ``block`` the dense upper triangle ``U_bb``; only ``block`` is
+    formed per ``h``.  Plates with no convective wall, or more than one,
+    keep the whole factor in ``band`` with empty ``coupling`` and
+    ``block``.  ``pivot_ratio`` is the
+    squared ratio of the smallest to the largest diagonal entry of
+    ``U``.
     """
 
     h: float
-    cb: np.ndarray
+    band: np.ndarray
+    coupling: np.ndarray
+    block: np.ndarray
     pivot_ratio: float
+
+
+_EMPTY = np.empty((0, 0))
 
 
 class AffinePlate:
@@ -166,11 +183,20 @@ class AffinePlate:
         (K_k + h K_c) T = t_fixed (l_k + h l_c) + q f_q + h t_inf f_a + G f_G
 
     where ``t_fixed (l_k + h l_c)`` is the lift of the fixed walls
-    (``-K[free, fixed] @ t_fixed``).  The matrices are stored in LAPACK
-    upper band form with the half-bandwidth of the free-node
-    connectivity.  :meth:`factor` runs one banded Cholesky per ``h`` and
-    :meth:`solve` reuses it for every ``(q, t_inf)``.  The tests compare
-    the result with a dense per-element assembly solved by
+    (``-K[free, fixed] @ t_fixed``).  ``K_c`` couples only the free nodes
+    on the convective walls.  With exactly one convective wall, the free
+    nodes are numbered row by row away from it (column by column for the
+    left and right walls), so that its ``m`` nodes come last and
+    ``K(h) = [[K_ll, K_lb], [K_bl, K_bb + h Kc_bb]]``.  The leading
+    block does not depend on ``h``: its banded Cholesky ``U_ll``, the
+    coupling ``U_lb = U_ll^-T K_lb`` and ``S0 = K_bb - U_lb^T U_lb`` are
+    formed once per plate, and :meth:`factor` runs only the dense
+    ``m x m`` Cholesky of ``S0 + h Kc_bb``.  Any other plate keeps the
+    natural numbering and factors the whole band once per ``h``.
+    :meth:`solve` reuses a factor for every ``(q, t_inf)``.  The
+    constructor raises ``MemoryError`` when its estimate of the band
+    arrays and factors exceeds the memory the platform reports available.  The tests
+    compare the result with a dense per-element assembly solved by
     ``np.linalg.solve`` (``tests/dense_plate.py``).
     """
 
@@ -203,10 +229,24 @@ class AffinePlate:
         self._f_a = scatter(conv_edges, 0.5 * conv_length)
         self._f_G = scatter(tris, (0.5 * area2) / 3.0)
 
-        self._free = np.setdiff1d(np.arange(n), dirichlet_nodes(m, bc))
-        n_free = self._free.size
+        free = np.setdiff1d(np.arange(n), dirichlet_nodes(m, bc))
+        n_free = free.size
+        on_wall = np.zeros(n, dtype=bool)
+        on_wall[conv_edges] = True
+        m_wall = int(on_wall[free].sum())
+        conv_walls = [w for w in WALLS if bc.kind(w) is BCKind.CONVECTION]
+        blocked = len(conv_walls) == 1 and 0 < m_wall < n_free
+        if blocked:
+            # Row by row (column by column for a side wall), farthest from
+            # the wall first: its nodes come last and the band stays one
+            # grid line (plus one) wide.
+            wall = conv_walls[0]
+            across = 0 if wall in (Wall.LEFT, Wall.RIGHT) else 1
+            xy = (1.0 if wall in (Wall.TOP, Wall.RIGHT) else -1.0) * coords[free]
+            free = free[np.lexsort((xy[:, 1 - across], xy[:, across], on_wall[free]))]
+        n_lead = n_free - m_wall if blocked else n_free
         rank = np.full(n, -1, dtype=np.intp)
-        rank[self._free] = np.arange(n_free)
+        rank[free] = np.arange(n_free)
 
         def pairs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             """Row and column free-node ranks of every local matrix entry."""
@@ -221,24 +261,51 @@ class AffinePlate:
             int((col - row)[(row >= 0) & (col >= 0)].max(initial=0))
             for row, col in ((tri_r, tri_c), (edge_r, edge_c))
         )
+        # Rows of the leading block that K_lb reaches.
+        reach = min(u, n_lead) if blocked else 0
 
-        def band(row: np.ndarray, col: np.ndarray, vals: np.ndarray) -> np.ndarray:
-            """Free-free entries on or above the diagonal, in upper band form."""
-            upper = (row >= 0) & (row <= col)
-            flat = (u + row[upper] - col[upper]) * n_free + col[upper]
+        # The band arrays outweigh everything else: K_ll and its factor plus
+        # a few dense blocks over the coupled rows and the wall nodes, or
+        # K_k, K_c, h K_c and the factor of their sum.
+        if blocked:
+            _check_memory(8 * (2 * (u + 1) * n_lead + 4 * (reach + m_wall) ** 2))
+        else:
+            _check_memory(8 * 4 * (u + 1) * n_free)
+
+        def band(row: np.ndarray, col: np.ndarray, vals: np.ndarray, cols: int) -> np.ndarray:
+            """Entries on or above the diagonal in the first ``cols`` free
+            columns, in upper band form (column-major, as LAPACK reads it)."""
+            upper = (row >= 0) & (row <= col) & (col < cols)
+            flat = col[upper] * (u + 1) + u + row[upper] - col[upper]
             return np.bincount(
-                flat, vals.ravel()[upper], minlength=(u + 1) * n_free
-            ).reshape(u + 1, n_free)
+                flat, vals.ravel()[upper], minlength=(u + 1) * cols
+            ).reshape(cols, u + 1).T
+
+        def dense(row: np.ndarray, col: np.ndarray, vals: np.ndarray, lo: int) -> np.ndarray:
+            """The free-node block from rank ``lo`` on, both triangles."""
+            inside = (row >= lo) & (col >= lo)
+            w = n_free - lo
+            return np.bincount(
+                (row[inside] - lo) * w + col[inside] - lo, vals.ravel()[inside], minlength=w * w
+            ).reshape(w, w)
 
         def lift(row: np.ndarray, col: np.ndarray, vals: np.ndarray) -> np.ndarray:
             """``-K[free, fixed] @ 1``: the lift per unit fixed temperature."""
             into_free = (row >= 0) & (col < 0)
             return -np.bincount(row[into_free], vals.ravel()[into_free], minlength=n_free)
 
-        self._ab_k = band(tri_r, tri_c, ke)
-        self._ab_c = band(edge_r, edge_c, kc)
+        self._ab_k = band(tri_r, tri_c, ke, n_lead)
+        if blocked:
+            k_tail = dense(tri_r, tri_c, ke, n_lead - reach)
+            self._k_lb, self._k_bb = k_tail[:reach, reach:], k_tail[reach:, reach:]
+            self._kc_bb = dense(edge_r, edge_c, kc, n_lead)
+        else:
+            self._ab_c = band(edge_r, edge_c, kc, n_free)
+            self._kc_bb = None
+        self._lead: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._l_k = lift(tri_r, tri_c, ke)
         self._l_c = lift(edge_r, edge_c, kc)
+        self._free = free
         self._tris, self._ke = tris, ke
         self._conv_edges, self._kc = conv_edges, kc
         self._n = n
@@ -246,8 +313,31 @@ class AffinePlate:
         self._G = p.G
         self._t_fixed = p.t_fixed
 
+    def _leading(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``U_ll`` (band form), the non-zero rows of ``U_lb``, and ``S0``;
+        formed at the first :meth:`factor` call, so that a failure is
+        reported at its ``h`` like any other."""
+        if self._lead is None:
+            ab, k_lb = self._ab_k, self._k_lb
+            if not np.isfinite(ab).all():
+                raise ValueError(f"plate matrix overflows the float range at h={h}")
+            lapack = scipy.linalg.lapack
+            lead = _cholesky(lapack.dpbtrf, ab, 0, self._free.size)
+            # U_ll^T is lower triangular and K_lb is zero above its last
+            # `reach` rows, so U_lb is too, and those rows need only the
+            # trailing reach x reach triangle of U_ll.
+            coupling = lapack.dtbtrs(lead[:, lead.shape[1] - k_lb.shape[0]:], k_lb, trans="T")[0]
+            # The upper triangle of S0, which is all that ?potrf reads.  Dense
+            # products use scipy's BLAS, here and in _substitute: numpy links
+            # its own OpenBLAS, and two thread pools spinning in turn slow
+            # each other down.
+            s0 = scipy.linalg.blas.dsyrk(-1.0, coupling, beta=1.0, c=self._k_bb, trans=1)
+            self._lead = lead, coupling, s0
+            self._ab_k = None
+        return self._lead
+
     def factor(self, h: float) -> PlateFactor:
-        """Banded Cholesky of ``K_k + h K_c`` on the free nodes.
+        """Cholesky factor of ``K_k + h K_c`` on the free nodes.
 
         Raises :class:`SingularSystemError` when the matrix is not
         positive definite or its squared pivot ratio is below 1e-13, and
@@ -255,25 +345,28 @@ class AffinePlate:
         """
         if not np.isfinite(h) or h < 0.0:
             raise ValueError(f"convection coefficient must be finite and >= 0, got h={h}")
-        if self._free.size == 0:
-            return PlateFactor(h, self._ab_k, 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ab = self._ab_k + h * self._ab_c
-        if not np.isfinite(ab).all():
-            raise ValueError(f"plate matrix overflows the float range at h={h}")
-        try:
-            cb = scipy.linalg.cholesky_banded(ab, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            minor = re.match(r"(\d+)-th leading minor", str(exc))
-            where = f" at leading minor {minor.group(1)} of {self._free.size}" if minor else ""
-            raise SingularSystemError(
-                _pivot_diagnosis(f"matrix not positive definite{where}", 0.0)
-            ) from exc
-        d = np.abs(cb[-1])
+        n_free = self._free.size
+        if n_free == 0:
+            return PlateFactor(h, self._ab_k, _EMPTY, _EMPTY, 1.0)
+        if self._kc_bb is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                ab = self._ab_k + h * self._ab_c
+            if not np.isfinite(ab).all():
+                raise ValueError(f"plate matrix overflows the float range at h={h}")
+            lead = _cholesky(scipy.linalg.lapack.dpbtrf, ab, 0, n_free, overwrite_ab=1)
+            coupling, block = _EMPTY, _EMPTY
+        else:
+            lead, coupling, s0 = self._leading(h)
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = s0 + h * self._kc_bb
+            if not np.isfinite(s).all():
+                raise ValueError(f"plate matrix overflows the float range at h={h}")
+            block = _cholesky(scipy.linalg.lapack.dpotrf, s, lead.shape[1], n_free)
+        d = np.abs(np.concatenate([lead[-1], np.diag(block)]))
         ratio = float((d.min() / d.max()) ** 2)
         if ratio < 1e-13:
             raise SingularSystemError(_pivot_diagnosis("near-singular Cholesky pivot", ratio))
-        return PlateFactor(h, cb, ratio)
+        return PlateFactor(h, lead, coupling, block, ratio)
 
     def _matvec(self, h: float, T: np.ndarray) -> np.ndarray:
         """``(K_k + h K_c) @ T`` over all nodes, by element scatter-add."""
@@ -289,10 +382,27 @@ class AffinePlate:
             )
         return y
 
+    @staticmethod
+    def _substitute(factor: PlateFactor, b: np.ndarray) -> np.ndarray:
+        """``x`` with ``U^T U x = b``: forward through the band and then the
+        trailing block, back through the trailing block and then the band.
+        A zero diagonal leaves ``b`` unsolved, which the residual check reports."""
+        lapack = scipy.linalg.lapack
+        n_lead, reach = factor.band.shape[1], factor.coupling.shape[0]
+        y = lapack.dtbtrs(factor.band, b[:n_lead], trans="T")[0]
+        if not factor.block.size:
+            return lapack.dtbtrs(factor.band, y, overwrite_b=1)[0]
+        tail, gemv = slice(n_lead - reach, n_lead), scipy.linalg.blas.dgemv
+        x_b = lapack.dpotrs(
+            factor.block, gemv(-1.0, factor.coupling, y[tail], 1.0, b[n_lead:], trans=1)
+        )[0]
+        y[tail] = gemv(-1.0, factor.coupling, x_b, 1.0, y[tail])
+        return np.concatenate([lapack.dtbtrs(factor.band, y, overwrite_b=1)[0], x_b])
+
     def solve(self, factor: PlateFactor, q: float, t_inf: float) -> TemperatureField:
         """Temperatures for ``factor.h`` and the given ``q`` and ``t_inf``.
 
-        Two banded triangular solves: the solve itself and one step of
+        Two block substitutions: the solve itself and one step of
         iterative refinement.  A relative residual above 1e-10 raises
         :class:`SingularSystemError`; loads or temperatures that overflow
         the float range raise ``ValueError``.
@@ -310,11 +420,8 @@ class AffinePlate:
             rhs = self._t_fixed * (self._l_k + h * self._l_c) + loads[free]
             if not np.isfinite(rhs).all():
                 raise ValueError(f"right-hand side overflows the float range at {at}")
-            chol = (factor.cb, False)
-            T[free] = scipy.linalg.cho_solve_banded(chol, rhs, check_finite=False)
-            T[free] += scipy.linalg.cho_solve_banded(
-                chol, (loads - self._matvec(h, T))[free], check_finite=False
-            )
+            T[free] = self._substitute(factor, rhs)
+            T[free] += self._substitute(factor, (loads - self._matvec(h, T))[free])
             if not np.isfinite(T).all():
                 raise ValueError(f"temperatures overflow the float range at {at}")
 
@@ -330,6 +437,42 @@ class AffinePlate:
                     )
                 )
         return TemperatureField(T)
+
+
+def _cholesky(routine, a: np.ndarray, before: int, n_free: int, **options) -> np.ndarray:
+    """Upper Cholesky factor by a LAPACK ``?pbtrf`` or ``?potrf`` wrapper;
+    ``before`` free nodes precede ``a`` in the numbering of the minors."""
+    c, info = routine(a, lower=0, **options)
+    if info > 0:
+        raise SingularSystemError(
+            _pivot_diagnosis(
+                f"matrix not positive definite at leading minor {before + info} of {n_free}", 0.0
+            )
+        )
+    if info < 0:
+        raise RuntimeError(f"LAPACK rejected argument {-info}")
+    return c
+
+
+def _check_memory(need: int) -> None:
+    """Raise ``MemoryError`` when ``need`` bytes exceed the available memory."""
+    available = _available_memory()
+    if available is not None and need > available:
+        raise MemoryError(
+            f"plate needs {need} bytes ({need / 2**30:.3g} GiB), {available} available"
+        )
+
+
+def _available_memory() -> int | None:
+    """``MemAvailable`` in bytes, or ``None`` where the platform does not report it."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError):
+        pass
+    return None
 
 
 def _pivot_diagnosis(reason: str, ratio: float) -> str:

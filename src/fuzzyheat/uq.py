@@ -11,9 +11,11 @@ full-support envelope: its per-node values, their average, and their
 population variance.
 
 The plate is affine in the three parameters, so a sweep assembles it
-once (:class:`~fuzzyheat.fem2d.AffinePlate`), factors it once per
+once (:class:`~fuzzyheat.fem2d.AffinePlate`), asks it for one factor per
 distinct ``h`` and solves it once per distinct corner ``(h, q, t_inf)``
-of all levels.
+of all levels.  With one convective wall the plate factors its
+``h``-independent band only once, and each distinct ``h`` costs one
+small dense factorization on the wall nodes.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fuzzyheat import fem2d
 from fuzzyheat.cli import RunConfig, cmd_fuzzy_sweep
 from fuzzyheat.fem2d import (
     AffinePlate,
@@ -62,13 +63,47 @@ def test_one_factor_serves_every_q_and_t_inf(case):
         assert np.abs(T - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+# One convective wall, with and without a fixed corner on it, on a 7x4 plate:
+# the free nodes on that wall come last and form the trailing block.
+WALL_LAST = {
+    "top": (walls(F, A, C, D), 8),
+    "top-fixed-corner": (walls(F, D, C, A), 7),
+    "bottom": (walls(F, A, D, C), 8),
+    "bottom-fixed-corner": (walls(D, F, A, C), 7),
+    "left": (walls(C, D, F, A), 5),
+    "left-fixed-corner": (walls(C, F, D, A), 4),
+    "right": (walls(D, C, A, F), 5),
+    "right-fixed-corner": (walls(A, C, F, D), 4),
+    # The fallback: the whole band factored at each h.
+    "two-convective-walls": (walls(C, D, C, A), 0),
+    "no-convective-wall": (walls(F, D, F, A), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALL_LAST))
+def test_wall_last_numbering_matches_dense_reference(case):
+    bc, trailing = WALL_LAST[case]
+    p = PlateParameters(h=2.0, G=0.2, q=-1.0, t_inf=40.0)
+    m = generate_structured_mesh(20.0, 10.0, 7, 4)
+    plate = AffinePlate(m, p, bc)
+    factor = plate.factor(p.h)
+    assert factor.block.shape == (trailing, trailing)
+    T = plate.solve(factor, p.q, p.t_inf).values
+    ref = dense_solve(m, p, bc)
+    assert np.abs(T - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 def test_bandwidth_of_structured_plate():
     """Fixing the right wall leaves nx free nodes per row, so the
-    diagonal neighbour (i+1, j+1) sits nx+1 places further on."""
+    diagonal neighbour (i+1, j+1) sits nx+1 places further on; a
+    convective left wall numbers the nodes column by column instead,
+    and fixing the top wall leaves ny free nodes per column."""
     m = generate_structured_mesh(20.0, 10.0, 7, 4)
-    for bc, superdiagonals in [(BoundaryConditionSet(), 8), (walls(F, C, C, A), 9)]:
+    for bc, superdiagonals in [
+        (BoundaryConditionSet(), 8), (walls(F, C, C, A), 9), (walls(C, F, D, A), 5)
+    ]:
         factor = AffinePlate(m, PlateParameters(), bc).factor(1.2)
-        assert factor.cb.shape[0] - 1 == superdiagonals
+        assert factor.band.shape[0] - 1 == superdiagonals
 
 
 def test_all_nodes_fixed_gives_fixed_temperature():
@@ -91,6 +126,17 @@ def test_singular_message_names_the_failure():
     pattern = r"(leading minor \d+ of 36|near-singular Cholesky pivot); condition estimate"
     with pytest.raises(SingularSystemError, match=pattern):
         plate.factor(0.0)
+
+
+def test_singular_trailing_block_names_the_full_minor():
+    """Without convection the only convective wall no longer grounds the
+    plate: the leading block stays positive definite and the trailing
+    block fails at its last minor, counted over all free nodes."""
+    m = generate_structured_mesh(20.0, 10.0, 5, 5)
+    plate = AffinePlate(m, PlateParameters(), walls(A, A, C, A))
+    with pytest.raises(SingularSystemError, match=r"leading minor 36 of 36; condition"):
+        plate.factor(0.0)
+    assert plate.factor(1.2).block.shape == (6, 6)
 
 
 @pytest.mark.parametrize("h", [-0.5, float("nan"), float("inf")])
@@ -137,7 +183,10 @@ def test_residual_check_holds_at_any_load_scale(t_fixed):
     m = generate_structured_mesh(20.0, 10.0, 3, 2)
     plate = AffinePlate(m, PlateParameters(t_fixed=t_fixed), BoundaryConditionSet())
     good = plate.factor(1.2)
-    bad = PlateFactor(good.h, good.cb * 1.01, good.pivot_ratio)
+    assert good.block.size  # the block path: U_bb and U_lb scale with U_ll
+    bad = PlateFactor(
+        good.h, good.band * 1.01, good.coupling * 1.01, good.block * 1.01, good.pivot_ratio
+    )
     assert np.isfinite(plate.solve(good, 2.0, 25.0).values).all()
     with pytest.raises(SingularSystemError, match=r"relative residual [23]\.\d{3}e-04"):
         plate.solve(bad, 2.0, 25.0)
@@ -153,23 +202,46 @@ def test_sweep_wraps_plate_assembly_failure():
 @pytest.mark.parametrize("workers", [1, 4])
 def test_default_sweep_factors_once_per_distinct_h(monkeypatch, tmp_path, workers):
     """11 levels of fuzzy h and q: 10 * 4 + 1 = 41 corners, but only
-    10 * 2 + 1 = 21 distinct h values, so 21 banded factorizations,
-    whatever ``--workers`` the CLI sweep is given."""
+    10 * 2 + 1 = 21 distinct h values.  The band does not depend on h, so
+    a plate is factored once in band form, plus one trailing-block
+    factorization per distinct h, whatever ``--workers`` the CLI sweep
+    is given."""
     calls = []
-    original = scipy.linalg.cholesky_banded
+    for name in ("dpbtrf", "dpotrf"):
+        original = getattr(scipy.linalg.lapack, name)
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", counting)
+        monkeypatch.setattr(scipy.linalg.lapack, name, counting)
     m = generate_structured_mesh(20.0, 10.0, 5, 5)
     sc = FuzzyScenario(
         h=tfn_from_tolerance(1.2, 0.05), q=tfn_from_tolerance(2.0, 0.05), t_inf=25.0
     )
     propagate(m, PlateParameters(), BoundaryConditionSet(), sc)
-    assert len(calls) == 21
+    assert calls == ["dpbtrf"] + 21 * ["dpotrf"]
 
     calls.clear()
     cmd_fuzzy_sweep(RunConfig(), ["custom"], tmp_path, workers=workers)
-    assert len(calls) == 21
+    assert calls == ["dpbtrf"] + 21 * ["dpotrf"]
+
+
+@pytest.mark.parametrize("bc,need", [
+    # Block path: K_ll (25 columns, 6 superdiagonals) and its factor, plus
+    # four dense blocks over the 6 coupled rows and the 5 wall nodes.
+    (BoundaryConditionSet(), 8 * (2 * 7 * 25 + 4 * 11**2)),
+    # Fallback: K_k, K_c, h K_c and the factor, 36 columns, 7 superdiagonals.
+    (walls(F, C, C, A), 8 * 4 * 8 * 36),
+])
+def test_plate_fails_fast_when_memory_is_short(monkeypatch, bc, need):
+    m = generate_structured_mesh(20.0, 10.0, 5, 5)
+    available = fem2d._available_memory()
+    assert available is None or available > 0
+    monkeypatch.setattr(fem2d, "_available_memory", lambda: need)
+    AffinePlate(m, PlateParameters(), bc)
+    monkeypatch.setattr(fem2d, "_available_memory", lambda: need - 1)
+    with pytest.raises(MemoryError, match=rf"plate needs {need} bytes .*, {need - 1} available"):
+        AffinePlate(m, PlateParameters(), bc)
+    monkeypatch.setattr(fem2d, "_available_memory", lambda: None)
+    AffinePlate(m, PlateParameters(), bc)

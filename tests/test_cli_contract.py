@@ -94,6 +94,19 @@ def test_memory_error_in_a_sweep_keeps_its_category(tmp_path, monkeypatch, worke
     assert err == "error: memory-error: Unable to allocate 1.5 GiB for an array\n"
 
 
+@pytest.mark.parametrize("command", [["solve"], ["fuzzy-sweep"]])
+def test_plate_too_large_for_memory_fails_fast(tmp_path, monkeypatch, command):
+    """The plate's memory estimate is checked against the available
+    memory before any band array is allocated."""
+    monkeypatch.setattr(fem2d, "_available_memory", lambda: 1000)
+    config = tmp_path / "run.ini"
+    config.write_text("[plate]\nnx = 2\n")
+    code, err = run([command[0], "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 6
+    assert re.fullmatch(r"error: memory-error: plate needs \d+ bytes .*, 1000 available\n", err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_config_block_is_the_defaults(tmp_path):
     block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
     config = tmp_path / "readme.ini"
