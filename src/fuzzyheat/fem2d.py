@@ -193,7 +193,8 @@ class AffinePlate:
     formed once per plate, and :meth:`factor` runs only the dense
     ``m x m`` Cholesky of ``S0 + h Kc_bb``.  Any other plate keeps the
     natural numbering and factors the whole band once per ``h``.
-    :meth:`solve` reuses a factor for every ``(q, t_inf)``.  The
+    :meth:`solve` reuses a factor for every ``(q, t_inf)``, and
+    :meth:`slope` gives ``dT/dq`` and ``dT/dt_inf`` from it.  The
     constructor raises ``MemoryError`` when its estimate of the band
     arrays and factors exceeds the memory the platform reports available.  The tests
     compare the result with a dense per-element assembly solved by
@@ -409,15 +410,33 @@ class AffinePlate:
         """
         if not (np.isfinite(q) and np.isfinite(t_inf)):
             raise ValueError(f"parameters must be finite, got q={q}, t_inf={t_inf}")
+        h = factor.h
+        with np.errstate(over="ignore", invalid="ignore"):
+            loads = q * self._f_q + (h * t_inf) * self._f_a + self._G * self._f_G
+        at = f"h={h}, q={q}, t_inf={t_inf}, t_fixed={self._t_fixed}"
+        return self._solve(factor, loads, self._t_fixed, at)
+
+    def slope(self, factor: PlateFactor, name: str) -> TemperatureField:
+        """``dT/dq`` or ``dT/dt_inf`` at ``factor.h``; exact, because ``T``
+        is affine in both.  It is the plate's response to the load ``f_q``
+        or ``h f_a`` alone, with the fixed walls at 0, under the same
+        refinement and checks as :meth:`solve`."""
+        with np.errstate(over="ignore"):
+            loads = {"q": self._f_q, "t_inf": factor.h * self._f_a}[name]
+        return self._solve(factor, loads, 0.0, f"h={factor.h}, slope in {name}")
+
+    def _solve(
+        self, factor: PlateFactor, loads: np.ndarray, t_fixed: float, at: str
+    ) -> TemperatureField:
+        """``T`` with ``K(h) T = loads`` on the free nodes and ``t_fixed``
+        on the fixed ones; ``at`` names the parameters in error messages."""
         h, free = factor.h, self._free
-        T = np.full(self._n, self._t_fixed)
+        T = np.full(self._n, t_fixed)
         if free.size == 0:
             return TemperatureField(T)
 
-        at = f"h={h}, q={q}, t_inf={t_inf}, t_fixed={self._t_fixed}"
         with np.errstate(over="ignore", invalid="ignore"):
-            loads = q * self._f_q + (h * t_inf) * self._f_a + self._G * self._f_G
-            rhs = self._t_fixed * (self._l_k + h * self._l_c) + loads[free]
+            rhs = t_fixed * (self._l_k + h * self._l_c) + loads[free]
             if not np.isfinite(rhs).all():
                 raise ValueError(f"right-hand side overflows the float range at {at}")
             T[free] = self._substitute(factor, rhs)
@@ -427,7 +446,7 @@ class AffinePlate:
 
             # Norm of the full constrained right-hand side, fixed rows included;
             # scipy's (BLAS nrm2) scales as it sums, so it overflows only if the norm does.
-            f_norm = np.hypot(scipy.linalg.norm(rhs), self._t_fixed * np.sqrt(self._n_fixed))
+            f_norm = np.hypot(scipy.linalg.norm(rhs), t_fixed * np.sqrt(self._n_fixed))
             residual = scipy.linalg.norm((self._matvec(h, T) - loads)[free], check_finite=False)
             if f_norm > 0.0 and residual > 1e-10 * f_norm:
                 raise SingularSystemError(
@@ -488,8 +507,9 @@ def solve_crisp(
     """Assemble the affine plate, factor it at ``p.h`` and solve.
 
     This is the single crisp pipeline: the fuzzy sweep runs the same
-    :class:`AffinePlate` factor and solve at every corner, so the modal
-    corner and a plain crisp solve are bit-for-bit identical.
+    :class:`AffinePlate` factor and solve at every distinct ``h``, at the
+    modal ``q`` and ``t_inf``, so its top level and a plain crisp solve
+    are bit-for-bit identical.
     """
     plate = AffinePlate(m, p, bc)
     return plate.solve(plate.factor(p.h), p.q, p.t_inf)

@@ -1,26 +1,21 @@
 """Fuzzy uncertainty propagation and sensitivity statistics.
 
-Fuzzy inputs are cut into intervals level by level, the crisp plate is
-solved at every corner of each interval box (the vertex method), and
-the per-node minima / maxima form the temperature envelopes.  The vertex
-method is exact for responses monotone in each parameter: always in
-``q`` and ``t_inf``, where the response is affine, but not guaranteed
-in ``h``, where a wide fuzzy ``h`` can put a node's extremum inside the
-box.  Sensitivity of a parameter is summarized by the width of the
-full-support envelope: its per-node values, their average, and their
-population variance.
-
-The plate is affine in the three parameters, so a sweep assembles it
-once (:class:`~fuzzyheat.fem2d.AffinePlate`), asks it for one factor per
-distinct ``h`` and solves it once per distinct corner ``(h, q, t_inf)``
-of all levels.  With one convective wall the plate factors its
-``h``-independent band only once, and each distinct ``h`` costs one
-small dense factorization on the wall nodes.
+Fuzzy inputs are cut into intervals level by level, and the per-node
+minima / maxima of the temperature over each interval box form the
+envelopes.  The plate is affine in ``q`` and ``t_inf``, so a sweep
+assembles it once (:class:`~fuzzyheat.fem2d.AffinePlate`) and, per
+distinct ``h`` of all levels, runs one factor, one solve at the modal
+``q`` and ``t_inf`` and one exact slope per fuzzy load; the extremes in
+``q`` and ``t_inf`` follow in closed form.  In ``h`` the envelope takes
+the two ends of each cut (the vertex method), which is exact only where
+the response is monotone in ``h``: a wide fuzzy ``h`` can put a node's
+extremum inside the cut.  Sensitivity of a parameter is summarized by
+the width of the full-support envelope: its per-node values, their
+average, and their population variance.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -33,7 +28,7 @@ from .mesh import Mesh2D
 
 FuzzyOrCrisp = Union[float, TriangularFuzzyNumber]
 
-# Fixed parameter order; vertex enumeration and reductions follow it.
+# Fixed parameter order of the cuts.
 PARAM_NAMES = ("h", "q", "t_inf")
 
 
@@ -164,48 +159,53 @@ def propagate(
 ) -> FuzzyTemperatureField:
     """Sweep the scenario through the crisp solver, level by level.
 
-    For each alpha level the fuzzy parameters are cut to intervals; the
-    per-node envelope is the min / max of the temperatures over the
-    corners of the resulting box.  At alpha = 1 every cut collapses to
-    its modal point, so the top level is the single crisp modal solve,
-    reached through exactly the same factor and solve as
-    :func:`~fuzzyheat.fem2d.solve_crisp`.  A failed solve keeps its type
-    (``ValueError`` or ``SingularSystemError``) and gains the corner in
-    front of its message.
+    At either end of a level's ``h`` cut, each bound is the modal solve
+    plus, per fuzzy load, the smaller (larger) of its
+    :meth:`~fuzzyheat.fem2d.AffinePlate.slope` times the two deviations
+    of the load's cut from its mode; the envelope is the min / max over
+    both ends.  At alpha = 1 every deviation is 0, so the top level is
+    the crisp modal solve, bit for bit as :func:`~fuzzyheat.fem2d.solve_crisp`.
+    A failed solve keeps its type and gains ``h`` and the modal loads in
+    front of its message; a bound or width beyond the float range is a
+    ``ValueError``.
     """
     levels = tuple(scenario.alpha_levels)
-    # The corners of each level's box, repeats included where a cut is a point.
-    boxes = [
-        list(itertools.product(*((iv.lo, iv.hi) for iv in scenario.cut(a).values())))
-        for a in levels
-    ]
-    by_h: dict[float, list[tuple[float, float, float]]] = {}
-    for corner in dict.fromkeys(itertools.chain.from_iterable(boxes)):
-        by_h.setdefault(corner[0], []).append(corner)
-
+    cuts = [scenario.cut(a) for a in levels]
+    mode = {name: iv.lo for name, iv in cuts[-1].items()}  # the alpha = 1 point
+    loads = [name for name in scenario.fuzzy_names() if name != "h"]
     try:
         plate = AffinePlate(mesh, base, bc)
     except ValueError as exc:
         raise type(exc)(f"plate assembly failed: {exc}") from exc
 
-    T: dict[tuple[float, float, float], np.ndarray] = {}
-    for corners in by_h.values():  # one factorization per distinct h
-        factor = None
-        for h, q, t_inf in corners:
+    solved = {}  # h -> (modal temperatures, [(load, dT/dload)])
+    for alpha, cut in zip(levels, cuts):
+        for h in (cut["h"].lo, cut["h"].hi):
+            if h in solved:
+                continue
             try:
-                factor = factor or plate.factor(h)
-                T[h, q, t_inf] = plate.solve(factor, q, t_inf).values
+                factor = plate.factor(h)
+                T = plate.solve(factor, mode["q"], mode["t_inf"]).values
+                solved[h] = T, [(name, plate.slope(factor, name).values) for name in loads]
             except (ValueError, SingularSystemError) as exc:
-                alpha = next(a for a, box in zip(levels, boxes) if (h, q, t_inf) in box)
                 raise type(exc)(
-                    f"crisp solve failed at alpha={alpha} vertex "
-                    f"h={h}, q={q}, t_inf={t_inf}: {exc}"
+                    f"crisp solve failed at alpha={alpha} h={h} "
+                    f"(modal q={mode['q']}, t_inf={mode['t_inf']}): {exc}"
                 ) from exc
 
-    lower = [np.minimum.reduce([T[c] for c in box]) for box in boxes]
-    upper = [np.maximum.reduce([T[c] for c in box]) for box in boxes]
-    # Every corner of the top level's box is the modal point.
-    return FuzzyTemperatureField(levels, lower, upper, T[boxes[-1][0]])
+    def bound(cut: dict[str, Interval], pick) -> np.ndarray:
+        return pick.reduce([
+            T + sum(pick((cut[n].lo - mode[n]) * s, (cut[n].hi - mode[n]) * s) for n, s in slopes)
+            for T, slopes in (solved[cut["h"].lo], solved[cut["h"].hi])
+        ])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = np.array([bound(cut, np.minimum) for cut in cuts])
+        upper = np.array([bound(cut, np.maximum) for cut in cuts])
+        bad = ~np.isfinite(upper - lower).all(axis=1)
+    if bad.any():
+        raise ValueError(f"envelope overflows the float range at alpha={levels[bad.argmax()]}")
+    return FuzzyTemperatureField(levels, lower, upper, solved[mode["h"]][0])
 
 
 def sensitivity(field: FuzzyTemperatureField, label: str) -> SensitivityReport:

@@ -61,6 +61,12 @@ def test_one_factor_serves_every_q_and_t_inf(case):
         ref = dense_solve(m, PlateParameters(k=p.k, G=p.G, h=2.5, q=q, t_inf=t_inf,
                                              t_fixed=p.t_fixed), bc)
         assert np.abs(T - ref).max() <= 1e-10 * np.abs(ref).max()
+    # The slopes are the responses to a unit q or t_inf alone.
+    for name, q, t_inf in [("q", 1.0, 0.0), ("t_inf", 0.0, 1.0)]:
+        ref = dense_solve(m, PlateParameters(k=p.k, G=0.0, h=2.5, q=q, t_inf=t_inf,
+                                             t_fixed=0.0), bc)
+        slope = plate.slope(factor, name).values
+        assert np.abs(slope - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 # One convective wall, with and without a fixed corner on it, on a 7x4 plate:
@@ -199,32 +205,42 @@ def test_sweep_wraps_plate_assembly_failure():
         propagate(m, PlateParameters(), BoundaryConditionSet(), sc)
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_default_sweep_factors_once_per_distinct_h(monkeypatch, tmp_path, workers):
-    """11 levels of fuzzy h and q: 10 * 4 + 1 = 41 corners, but only
-    10 * 2 + 1 = 21 distinct h values.  The band does not depend on h, so
-    a plate is factored once in band form, plus one trailing-block
-    factorization per distinct h, whatever ``--workers`` the CLI sweep
-    is given."""
+@pytest.mark.parametrize("scenario,workers,counts", [
+    ("custom", 1, (21, 21, 21)),
+    ("custom", 4, (21, 21, 21)),
+    ("h-only", 1, (21, 21, 0)),
+    ("q-only", 1, (1, 1, 1)),
+    ("tinf-only", 1, (1, 1, 1)),
+    ("all", 1, (21, 21, 42)),
+], ids=["1", "4", "h-only", "q-only", "tinf-only", "all"])
+def test_default_sweep_factors_once_per_distinct_h(
+    monkeypatch, tmp_path, scenario, workers, counts
+):
+    """11 levels give 10 * 2 + 1 = 21 distinct h values when h is fuzzy,
+    and 1 when it is not, however many corners the levels' boxes have.
+    The band does not depend on h, so a plate is factored once in band
+    form, plus one trailing-block factorization per distinct h; each h
+    gets one solve at the modal (q, t_inf) and one slope per fuzzy load,
+    whatever ``--workers`` the CLI sweep is given.  ``counts`` are the
+    ``factor``, ``solve`` and ``slope`` calls."""
     calls = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
     for name in ("dpbtrf", "dpotrf"):
-        original = getattr(scipy.linalg.lapack, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg.lapack, name, counting)
-    m = generate_structured_mesh(20.0, 10.0, 5, 5)
-    sc = FuzzyScenario(
-        h=tfn_from_tolerance(1.2, 0.05), q=tfn_from_tolerance(2.0, 0.05), t_inf=25.0
-    )
-    propagate(m, PlateParameters(), BoundaryConditionSet(), sc)
-    assert calls == ["dpbtrf"] + 21 * ["dpotrf"]
-
-    calls.clear()
-    cmd_fuzzy_sweep(RunConfig(), ["custom"], tmp_path, workers=workers)
-    assert calls == ["dpbtrf"] + 21 * ["dpotrf"]
+        count(scipy.linalg.lapack, name)
+    for name in ("factor", "solve", "slope"):
+        count(AffinePlate, name)
+    cmd_fuzzy_sweep(RunConfig(), [scenario], tmp_path, workers=workers)
+    assert [c for c in calls if c.startswith("dp")] == ["dpbtrf"] + counts[0] * ["dpotrf"]
+    assert tuple(map(calls.count, ("factor", "solve", "slope"))) == counts
 
 
 @pytest.mark.parametrize("bc,need", [

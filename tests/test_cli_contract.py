@@ -19,9 +19,9 @@ from fuzzyheat.fem2d import BCKind
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def run(argv):
-    """``cli.main`` in-process; any warning fails the run."""
-    out, err = io.StringIO(), io.StringIO()
+def run(argv, out=None):
+    """``cli.main`` in-process, stdout into ``out`` if given; any warning fails the run."""
+    out, err = out or io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -49,6 +49,23 @@ def test_overflowing_loads_are_solver_errors(tmp_path, command, key, value):
     assert code == 4
     assert err.startswith("error: solver-error: ") and err.count("\n") == 1
     assert_contract(code, err)
+
+
+@pytest.mark.parametrize("config,scenario", [
+    ("[fuzzy]\nq_pct = 1e307\n", "q-only"),
+    ("[fuzzy]\nq_pct = 1e307\n", "all"),
+    ("[parameters]\nt_inf = 1\n[fuzzy]\nt_inf_pct = 1.5e308\n", "tinf-only"),
+], ids=["q_pct-q-only", "q_pct-all", "t_inf_pct-tinf-only"])
+def test_envelopes_beyond_the_float_range_are_solver_errors(tmp_path, config, scenario):
+    """Every solve at a distinct h succeeds here; the bounds taken from the
+    slopes, or their widths, overflow."""
+    (tmp_path / "run.ini").write_text(config)
+    out = io.StringIO()
+    code, err = run(["fuzzy-sweep", "--config", str(tmp_path / "run.ini"),
+                     "--out", str(tmp_path / "out"), "--scenario", scenario], out)
+    assert code == 4
+    assert err.startswith("error: solver-error: ") and err.count("\n") == 1
+    assert "nan" not in out.getvalue()
 
 
 @pytest.mark.parametrize("rod", [

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fuzzyheat.fem2d import (
-    AffinePlate,
     BCKind,
     BoundaryConditionSet,
     PlateParameters,
@@ -142,25 +141,27 @@ def test_failed_vertex_identified():
         propagate(mesh, base, bc, sc)
 
 
-@pytest.mark.parametrize("h,q,solves", [
-    # A crisp h written as a fuzzy number: every level cuts to 1.2.
-    (TriangularFuzzyNumber(1.2, 1.2, 1.2), 2.0, 1),
-    # A zero-width right leg: every level shares the corner q = 2.0, so
-    # 10 lower bounds plus 2.0 make 11 distinct corners of 21.
-    (1.2, TriangularFuzzyNumber(1.9, 2.0, 2.0), 11),
-])
-def test_sweep_solves_each_distinct_corner_once(monkeypatch, h, q, solves):
-    corners = []
-    original = AffinePlate.solve
-
-    def counting(self, factor, q, t_inf):
-        corners.append((factor.h, q, t_inf))
-        return original(self, factor, q, t_inf)
-
-    monkeypatch.setattr(AffinePlate, "solve", counting)
+@pytest.mark.parametrize("h", [
+    1.2,
+    # A fuzzy h: the envelope takes both ends of each h cut.
+    tfn_from_tolerance(1.2, 0.05),
+], ids=["crisp-h", "fuzzy-h"])
+def test_envelope_is_the_extreme_over_every_box_corner(h):
+    """q < 0 with 50 % tolerances on q and t_inf: each level's envelope
+    equals the min / max of crisp solves at the corners of its box."""
     mesh, base, bc = default_plate()
-    propagate(mesh, base, bc, FuzzyScenario(h=h, q=q, t_inf=25.0))
-    assert len(corners) == len(set(corners)) == solves
+    sc = FuzzyScenario(h=h, q=tfn_from_tolerance(-3.0, 0.5), t_inf=tfn_from_tolerance(25.0, 0.5))
+    env = propagate(mesh, base, bc, sc)
+    for li, alpha in enumerate(env.levels):
+        cut = sc.cut(alpha)
+        corners = np.array([
+            solve_crisp(mesh, PlateParameters(h=hv, q=qv, t_inf=tv), bc).values
+            for hv in (cut["h"].lo, cut["h"].hi)
+            for qv in (cut["q"].lo, cut["q"].hi)
+            for tv in (cut["t_inf"].lo, cut["t_inf"].hi)
+        ])
+        np.testing.assert_allclose(env.lower[li], corners.min(axis=0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(env.upper[li], corners.max(axis=0), rtol=1e-12, atol=0)
 
 
 # --- envelope container -------------------------------------------------------
