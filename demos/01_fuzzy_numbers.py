@@ -11,9 +11,6 @@ import numpy as np
 from fuzzyheat import (
     Interval,
     alpha_cut,
-    interval_add,
-    interval_div,
-    interval_mul,
     membership,
     tfn_from_tolerance,
 )
@@ -35,11 +32,11 @@ for alpha in np.linspace(0.0, 1.0, 6):
 # Interval arithmetic is endpoint min/max; every pointwise result of
 # u ∘ v with u in x and v in y lands inside the result interval.
 x, y = Interval(-1.0, 2.0), Interval(3.0, 4.0)
-print(f"\n{x} + {y} = {interval_add(x, y)}")
-print(f"{x} * {y} = {interval_mul(x, y)}")
-print(f"{Interval(2.0, 4.0)} / {Interval(1.0, 2.0)} = {interval_div(Interval(2, 4), Interval(1, 2))}")
+print(f"\n{x} + {y} = {x + y}")
+print(f"{x} * {y} = {x * y}")
+print(f"{Interval(2.0, 4.0)} / {Interval(1.0, 2.0)} = {Interval(2, 4) / Interval(1, 2)}")
 
 rng = np.random.default_rng(0)
-prod = interval_mul(x, y)
+prod = x * y
 samples = rng.uniform(x.lo, x.hi, 1000) * rng.uniform(y.lo, y.hi, 1000)
 print(f"1000 sampled products all inside {prod}: {bool(np.all((samples >= prod.lo) & (samples <= prod.hi)))}")

@@ -13,11 +13,6 @@ from .fuzzy import (
     IntervalDivisionError,
     TriangularFuzzyNumber,
     alpha_cut,
-    interval_add,
-    interval_div,
-    interval_mul,
-    interval_scale,
-    interval_sub,
     membership,
     tfn_from_tolerance,
 )
@@ -65,11 +60,6 @@ __all__ = [
     "IntervalDivisionError",
     "TriangularFuzzyNumber",
     "alpha_cut",
-    "interval_add",
-    "interval_div",
-    "interval_mul",
-    "interval_scale",
-    "interval_sub",
     "membership",
     "tfn_from_tolerance",
     "Mesh2D",

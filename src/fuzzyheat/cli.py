@@ -354,12 +354,11 @@ def cmd_fuzzy_sweep(
     bc = cfg.boundary_conditions()
 
     scenarios = [cfg.scenario(selector) for selector in selectors]  # all checked before any output
-    reports = []
-    for selector, scenario in zip(selectors, scenarios):
-        envelope = propagate(mesh, base, bc, scenario)
-        report = sensitivity(envelope, selector)
-        reports.append(report)
-
+    # Every scenario is swept before any file is written or line printed,
+    # so a failing one leaves no partial output.
+    envelopes = [propagate(mesh, base, bc, scenario) for scenario in scenarios]
+    reports = [sensitivity(envelope, selector) for envelope, selector in zip(envelopes, selectors)]
+    for selector, envelope, report in zip(selectors, envelopes, reports):
         target = out_dir if len(selectors) == 1 else out_dir / selector
         with _open_out(target, "envelope.csv") as fh:
             write_envelope_csv(fh, envelope)

@@ -11,14 +11,14 @@ ambient load vectors.
 :class:`AffinePlate` is the one solver.  The system is affine in ``h``,
 ``q`` and ``t_inf``, so it assembles the parameter-free pieces once per
 mesh with vectorized scatter-adds, reduces them to the free
-(non-Dirichlet) nodes and keeps that matrix in LAPACK band form.  With
-one convective wall, whose nodes it numbers last, the band Cholesky of
-the ``h``-independent leading block is formed once per plate and each
+(non-Dirichlet) nodes and keeps that matrix in LAPACK band form.  It
+numbers the nodes of every convective wall last, so the band Cholesky
+of the ``h``-independent leading block is formed once per plate and each
 distinct ``h`` adds a small dense Cholesky on the wall nodes (static
-condensation onto the wall); any other plate factors the whole band
-once per distinct ``h``.  :func:`solve_crisp` is one factor and one
-solve.  A plate whose band arrays would not fit in the available memory
-raises ``MemoryError`` before allocating them.
+condensation onto the walls), or nothing on a plate without a
+convective wall.  :func:`solve_crisp` is one factor and one solve.  A
+plate whose band arrays would not fit in the available memory raises
+``MemoryError`` before allocating them.
 
 Sign conventions (unit plate thickness throughout):
   * ``q > 0`` means heat flowing INTO the plate across a flux wall and
@@ -151,17 +151,16 @@ def dirichlet_nodes(m: Mesh2D, bc: BoundaryConditionSet) -> list[int]:
 class PlateFactor:
     """Cholesky factor ``U^T U`` of the free-node matrix at one ``h``.
 
-    With the free nodes numbered so that those on the one convective
-    wall come last, ``U = [[U_ll, U_lb], [0, U_bb]]``.  ``band`` is
-    ``U_ll`` in LAPACK upper band form; it does not depend on ``h`` and
-    every factor of a plate shares it.  ``coupling`` is ``U_lb``, of
-    which ``coupling`` holds the last rows, the only non-zero ones, and
-    ``block`` the dense upper triangle ``U_bb``; only ``block`` is
-    formed per ``h``.  Plates with no convective wall, or more than one,
-    keep the whole factor in ``band`` with empty ``coupling`` and
-    ``block``.  ``pivot_ratio`` is the
-    squared ratio of the smallest to the largest diagonal entry of
-    ``U``.
+    With the free nodes numbered so that those on the convective walls
+    come last, ``U = [[U_ll, U_lb], [0, U_bb]]``.  ``band`` is ``U_ll``
+    in LAPACK upper band form; it does not depend on ``h`` and every
+    factor of a plate shares it.  ``coupling`` holds the last rows of
+    ``U_lb``, from its first non-zero one on (all of them on a plate
+    with two or more convective walls), and ``block`` the dense upper
+    triangle ``U_bb``; only ``block`` is formed per ``h``.  Without a
+    convective wall ``coupling`` and ``block`` are empty; with every
+    free node on one, ``band`` is.  ``pivot_ratio`` is the squared ratio
+    of the smallest to the largest diagonal entry of ``U``.
     """
 
     h: float
@@ -184,15 +183,17 @@ class AffinePlate:
 
     where ``t_fixed (l_k + h l_c)`` is the lift of the fixed walls
     (``-K[free, fixed] @ t_fixed``).  ``K_c`` couples only the free nodes
-    on the convective walls.  With exactly one convective wall, the free
-    nodes are numbered row by row away from it (column by column for the
-    left and right walls), so that its ``m`` nodes come last and
-    ``K(h) = [[K_ll, K_lb], [K_bl, K_bb + h Kc_bb]]``.  The leading
+    on the convective walls.  The free nodes are numbered row by row away
+    from the first convective wall in ``mesh.WALLS`` order (column by
+    column for the left and right walls; the mesh's own row-by-row order
+    without one), with the ``m`` nodes of all convective walls last, so
+    that ``K(h) = [[K_ll, K_lb], [K_bl, K_bb + h Kc_bb]]``.  The leading
     block does not depend on ``h``: its banded Cholesky ``U_ll``, the
     coupling ``U_lb = U_ll^-T K_lb`` and ``S0 = K_bb - U_lb^T U_lb`` are
     formed once per plate, and :meth:`factor` runs only the dense
-    ``m x m`` Cholesky of ``S0 + h Kc_bb``.  Any other plate keeps the
-    natural numbering and factors the whole band once per ``h``.
+    ``m x m`` Cholesky of ``S0 + h Kc_bb`` (nothing when ``m = 0``).
+    ``U_lb`` is dense from the first row of ``K_lb`` on: the last band
+    width of rows with one wall, nearly all rows with two or more.
     :meth:`solve` reuses a factor for every ``(q, t_inf)``, and
     :meth:`slope` gives ``dT/dq`` and ``dT/dt_inf`` from it.  The
     constructor raises ``MemoryError`` when its estimate of the band
@@ -234,18 +235,16 @@ class AffinePlate:
         n_free = free.size
         on_wall = np.zeros(n, dtype=bool)
         on_wall[conv_edges] = True
+        # Row by row (column by column for a side wall), farthest from the
+        # first convective wall first, and the free nodes on every
+        # convective wall last.  Without one, the top wall's orientation
+        # keeps the mesh's own x-fastest numbering.
+        wall = next((w for w in WALLS if bc.kind(w) is BCKind.CONVECTION), Wall.TOP)
+        across = 0 if wall in (Wall.LEFT, Wall.RIGHT) else 1
+        xy = (1.0 if wall in (Wall.TOP, Wall.RIGHT) else -1.0) * coords[free]
+        free = free[np.lexsort((xy[:, 1 - across], xy[:, across], on_wall[free]))]
         m_wall = int(on_wall[free].sum())
-        conv_walls = [w for w in WALLS if bc.kind(w) is BCKind.CONVECTION]
-        blocked = len(conv_walls) == 1 and 0 < m_wall < n_free
-        if blocked:
-            # Row by row (column by column for a side wall), farthest from
-            # the wall first: its nodes come last and the band stays one
-            # grid line (plus one) wide.
-            wall = conv_walls[0]
-            across = 0 if wall in (Wall.LEFT, Wall.RIGHT) else 1
-            xy = (1.0 if wall in (Wall.TOP, Wall.RIGHT) else -1.0) * coords[free]
-            free = free[np.lexsort((xy[:, 1 - across], xy[:, across], on_wall[free]))]
-        n_lead = n_free - m_wall if blocked else n_free
+        n_lead = n_free - m_wall
         rank = np.full(n, -1, dtype=np.intp)
         rank[free] = np.arange(n_free)
 
@@ -258,51 +257,49 @@ class AffinePlate:
 
         tri_r, tri_c = pairs(tris)
         edge_r, edge_c = pairs(conv_edges)
-        u = max(
-            int((col - row)[(row >= 0) & (col >= 0)].max(initial=0))
-            for row, col in ((tri_r, tri_c), (edge_r, edge_c))
-        )
-        # Rows of the leading block that K_lb reaches.
-        reach = min(u, n_lead) if blocked else 0
+        # The band of the leading block alone (convective edges join wall
+        # nodes only); a second wall can sit far from the first in the
+        # numbering, and with it the band would span the whole plate.
+        u = int((tri_c - tri_r)[(tri_r >= 0) & (tri_c < n_lead)].max(initial=0))
+        # Rows of the leading block that K_lb reaches: at least the band's
+        # last u, and from the first row that touches any wall node.
+        first = int(tri_r[(tri_r >= 0) & (tri_c >= n_lead)].min(initial=n_lead))
+        reach = max(n_lead - first, min(u, n_lead))
 
-        # The band arrays outweigh everything else: K_ll and its factor plus
-        # a few dense blocks over the coupled rows and the wall nodes, or
-        # K_k, K_c, h K_c and the factor of their sum.
-        if blocked:
-            _check_memory(8 * (2 * (u + 1) * n_lead + 4 * (reach + m_wall) ** 2))
-        else:
-            _check_memory(8 * 4 * (u + 1) * n_free)
+        # K_ll and its factor, K_lb (overwritten by U_lb), and five wall
+        # blocks: K_bb, Kc_bb, S0, S0 + h Kc_bb and its factor.
+        _check_memory(8 * (2 * (u + 1) * n_lead + reach * m_wall + 5 * m_wall**2))
 
-        def band(row: np.ndarray, col: np.ndarray, vals: np.ndarray, cols: int) -> np.ndarray:
-            """Entries on or above the diagonal in the first ``cols`` free
-            columns, in upper band form (column-major, as LAPACK reads it)."""
-            upper = (row >= 0) & (row <= col) & (col < cols)
+        def band(row: np.ndarray, col: np.ndarray, vals: np.ndarray) -> np.ndarray:
+            """Entries on or above the diagonal in the leading block, in
+            upper band form (column-major, as LAPACK reads it)."""
+            upper = (row >= 0) & (row <= col) & (col < n_lead)
             flat = col[upper] * (u + 1) + u + row[upper] - col[upper]
             return np.bincount(
-                flat, vals.ravel()[upper], minlength=(u + 1) * cols
-            ).reshape(cols, u + 1).T
+                flat, vals.ravel()[upper], minlength=(u + 1) * n_lead
+            ).reshape(n_lead, u + 1).T
 
-        def dense(row: np.ndarray, col: np.ndarray, vals: np.ndarray, lo: int) -> np.ndarray:
-            """The free-node block from rank ``lo`` on, both triangles."""
-            inside = (row >= lo) & (col >= lo)
-            w = n_free - lo
+        def to_wall(row: np.ndarray, col: np.ndarray, vals: np.ndarray, top: int,
+                    bottom: int) -> np.ndarray:
+            """Free-node rows ``top`` to ``bottom`` (exclusive) of the wall
+            columns, dense and column-major, so that LAPACK can overwrite
+            it in place."""
+            inside = (row >= top) & (row < bottom) & (col >= n_lead)
             return np.bincount(
-                (row[inside] - lo) * w + col[inside] - lo, vals.ravel()[inside], minlength=w * w
-            ).reshape(w, w)
+                (col[inside] - n_lead) * (bottom - top) + row[inside] - top,
+                vals.ravel()[inside],
+                minlength=(bottom - top) * m_wall,
+            ).reshape(m_wall, bottom - top).T
 
         def lift(row: np.ndarray, col: np.ndarray, vals: np.ndarray) -> np.ndarray:
             """``-K[free, fixed] @ 1``: the lift per unit fixed temperature."""
             into_free = (row >= 0) & (col < 0)
             return -np.bincount(row[into_free], vals.ravel()[into_free], minlength=n_free)
 
-        self._ab_k = band(tri_r, tri_c, ke, n_lead)
-        if blocked:
-            k_tail = dense(tri_r, tri_c, ke, n_lead - reach)
-            self._k_lb, self._k_bb = k_tail[:reach, reach:], k_tail[reach:, reach:]
-            self._kc_bb = dense(edge_r, edge_c, kc, n_lead)
-        else:
-            self._ab_c = band(edge_r, edge_c, kc, n_free)
-            self._kc_bb = None
+        self._ab_k = band(tri_r, tri_c, ke)
+        self._k_lb = to_wall(tri_r, tri_c, ke, n_lead - reach, n_lead)
+        self._k_bb = to_wall(tri_r, tri_c, ke, n_lead, n_free)
+        self._kc_bb = to_wall(edge_r, edge_c, kc, n_lead, n_free)
         self._lead: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._l_k = lift(tri_r, tri_c, ke)
         self._l_c = lift(edge_r, edge_c, kc)
@@ -315,26 +312,31 @@ class AffinePlate:
         self._t_fixed = p.t_fixed
 
     def _leading(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``U_ll`` (band form), the non-zero rows of ``U_lb``, and ``S0``;
-        formed at the first :meth:`factor` call, so that a failure is
-        reported at its ``h`` like any other."""
+        """``U_ll`` (band form), the rows of ``U_lb`` from its first
+        non-zero one, and ``S0``; formed at the first :meth:`factor` call,
+        so that a failure is reported at its ``h`` like any other."""
         if self._lead is None:
-            ab, k_lb = self._ab_k, self._k_lb
+            ab, coupling, s0 = self._ab_k, self._k_lb, self._k_bb
             if not np.isfinite(ab).all():
                 raise ValueError(f"plate matrix overflows the float range at h={h}")
             lapack = scipy.linalg.lapack
-            lead = _cholesky(lapack.dpbtrf, ab, 0, self._free.size)
-            # U_ll^T is lower triangular and K_lb is zero above its last
-            # `reach` rows, so U_lb is too, and those rows need only the
-            # trailing reach x reach triangle of U_ll.
-            coupling = lapack.dtbtrs(lead[:, lead.shape[1] - k_lb.shape[0]:], k_lb, trans="T")[0]
-            # The upper triangle of S0, which is all that ?potrf reads.  Dense
-            # products use scipy's BLAS, here and in _substitute: numpy links
-            # its own OpenBLAS, and two thread pools spinning in turn slow
-            # each other down.
-            s0 = scipy.linalg.blas.dsyrk(-1.0, coupling, beta=1.0, c=self._k_bb, trans=1)
+            # LAPACK's band routines are skipped on an empty leading block
+            # or right-hand side: ?tbtrs corrupts the heap on either.
+            lead = _cholesky(lapack.dpbtrf, ab, 0, self._free.size) if ab.size else ab
+            if coupling.size:
+                # U_ll^T is lower triangular and K_lb is zero above its last
+                # `reach` rows, so U_lb is too, and those rows need only the
+                # trailing reach x reach triangle of U_ll.
+                coupling = lapack.dtbtrs(
+                    lead[:, lead.shape[1] - coupling.shape[0]:], coupling, trans="T", overwrite_b=1
+                )[0]
+                # The upper triangle of S0, which is all that ?potrf reads.
+                # Dense products use scipy's BLAS, here and in _substitute:
+                # numpy links its own OpenBLAS, and two thread pools
+                # spinning in turn slow each other down.
+                s0 = scipy.linalg.blas.dsyrk(-1.0, coupling, beta=1.0, c=s0, trans=1)
             self._lead = lead, coupling, s0
-            self._ab_k = None
+            self._ab_k = self._k_lb = self._k_bb = None
         return self._lead
 
     def factor(self, h: float) -> PlateFactor:
@@ -349,20 +351,12 @@ class AffinePlate:
         n_free = self._free.size
         if n_free == 0:
             return PlateFactor(h, self._ab_k, _EMPTY, _EMPTY, 1.0)
-        if self._kc_bb is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                ab = self._ab_k + h * self._ab_c
-            if not np.isfinite(ab).all():
-                raise ValueError(f"plate matrix overflows the float range at h={h}")
-            lead = _cholesky(scipy.linalg.lapack.dpbtrf, ab, 0, n_free, overwrite_ab=1)
-            coupling, block = _EMPTY, _EMPTY
-        else:
-            lead, coupling, s0 = self._leading(h)
-            with np.errstate(over="ignore", invalid="ignore"):
-                s = s0 + h * self._kc_bb
-            if not np.isfinite(s).all():
-                raise ValueError(f"plate matrix overflows the float range at h={h}")
-            block = _cholesky(scipy.linalg.lapack.dpotrf, s, lead.shape[1], n_free)
+        lead, coupling, s0 = self._leading(h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = s0 + h * self._kc_bb
+        if not np.isfinite(s).all():
+            raise ValueError(f"plate matrix overflows the float range at h={h}")
+        block = _cholesky(scipy.linalg.lapack.dpotrf, s, lead.shape[1], n_free) if s.size else s
         d = np.abs(np.concatenate([lead[-1], np.diag(block)]))
         ratio = float((d.min() / d.max()) ** 2)
         if ratio < 1e-13:
@@ -388,17 +382,21 @@ class AffinePlate:
         """``x`` with ``U^T U x = b``: forward through the band and then the
         trailing block, back through the trailing block and then the band.
         A zero diagonal leaves ``b`` unsolved, which the residual check reports."""
-        lapack = scipy.linalg.lapack
+        lapack, gemv = scipy.linalg.lapack, scipy.linalg.blas.dgemv
         n_lead, reach = factor.band.shape[1], factor.coupling.shape[0]
-        y = lapack.dtbtrs(factor.band, b[:n_lead], trans="T")[0]
-        if not factor.block.size:
-            return lapack.dtbtrs(factor.band, y, overwrite_b=1)[0]
-        tail, gemv = slice(n_lead - reach, n_lead), scipy.linalg.blas.dgemv
-        x_b = lapack.dpotrs(
-            factor.block, gemv(-1.0, factor.coupling, y[tail], 1.0, b[n_lead:], trans=1)
-        )[0]
-        y[tail] = gemv(-1.0, factor.coupling, x_b, 1.0, y[tail])
-        return np.concatenate([lapack.dtbtrs(factor.band, y, overwrite_b=1)[0], x_b])
+        x, x_b = b[:n_lead], b[n_lead:]
+        if n_lead:  # no band routine on an empty block (see _leading)
+            x = lapack.dtbtrs(factor.band, x, trans="T")[0]
+        if x_b.size:
+            tail = slice(n_lead - reach, n_lead)
+            if reach:
+                x_b = gemv(-1.0, factor.coupling, x[tail], 1.0, x_b, trans=1)
+            x_b = lapack.dpotrs(factor.block, x_b)[0]
+            if reach:
+                x[tail] = gemv(-1.0, factor.coupling, x_b, 1.0, x[tail])
+        if n_lead:
+            x = lapack.dtbtrs(factor.band, x, overwrite_b=1)[0]
+        return np.concatenate([x, x_b])
 
     def solve(self, factor: PlateFactor, q: float, t_inf: float) -> TemperatureField:
         """Temperatures for ``factor.h`` and the given ``q`` and ``t_inf``.

@@ -54,21 +54,34 @@ class Interval:
         return self.lo - tol <= other.lo and other.hi <= self.hi + tol
 
     def __add__(self, other: "Interval") -> "Interval":
-        return interval_add(self, other)
+        return Interval(self.lo + other.lo, self.hi + other.hi)
 
     def __sub__(self, other: "Interval") -> "Interval":
-        return interval_sub(self, other)
+        return Interval(self.lo - other.hi, self.hi - other.lo)
 
     def __mul__(self, other):
+        """Product interval: min/max over the four endpoint products; a
+        real scales the interval, flipping the bounds when negative."""
         if isinstance(other, Interval):
-            return interval_mul(self, other)
-        return interval_scale(other, self)
+            p = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
+            return Interval(min(p), max(p))
+        if other >= 0.0:
+            return Interval(other * self.lo, other * self.hi)
+        return Interval(other * self.hi, other * self.lo)
 
     def __rmul__(self, scalar: float) -> "Interval":
-        return interval_scale(scalar, self)
+        return self * scalar
 
     def __truediv__(self, other: "Interval") -> "Interval":
-        return interval_div(self, other)
+        """Quotient interval: min/max over the four endpoint quotients.
+
+        Rejects denominators whose interval contains zero, where the
+        quotient set is unbounded.
+        """
+        if other.lo <= 0.0 <= other.hi:
+            raise IntervalDivisionError(f"division by interval containing zero: {other}")
+        q = (self.lo / other.lo, self.lo / other.hi, self.hi / other.lo, self.hi / other.hi)
+        return Interval(min(q), max(q))
 
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
@@ -192,35 +205,3 @@ def tfn_from_tolerance(v: float, pct: float) -> TriangularFuzzyNumber:
         raise ValueError(f"tolerance {pct} of {v} overflows the float range")
     return TriangularFuzzyNumber(lo, v, hi)
 
-
-def interval_add(x: Interval, y: Interval) -> Interval:
-    return Interval(x.lo + y.lo, x.hi + y.hi)
-
-
-def interval_sub(x: Interval, y: Interval) -> Interval:
-    return Interval(x.lo - y.hi, x.hi - y.lo)
-
-
-def interval_mul(x: Interval, y: Interval) -> Interval:
-    """Product interval: min/max over the four endpoint products."""
-    p = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
-    return Interval(min(p), max(p))
-
-
-def interval_div(x: Interval, y: Interval) -> Interval:
-    """Quotient interval: min/max over the four endpoint quotients.
-
-    Rejects denominators whose interval contains zero, where the quotient
-    set is unbounded.
-    """
-    if y.lo <= 0.0 <= y.hi:
-        raise IntervalDivisionError(f"division by interval containing zero: {y}")
-    q = (x.lo / y.lo, x.lo / y.hi, x.hi / y.lo, x.hi / y.hi)
-    return Interval(min(q), max(q))
-
-
-def interval_scale(l: float, x: Interval) -> Interval:
-    """Scale an interval by a real, flipping the bounds for negative scalars."""
-    if l >= 0.0:
-        return Interval(l * x.lo, l * x.hi)
-    return Interval(l * x.hi, l * x.lo)

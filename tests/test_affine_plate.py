@@ -69,28 +69,41 @@ def test_one_factor_serves_every_q_and_t_inf(case):
         assert np.abs(slope - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
-# One convective wall, with and without a fixed corner on it, on a 7x4 plate:
-# the free nodes on that wall come last and form the trailing block.
+# The free nodes on every convective wall come last and form the trailing
+# block; most cases are a 7x4 plate (8 x 5 nodes).
 WALL_LAST = {
-    "top": (walls(F, A, C, D), 8),
-    "top-fixed-corner": (walls(F, D, C, A), 7),
-    "bottom": (walls(F, A, D, C), 8),
-    "bottom-fixed-corner": (walls(D, F, A, C), 7),
-    "left": (walls(C, D, F, A), 5),
-    "left-fixed-corner": (walls(C, F, D, A), 4),
-    "right": (walls(D, C, A, F), 5),
-    "right-fixed-corner": (walls(A, C, F, D), 4),
-    # The fallback: the whole band factored at each h.
-    "two-convective-walls": (walls(C, D, C, A), 0),
-    "no-convective-wall": (walls(F, D, F, A), 0),
+    "top": (walls(F, A, C, D), 8, (7, 4)),
+    "top-fixed-corner": (walls(F, D, C, A), 7, (7, 4)),
+    "bottom": (walls(F, A, D, C), 8, (7, 4)),
+    "bottom-fixed-corner": (walls(D, F, A, C), 7, (7, 4)),
+    "left": (walls(C, D, F, A), 5, (7, 4)),
+    "left-fixed-corner": (walls(C, F, D, A), 4, (7, 4)),
+    "right": (walls(D, C, A, F), 5, (7, 4)),
+    "right-fixed-corner": (walls(A, C, F, D), 4, (7, 4)),
+    # Left column and top row, one shared corner, the right column fixed:
+    # 5 + 7 - 1.
+    "two-convective-walls": (walls(C, D, C, A), 11, (7, 4)),
+    # Left and right columns below the fixed top row: 4 + 4.
+    "two-opposite-walls": (walls(C, C, D, A), 8, (7, 4)),
+    # The top row and both columns above the fixed bottom row: 8 + 3 + 3.
+    "three-walls": (walls(C, C, C, D), 14, (7, 4)),
+    # The whole boundary: 2 * 8 + 2 * 3.
+    "four-walls": (walls(C, C, C, C), 22, (7, 4)),
+    # Every free node on a convective wall, no leading block: both rows
+    # of a 7x1 strip less its two fixed right corners.
+    "strip": (walls(F, D, C, C), 14, (7, 1)),
+    # The same with one convective wall: the top row less its fixed corner.
+    "one-wall-strip": (walls(F, D, C, D), 7, (7, 1)),
+    # No trailing block: the leading band is the whole matrix.
+    "no-convective-wall": (walls(F, D, F, A), 0, (7, 4)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(WALL_LAST))
 def test_wall_last_numbering_matches_dense_reference(case):
-    bc, trailing = WALL_LAST[case]
+    bc, trailing, (nx, ny) = WALL_LAST[case]
     p = PlateParameters(h=2.0, G=0.2, q=-1.0, t_inf=40.0)
-    m = generate_structured_mesh(20.0, 10.0, 7, 4)
+    m = generate_structured_mesh(20.0, 10.0, nx, ny)
     plate = AffinePlate(m, p, bc)
     factor = plate.factor(p.h)
     assert factor.block.shape == (trailing, trailing)
@@ -100,13 +113,16 @@ def test_wall_last_numbering_matches_dense_reference(case):
 
 
 def test_bandwidth_of_structured_plate():
-    """Fixing the right wall leaves nx free nodes per row, so the
-    diagonal neighbour (i+1, j+1) sits nx+1 places further on; a
-    convective left wall numbers the nodes column by column instead,
-    and fixing the top wall leaves ny free nodes per column."""
+    """The band covers the leading block only.  Fixing the right wall
+    leaves nx free nodes per row, so the diagonal neighbour (i+1, j+1)
+    sits nx+1 places further on.  With convective right and top walls the
+    first one, the right wall, numbers the nodes column by column, and
+    the leading block keeps ny free nodes per column (the top row is on
+    the wall).  A convective left wall under a fixed top wall also leaves
+    ny free nodes per column."""
     m = generate_structured_mesh(20.0, 10.0, 7, 4)
     for bc, superdiagonals in [
-        (BoundaryConditionSet(), 8), (walls(F, C, C, A), 9), (walls(C, F, D, A), 5)
+        (BoundaryConditionSet(), 8), (walls(F, C, C, A), 5), (walls(C, F, D, A), 5)
     ]:
         factor = AffinePlate(m, PlateParameters(), bc).factor(1.2)
         assert factor.band.shape[0] - 1 == superdiagonals
@@ -205,24 +221,27 @@ def test_sweep_wraps_plate_assembly_failure():
         propagate(m, PlateParameters(), BoundaryConditionSet(), sc)
 
 
-@pytest.mark.parametrize("scenario,workers,counts", [
-    ("custom", 1, (21, 21, 21)),
-    ("custom", 4, (21, 21, 21)),
-    ("h-only", 1, (21, 21, 0)),
-    ("q-only", 1, (1, 1, 1)),
-    ("tinf-only", 1, (1, 1, 1)),
-    ("all", 1, (21, 21, 42)),
-], ids=["1", "4", "h-only", "q-only", "tinf-only", "all"])
+@pytest.mark.parametrize("cfg,scenario,workers,counts,dpotrf", [
+    (RunConfig(), "custom", 1, (21, 21, 21), 21),
+    (RunConfig(), "custom", 4, (21, 21, 21), 21),
+    (RunConfig(), "h-only", 1, (21, 21, 0), 21),
+    (RunConfig(), "q-only", 1, (1, 1, 1), 1),
+    (RunConfig(), "tinf-only", 1, (1, 1, 1), 1),
+    (RunConfig(), "all", 1, (21, 21, 42), 21),
+    (RunConfig(left=C), "custom", 1, (21, 21, 21), 21),
+    (RunConfig(top=A), "custom", 1, (21, 21, 21), 0),
+], ids=["1", "4", "h-only", "q-only", "tinf-only", "all", "two-walls", "no-wall"])
 def test_default_sweep_factors_once_per_distinct_h(
-    monkeypatch, tmp_path, scenario, workers, counts
+    monkeypatch, tmp_path, cfg, scenario, workers, counts, dpotrf
 ):
     """11 levels give 10 * 2 + 1 = 21 distinct h values when h is fuzzy,
     and 1 when it is not, however many corners the levels' boxes have.
     The band does not depend on h, so a plate is factored once in band
-    form, plus one trailing-block factorization per distinct h; each h
-    gets one solve at the modal (q, t_inf) and one slope per fuzzy load,
-    whatever ``--workers`` the CLI sweep is given.  ``counts`` are the
-    ``factor``, ``solve`` and ``slope`` calls."""
+    form, plus one trailing-block factorization per distinct h, none
+    without a convective wall; each h gets one solve at the modal
+    (q, t_inf) and one slope per fuzzy load, whatever ``--workers`` the
+    CLI sweep is given.  ``counts`` are the ``factor``, ``solve`` and
+    ``slope`` calls, ``dpotrf`` the trailing-block factorizations."""
     calls = []
 
     def count(owner, name):
@@ -238,18 +257,22 @@ def test_default_sweep_factors_once_per_distinct_h(
         count(scipy.linalg.lapack, name)
     for name in ("factor", "solve", "slope"):
         count(AffinePlate, name)
-    cmd_fuzzy_sweep(RunConfig(), [scenario], tmp_path, workers=workers)
-    assert [c for c in calls if c.startswith("dp")] == ["dpbtrf"] + counts[0] * ["dpotrf"]
+    cmd_fuzzy_sweep(cfg, [scenario], tmp_path, workers=workers)
+    assert [c for c in calls if c.startswith("dp")] == ["dpbtrf"] + dpotrf * ["dpotrf"]
     assert tuple(map(calls.count, ("factor", "solve", "slope"))) == counts
 
 
+# 8 bytes times: K_ll and its factor, 2 (u + 1) n_lead; K_lb, which U_lb
+# overwrites, reach m; and five m x m wall blocks.
 @pytest.mark.parametrize("bc,need", [
-    # Block path: K_ll (25 columns, 6 superdiagonals) and its factor, plus
-    # four dense blocks over the 6 coupled rows and the 5 wall nodes.
-    (BoundaryConditionSet(), 8 * (2 * 7 * 25 + 4 * 11**2)),
-    # Fallback: K_k, K_c, h K_c and the factor, 36 columns, 7 superdiagonals.
-    (walls(F, C, C, A), 8 * 4 * 8 * 36),
-])
+    # 25 leading nodes, 5 per row, so 6 superdiagonals and reach 6; 5 wall
+    # nodes on the top row.
+    (BoundaryConditionSet(), 8 * (2 * 7 * 25 + 6 * 5 + 5 * 5**2)),
+    # Right and top walls: 11 wall nodes, 25 leading ones column by column,
+    # 5 per column, so 6 superdiagonals; K_lb starts at the top of the
+    # first column, rank 4, so reach = 25 - 4 = 21.
+    (walls(F, C, C, A), 8 * (2 * 7 * 25 + 21 * 11 + 5 * 11**2)),
+], ids=["one-wall", "two-walls"])
 def test_plate_fails_fast_when_memory_is_short(monkeypatch, bc, need):
     m = generate_structured_mesh(20.0, 10.0, 5, 5)
     available = fem2d._available_memory()

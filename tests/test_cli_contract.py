@@ -68,6 +68,20 @@ def test_envelopes_beyond_the_float_range_are_solver_errors(tmp_path, config, sc
     assert "nan" not in out.getvalue()
 
 
+def test_failing_scenario_leaves_no_partial_output(tmp_path):
+    """``h-only`` succeeds and ``q-only`` overflows; the sweep of both
+    writes no file and prints nothing but the error line."""
+    (tmp_path / "run.ini").write_text("[fuzzy]\nq_pct = 1e307\n")
+    out = io.StringIO()
+    code, err = run(["fuzzy-sweep", "--config", str(tmp_path / "run.ini"),
+                     "--out", str(tmp_path / "out"), "--scenario", "h-only",
+                     "--scenario", "q-only"], out)
+    assert code == 4
+    assert err.startswith("error: solver-error: ") and err.count("\n") == 1
+    assert out.getvalue() == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("rod", [
     "k = 1e308", "dt = 1e308", "u1 = 1e308",
     "n_elems = 40\ntheta = 0\ndt = 1e-2\nsteps = 400",  # explicit, far above its stable dt
@@ -114,13 +128,14 @@ def test_memory_error_in_a_sweep_keeps_its_category(tmp_path, monkeypatch, worke
 @pytest.mark.parametrize("command", [["solve"], ["fuzzy-sweep"]])
 def test_plate_too_large_for_memory_fails_fast(tmp_path, monkeypatch, command):
     """The plate's memory estimate is checked against the available
-    memory before any band array is allocated."""
-    monkeypatch.setattr(fem2d, "_available_memory", lambda: 1000)
+    memory before any band array is allocated.  The 2x5 plate's estimate
+    is 8 * (2 * 4 * 10 + 3 * 2 + 5 * 2**2) = 848 bytes."""
+    monkeypatch.setattr(fem2d, "_available_memory", lambda: 800)
     config = tmp_path / "run.ini"
     config.write_text("[plate]\nnx = 2\n")
     code, err = run([command[0], "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 6
-    assert re.fullmatch(r"error: memory-error: plate needs \d+ bytes .*, 1000 available\n", err)
+    assert re.fullmatch(r"error: memory-error: plate needs 848 bytes .*, 800 available\n", err)
     assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,6 @@
 """Tests for triangular fuzzy numbers and interval arithmetic."""
 
+import operator
 import random
 
 import pytest
@@ -12,11 +13,6 @@ from fuzzyheat.fuzzy import (
     IntervalDivisionError,
     TriangularFuzzyNumber,
     alpha_cut,
-    interval_add,
-    interval_div,
-    interval_mul,
-    interval_scale,
-    interval_sub,
     membership,
     tfn_from_tolerance,
 )
@@ -183,34 +179,34 @@ def test_tfn_from_tolerance_rejects_negative_pct():
 
 
 def test_interval_add_endpoint_sums():
-    assert interval_add(Interval(1, 2), Interval(3, 4)) == Interval(4, 6)
+    assert Interval(1, 2) + Interval(3, 4) == Interval(4, 6)
 
 
 def test_interval_mul_matches_endpoint_enumeration():
     x, y = Interval(-1, 2), Interval(3, 4)
     lo, hi = enumerate_endpoints(lambda u, v: u * v, x, y)
-    got = interval_mul(x, y)
+    got = x * y
     assert (got.lo, got.hi) == (lo, hi) == (-4.0, 8.0)
 
 
 def test_interval_div_matches_endpoint_enumeration():
     x, y = Interval(2, 4), Interval(1, 2)
     lo, hi = enumerate_endpoints(lambda u, v: u / v, x, y)
-    got = interval_div(x, y)
+    got = x / y
     assert (got.lo, got.hi) == (lo, hi) == (1.0, 4.0)
 
 
 def test_interval_div_rejects_zero_straddle():
     with pytest.raises(IntervalDivisionError):
-        interval_div(Interval(1, 2), Interval(-1, 1))
+        Interval(1, 2) / Interval(-1, 1)
     with pytest.raises(IntervalDivisionError):
-        interval_div(Interval(1, 2), Interval(0, 1))
+        Interval(1, 2) / Interval(0, 1)
 
 
 def test_interval_scale():
-    assert interval_scale(2.0, Interval(1, 3)) == Interval(2, 6)
-    assert interval_scale(-1.0, Interval(1, 3)) == Interval(-3, -1)
-    assert interval_scale(0.0, Interval(1, 3)) == Interval(0, 0)
+    assert 2.0 * Interval(1, 3) == Interval(2, 6)
+    assert -1.0 * Interval(1, 3) == Interval(-3, -1)
+    assert 0.0 * Interval(1, 3) == Interval(0, 0)
 
 
 def test_interval_operators_delegate():
@@ -252,12 +248,8 @@ def scaled_tfns(draw):
     return TriangularFuzzyNumber(a_l, a_l + left, a_l + left + right)
 
 
-OPS = {
-    "add": (interval_add, lambda u, v: u + v),
-    "sub": (interval_sub, lambda u, v: u - v),
-    "mul": (interval_mul, lambda u, v: u * v),
-    "div": (interval_div, lambda u, v: u / v),
-}
+# Each applies to two intervals and to two reals alike.
+OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
 
 
 @given(x=intervals(), y=intervals(), pads=st.tuples(*[st.floats(0, 5)] * 4))
@@ -266,7 +258,7 @@ def test_inclusion_monotonicity(x, y, pads):
     x_wide = Interval(x.lo - pads[0], x.hi + pads[1])
     y_wide = Interval(y.lo - pads[2], y.hi + pads[3])
     for name in ("add", "sub", "mul"):
-        op = OPS[name][0]
+        op = OPS[name]
         assert op(x_wide, y_wide).contains_interval(op(x, y), tol=TOL), name
 
 
@@ -278,7 +270,7 @@ def test_inclusion_monotonicity_div(x, y, pads):
         y_wide = Interval(y.lo, y.hi + pads[2])
     else:
         y_wide = Interval(y.lo - pads[2], y.hi)
-    assert interval_div(x_wide, y_wide).contains_interval(interval_div(x, y), tol=TOL)
+    assert (x_wide / y_wide).contains_interval(x / y, tol=TOL)
 
 
 @given(
@@ -291,19 +283,19 @@ def test_point_containment(x, y, fracs):
     u = x.lo + fracs[0] * (x.hi - x.lo)
     v = y.lo + fracs[1] * (y.hi - y.lo)
     for name in ("add", "sub", "mul"):
-        op, scalar_op = OPS[name]
-        assert op(x, y).contains(scalar_op(u, v), tol=TOL), name
-    assert interval_div(x, y).contains(u / v, tol=TOL)
+        op = OPS[name]
+        assert op(x, y).contains(op(u, v), tol=TOL), name
+    assert (x / y).contains(u / v, tol=TOL)
 
 
 @given(a=finite, b=st.floats(min_value=0.5, max_value=30.0), sign=st.sampled_from([-1.0, 1.0]))
 def test_degenerate_intervals_match_real_arithmetic(a, b, sign):
     x = Interval.point(a)
     y = Interval.point(sign * b)
-    assert interval_add(x, y) == Interval.point(a + sign * b)
-    assert interval_sub(x, y) == Interval.point(a - sign * b)
-    assert interval_mul(x, y) == Interval.point(a * (sign * b))
-    assert interval_div(x, y) == Interval.point(a / (sign * b))
+    assert x + y == Interval.point(a + sign * b)
+    assert x - y == Interval.point(a - sign * b)
+    assert x * y == Interval.point(a * (sign * b))
+    assert x / y == Interval.point(a / (sign * b))
 
 
 @given(t=scaled_tfns(), a1=st.floats(0, 1), a2=st.floats(0, 1))
