@@ -40,7 +40,7 @@ from .fem2d import (
     solve_crisp,
 )
 from .fuzzy import AlphaLevels, tfn_from_tolerance
-from .ioutil import fmt
+from .ioutil import fmt, write_csv
 from .mesh import Mesh2D, generate_structured_mesh
 from .uq import (
     FuzzyScenario,
@@ -300,31 +300,38 @@ def _open_out(out_dir: Path, name: str):
         raise CliError("io-error", f"cannot write {out_dir / name}: {exc}") from exc
 
 
+def _ids(n: int) -> np.ndarray:
+    """Node ids ``0 .. n-1`` as floats, which print exactly below 10**9."""
+    if n >= 10**9:
+        raise ValueError(f"{n} nodes: node ids from 10**9 on do not fit in 9 digits")
+    return np.arange(n, dtype=float)
+
+
 def write_nodes_csv(stream, mesh: Mesh2D) -> None:
-    stream.write("node_id,x_cm,y_cm\n")
-    stream.writelines(f"{i},{fmt(x)},{fmt(y)}\n" for i, (x, y) in enumerate(mesh.coords.tolist()))
+    write_csv(stream, "node_id,x_cm,y_cm\n", np.column_stack((_ids(mesh.n_nodes), mesh.coords)))
 
 
 def write_temperature_csv(stream, result: TemperatureField) -> None:
-    stream.write("node_id,T\n")
-    stream.writelines(f"{i},{fmt(t)}\n" for i, t in enumerate(result.values.tolist()))
+    T = result.values
+    write_csv(stream, "node_id,T\n", np.column_stack((_ids(T.shape[0]), T)))
 
 
 def write_envelope_csv(stream, envelope: FuzzyTemperatureField) -> None:
-    stream.write("node_id,alpha,lower,upper\n")
-    alphas = [fmt(alpha) for alpha in envelope.levels]
-    stream.writelines(  # one node's levels as Python floats at a time, not the whole envelope
-        f"{node},{alpha},{fmt(lo)},{fmt(hi)}\n"
-        for node, (los, his) in enumerate(zip(envelope.lower.T, envelope.upper.T))
-        for alpha, lo, hi in zip(alphas, los.tolist(), his.tolist())
-    )
+    levels, n = envelope.lower.shape
+    table = np.empty((n, levels, 4))  # node by node, each of its levels
+    table[:, :, 0] = _ids(n)[:, None]
+    table[:, :, 1] = envelope.levels
+    table[:, :, 2] = envelope.lower.T
+    table[:, :, 3] = envelope.upper.T
+    write_csv(stream, "node_id,alpha,lower,upper\n", table.reshape(n * levels, 4))
 
 
 def write_sensitivity_csv(stream, report: SensitivityReport) -> None:
-    stream.write("scenario,node_id,width\n")
-    stream.writelines(f"{report.label},{i},{fmt(w)}\n" for i, w in enumerate(report.widths.tolist()))
-    stream.write(f"{report.label},average_width,{fmt(report.average_width)}\n")
-    stream.write(f"{report.label},variance,{fmt(report.variance_of_widths)}\n")
+    label, widths = report.label, report.widths
+    write_csv(stream, "scenario,node_id,width\n",
+              np.column_stack((_ids(widths.shape[0]), widths)), f"{label},")
+    write_csv(stream, None, [[report.average_width]], f"{label},average_width,")
+    write_csv(stream, None, [[report.variance_of_widths]], f"{label},variance,")
 
 
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> None:

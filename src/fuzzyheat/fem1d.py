@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 import numpy as np
 from scipy.linalg import lapack
 
-from .ioutil import FLOAT, fmt
+from .ioutil import CHUNK, fmt, write_csv
 
 
 class SingularStepError(RuntimeError):
@@ -211,6 +211,9 @@ def write_timeseries(stream: io.TextIOBase, states: Iterable[TransientState]) ->
     n = states[0].values.shape[0]
     if any(s.values.shape != (n,) for s in states):
         raise ValueError("states differ in node count")
-    stream.write(",".join(["time"] + [f"node_{i}" for i in range(n)]) + "\n")
-    row = ",".join([FLOAT] * (n + 1)) + "\n"  # one format call per row
-    stream.writelines(row.format(s.time, *s.values.tolist()) for s in states)
+    header = ",".join(["time"] + [f"node_{i}" for i in range(n)]) + "\n"
+    rows = max(1, CHUNK // (n + 1))  # a block of states at a time, never a copy of all
+    for start in range(0, len(states), rows):
+        block = states[start:start + rows]
+        table = np.column_stack(([s.time for s in block], [s.values for s in block]))
+        write_csv(stream, None if start else header, table)

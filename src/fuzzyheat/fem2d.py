@@ -311,6 +311,12 @@ class AffinePlate:
         self._G = p.G
         self._t_fixed = p.t_fixed
 
+    @property
+    def depends_on_h(self) -> bool:
+        """Whether a free node lies on a convective wall.  Without one,
+        the temperatures and slopes are the same at every ``h``."""
+        return self._kc_bb.shape[0] > 0
+
     def _leading(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``U_ll`` (band form), the rows of ``U_lb`` from its first
         non-zero one, and ``S0``; formed at the first :meth:`factor` call,
@@ -481,15 +487,30 @@ def _check_memory(need: int) -> None:
 
 
 def _available_memory() -> int | None:
-    """``MemAvailable`` in bytes, or ``None`` where the platform does not report it."""
+    """The smaller of ``MemAvailable`` and the cgroup v2 headroom
+    (``memory.max`` minus ``memory.current``) in bytes, or ``None`` where
+    neither is reported; a ``memory.max`` of ``max`` sets no limit."""
+    limits = []
     try:
-        with open("/proc/meminfo", encoding="ascii") as f:
-            for line in f:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError):
+        for line in (_read("/proc/meminfo") or "").splitlines():
+            if line.startswith("MemAvailable:"):
+                limits.append(int(line.split()[1]) * 1024)
+        ceiling = _read("/sys/fs/cgroup/memory.max")
+        used = _read("/sys/fs/cgroup/memory.current")
+        if ceiling and used and ceiling.strip() != "max":
+            limits.append(max(int(ceiling) - int(used), 0))
+    except ValueError:
         pass
-    return None
+    return min(limits, default=None)
+
+
+def _read(path: str) -> str | None:
+    """The text of ``path``, or ``None`` where it cannot be read."""
+    try:
+        with open(path, encoding="ascii") as f:
+            return f.read()
+    except (OSError, ValueError):
+        return None
 
 
 def _pivot_diagnosis(reason: str, ratio: float) -> str:

@@ -5,13 +5,14 @@ minima / maxima of the temperature over each interval box form the
 envelopes.  The plate is affine in ``q`` and ``t_inf``, so a sweep
 assembles it once (:class:`~fuzzyheat.fem2d.AffinePlate`) and, per
 distinct ``h`` of all levels, runs one factor, one solve at the modal
-``q`` and ``t_inf`` and one exact slope per fuzzy load; the extremes in
-``q`` and ``t_inf`` follow in closed form.  In ``h`` the envelope takes
-the two ends of each cut (the vertex method), which is exact only where
-the response is monotone in ``h``: a wide fuzzy ``h`` can put a node's
-extremum inside the cut.  Sensitivity of a parameter is summarized by
-the width of the full-support envelope: its per-node values, their
-average, and their population variance.
+``q`` and ``t_inf`` and one exact slope per fuzzy load (once in all on
+a plate with no convective wall, which does not depend on ``h``); the
+extremes in ``q`` and ``t_inf`` follow in closed form.  In ``h`` the
+envelope takes the two ends of each cut (the vertex method), which is
+exact only where the response is monotone in ``h``: a wide fuzzy ``h``
+can put a node's extremum inside the cut.  Sensitivity of a parameter
+is summarized by the width of the full-support envelope: its per-node
+values, their average, and their population variance.
 """
 
 from __future__ import annotations
@@ -182,6 +183,9 @@ def propagate(
     for alpha, cut in zip(levels, cuts):
         for h in (cut["h"].lo, cut["h"].hi):
             if h in solved:
+                continue
+            if solved and not plate.depends_on_h:  # no convective wall: solved once
+                solved[h] = next(iter(solved.values()))
                 continue
             try:
                 factor = plate.factor(h)

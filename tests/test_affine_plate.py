@@ -229,7 +229,7 @@ def test_sweep_wraps_plate_assembly_failure():
     (RunConfig(), "tinf-only", 1, (1, 1, 1), 1),
     (RunConfig(), "all", 1, (21, 21, 42), 21),
     (RunConfig(left=C), "custom", 1, (21, 21, 21), 21),
-    (RunConfig(top=A), "custom", 1, (21, 21, 21), 0),
+    (RunConfig(top=A), "custom", 1, (1, 1, 1), 0),
 ], ids=["1", "4", "h-only", "q-only", "tinf-only", "all", "two-walls", "no-wall"])
 def test_default_sweep_factors_once_per_distinct_h(
     monkeypatch, tmp_path, cfg, scenario, workers, counts, dpotrf
@@ -237,11 +237,13 @@ def test_default_sweep_factors_once_per_distinct_h(
     """11 levels give 10 * 2 + 1 = 21 distinct h values when h is fuzzy,
     and 1 when it is not, however many corners the levels' boxes have.
     The band does not depend on h, so a plate is factored once in band
-    form, plus one trailing-block factorization per distinct h, none
-    without a convective wall; each h gets one solve at the modal
-    (q, t_inf) and one slope per fuzzy load, whatever ``--workers`` the
-    CLI sweep is given.  ``counts`` are the ``factor``, ``solve`` and
-    ``slope`` calls, ``dpotrf`` the trailing-block factorizations."""
+    form, plus one trailing-block factorization per distinct h; each h
+    gets one solve at the modal (q, t_inf) and one slope per fuzzy load,
+    whatever ``--workers`` the CLI sweep is given.  A plate without a
+    convective wall does not depend on h: one factor, solve and slope
+    serve every h, and there is no trailing block.  ``counts`` are the
+    ``factor``, ``solve`` and ``slope`` calls, ``dpotrf`` the
+    trailing-block factorizations."""
     calls = []
 
     def count(owner, name):
@@ -284,3 +286,27 @@ def test_plate_fails_fast_when_memory_is_short(monkeypatch, bc, need):
         AffinePlate(m, PlateParameters(), bc)
     monkeypatch.setattr(fem2d, "_available_memory", lambda: None)
     AffinePlate(m, PlateParameters(), bc)
+
+
+MEMINFO = {"/proc/meminfo": "MemTotal:   100 kB\nMemAvailable:   64 kB\n"}
+
+
+def cgroup(ceiling, used):
+    return {"/sys/fs/cgroup/memory.max": ceiling, "/sys/fs/cgroup/memory.current": used}
+
+
+@pytest.mark.parametrize("files,available", [
+    (MEMINFO, 65536),
+    ({**MEMINFO, **cgroup("50000\n", "20000\n")}, 30000),
+    ({**MEMINFO, **cgroup("500000\n", "20000\n")}, 65536),
+    ({**MEMINFO, **cgroup("max\n", "20000\n")}, 65536),
+    ({**MEMINFO, **cgroup("50000\n", "60000\n")}, 0),
+    ({**MEMINFO, "/sys/fs/cgroup/memory.max": "50000\n"}, 65536),
+    (cgroup("50000\n", "20000\n"), 30000),
+    ({}, None),
+], ids=["meminfo", "cgroup-smaller", "meminfo-smaller", "cgroup-max", "cgroup-over",
+        "no-current", "no-meminfo", "nothing"])
+def test_available_memory_is_the_smaller_limit(monkeypatch, files, available):
+    """The readers are patched: no real /proc or /sys state is read."""
+    monkeypatch.setattr(fem2d, "_read", files.get)
+    assert fem2d._available_memory() == available

@@ -378,6 +378,20 @@ GOLDEN = {
         "envelope.csv": "10e549f2c37ffcdcff63036d1e180a194c9ca3e6f54fa961466b6e2aff3a9c37",
         "sensitivity.csv": "4375dbda48b68343a2be22b610b81015b1b0e9c0bcab8bffa28be8bc874b6885",
     }),
+    "solve-5x5": ("", ["solve"], {
+        "nodes.csv": "e7e388362d66678a4c10d479c5ad2f68d1277de9e392367decbca03f2b3b530b",
+        "temperature.csv": "895fc3b9e2857de4ee9a2f0cdeaf5b902fb312cf3b2d9043b45c4bdbe06de75c",
+    }),
+    # 162 of the 396 envelope rows hold a negative bound.
+    "sweep-negative-q": ("[parameters]\nq = -30\n", ["fuzzy-sweep", "--scenario", "q-only"], {
+        "envelope.csv": "afadbdfe2f59495f6ebe0daf6518cae3f99d1dad64f0f0093c807d0da15c2a16",
+        "sensitivity.csv": "6df683c2319056e914a22be4d3ba92a30b0d5f388e3ec09d59afd4f52c1f143f",
+    }),
+    # Times from 1e-05 and early temperatures down to 1e-9: 415 exponent-form values.
+    "rod-exponents": (
+        "[rod]\nn_elems = 20\nsteps = 30\ndt = 1e-5\nu1 = 0.5\ntheta = 0.5\n", ["rod"], {
+            "rod_timeseries.csv": "c9ca83862dc3aedbe06d0659b4c54af911a6d68cf4eee6c90d0c54d38b73891c",
+        }),
 }
 
 

@@ -82,6 +82,24 @@ def test_failing_scenario_leaves_no_partial_output(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_plate_without_convective_wall_is_solved_at_one_h(tmp_path):
+    """No wall reads ``h``, so the sweep solves once, at the first ``h``
+    (the low end of the alpha = 0 cut), as ``solve`` does at the modal
+    one.  ``h * t_inf`` overflows only at the high end of that cut, which
+    is never solved: exit 0 and zero widths, as ``solve`` exits 0."""
+    (tmp_path / "run.ini").write_text(
+        "[boundary]\ntop = adiabatic\n[parameters]\nh = 1.75e298\nt_inf = 1e10\n"
+    )
+    for command in (["solve"], ["fuzzy-sweep", "--scenario", "h-only"]):
+        out = io.StringIO()
+        code, err = run([command[0], "--config", str(tmp_path / "run.ini"),
+                         "--out", str(tmp_path / command[0])] + command[1:], out)
+        assert (code, err) == (0, "")
+    assert out.getvalue() == "h-only: average width 0, variance 0\n"
+    lines = (tmp_path / "fuzzy-sweep" / "envelope.csv").read_text().splitlines()
+    assert lines[1] == "0,0,126.666667,126.666667"
+
+
 @pytest.mark.parametrize("rod", [
     "k = 1e308", "dt = 1e308", "u1 = 1e308",
     "n_elems = 40\ntheta = 0\ndt = 1e-2\nsteps = 400",  # explicit, far above its stable dt
