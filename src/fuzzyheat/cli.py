@@ -41,6 +41,7 @@ from .fem2d import (
 )
 from .fuzzy import AlphaLevels, tfn_from_tolerance
 from .ioutil import fmt, write_csv
+from .memory import check_memory
 from .mesh import Mesh2D, generate_structured_mesh
 from .uq import (
     FuzzyScenario,
@@ -384,6 +385,7 @@ def cmd_fuzzy_sweep(
 def cmd_rod(cfg: RunConfig, out_dir: Path) -> None:
     rc = cfg.rod
     rod = fem1d.Rod1D(rc.length, rc.n_elems, k=rc.k, u1=rc.u1, Q_src=rc.q_src)
+    check_memory(8 * (rc.steps + 1) * rod.n_nodes, "rod")  # the kept states
     M, A, b = fem1d.assemble_1d(rod)
     bc = fem1d.EndConditions(rc.left, rc.right)
 

@@ -7,11 +7,15 @@ scheme: theta = 1 is backward Euler (the robust default), theta = 0.5 is
 Crank-Nicolson, theta = 0 explicit.  For theta < 1/2 the scheme is
 stable only for ``dt <= l**2 / (6 (1 - 2 theta) k)`` on elements of
 length ``l``; above that limit the field grows without bound until a step
-overflows and raises ``ValueError``.  :class:`ThetaStepper`, built once
-per run (``dt``, ``theta`` and the end conditions are fixed), is the one
-way to step a rod: it LU-factors the constrained step matrix once, so each
-step is one matrix-vector product and one pair of triangular solves.
-Pure convection is the rod with ``k = 0`` and ``Q_src = 0``.
+overflows and raises ``ValueError``.  Pure convection is the rod with
+``k = 0`` and ``Q_src = 0``.
+
+``M`` and ``A`` are tridiagonal, stored ``(n, 3)`` by row:
+``X[i] = (X[i, i-1], X[i, i], X[i, i+1])``, with the zeros ``X[0, 0]``
+and ``X[n-1, 2]`` outside the matrix.  :class:`ThetaStepper` (the one way
+to step a rod, built once per run) and :func:`steady_state` share one
+factorization: a band LU (LAPACK ``dgbtrf``) with the fixed ends' rows
+replaced by identity rows, so memory and work grow as O(n).
 
 The convection term carries no stabilization (no upwinding or SUPG), so
 convection-dominated runs are only trustworthy at small cell Peclet and
@@ -89,61 +93,63 @@ class EndConditions:
 
 
 def assemble_1d(rod: Rod1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Global mass matrix M, transport matrix A, and load vector b.
+    """Mass matrix M and transport matrix A, both ``(n, 3)`` by row (see
+    the module docstring), and the load vector b.
 
     Per element of length ``l``: mass ``(l/6)[[2,1],[1,2]]``, diffusion
     ``(k/l)[[1,-1],[-1,1]]``, convection ``(u1/2)[[-1,1],[-1,1]]`` and
     load ``(-Q_src*l/2, -Q_src*l/2)``.
     """
-    n = rod.n_nodes
-    l = rod.elem_length
-    M = np.zeros((n, n))
-    A = np.zeros((n, n))
-    b = np.zeros(n)
-
+    n, l = rod.n_nodes, rod.elem_length
     m_e = (l / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
     a_e = (rod.k / l) * np.array([[1.0, -1.0], [-1.0, 1.0]]) + (rod.u1 / 2.0) * np.array(
         [[-1.0, 1.0], [-1.0, 1.0]]
     )
-    b_e = np.full(2, -rod.Q_src * l / 2.0)
-
-    for e in range(rod.n_elems):
-        idx = [e, e + 1]
-        M[np.ix_(idx, idx)] += m_e
-        A[np.ix_(idx, idx)] += a_e
-        b[idx] += b_e
+    M, A, b = np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n)
+    for X, x_e in ((M, m_e), (A, a_e)):
+        X[:-1, 1:] += x_e[0]  # row e of element e: columns e and e + 1
+        X[1:, :2] += x_e[1]  # row e + 1: columns e and e + 1
+    b[:-1] += -rod.Q_src * l / 2.0
+    b[1:] += -rod.Q_src * l / 2.0
     return M, A, b
 
 
-def _fixed_ends(bc: EndConditions) -> list[tuple[int, float]]:
-    """``(row, value)`` of each fixed end."""
-    return [(row, value) for row, value in ((0, bc.left), (-1, bc.right)) if value is not None]
+def _band_solver(S: np.ndarray, bc: EndConditions, singular: str):
+    """Band LU of the tridiagonal ``S`` with each fixed end's row replaced
+    by an identity row, or :class:`SingularStepError` (``singular``) at a
+    zero pivot.  Returns ``solve(rhs)``, which writes the fixed values into
+    ``rhs`` and overwrites it with the solution."""
+    rows = np.array(S, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"need a tridiagonal matrix as an (n, 3) array, got shape {rows.shape}")
+    ends = [(row, value) for row, value in ((0, bc.left), (-1, bc.right)) if value is not None]
+    rows[[row for row, _ in ends]] = (0.0, 1.0, 0.0)
+    ab = np.zeros((4, len(rows)))  # LAPACK band storage; row 0 takes the LU fill-in
+    ab[1, 1:], ab[2], ab[3, :-1] = rows[:-1, 2], rows[:, 1], rows[1:, 0]
+    # LAPACK directly: scipy.linalg has no banded LU whose factors can be reused.
+    lu, piv, info = lapack.dgbtrf(ab, 1, 1, overwrite_ab=True)
+    if info > 0:
+        raise SingularStepError(singular)
 
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        for row, value in ends:
+            rhs[row] = value
+        return lapack.dgbtrs(lu, 1, 1, rhs, piv, overwrite_b=True)[0]
 
-def apply_end_conditions(
-    S: np.ndarray, rhs: np.ndarray, bc: EndConditions
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-replace the end equations with fixed values; returns copies."""
-    S = S.copy()
-    rhs = rhs.copy()
-    for row, value in _fixed_ends(bc):
-        S[row, :] = 0.0
-        S[row, row] = 1.0
-        rhs[row] = value
-    return S, rhs
+    return solve
 
 
 class ThetaStepper:
     """Theta-scheme steps of ``M d(phi)/dt + A phi = b`` at a fixed ``dt``,
-    ``theta`` and end conditions.
+    ``theta`` and end conditions; ``M`` and ``A`` are ``(n, 3)`` by row.
 
     Each step solves ``(M + theta*dt*A) phi_new = (M - (1-theta)*dt*A) phi
-    + dt*b`` with the end conditions applied.  The step matrix is formed,
-    row-replaced and LU-factored once here (LAPACK ``dgetrf``); a step is
-    one matrix-vector product and one ``dgetrs``.  A steady state of the
-    constrained system is an exact fixed point for any ``theta`` and ``dt``.
-    Matrices, a load or temperatures that overflow the float range raise
-    ``ValueError``; a singular step matrix, :class:`SingularStepError`.
+    + dt*b`` with the end conditions applied.  The step matrix is formed and
+    band-LU-factored (``dgbtrf``) once here; a step is a three-term product
+    per node and one ``dgbtrs``.  A steady state of the constrained system
+    is an exact fixed point for any ``theta`` and ``dt``.  Matrices, a load
+    or temperatures that overflow the float range raise ``ValueError``; a
+    singular step matrix, :class:`SingularStepError`.
     """
 
     def __init__(
@@ -166,21 +172,18 @@ class ThetaStepper:
             self._load = dt * b
         if not all(np.isfinite(x).all() for x in (S, self._R, self._load)):
             raise ValueError(f"step matrices or load overflow the float range at dt={fmt(dt)}")
-        S, _ = apply_end_conditions(S, self._load, bc)
         self._dt = dt
-        self._ends = _fixed_ends(bc)
-        # LAPACK directly: scipy.linalg.lu_factor only warns on a singular matrix.
-        self._lu, self._piv, info = lapack.dgetrf(S)
-        if info > 0:
-            raise SingularStepError("singular step matrix: Singular matrix")
+        self._solve = _band_solver(S, bc, "singular step matrix: Singular matrix")
 
     def step(self, state: TransientState) -> TransientState:
         """Advance ``state`` by one step of ``dt``."""
+        phi, R = state.values, self._R
         with np.errstate(over="ignore", invalid="ignore"):
-            rhs = self._R @ state.values + self._load
-        for row, value in self._ends:
-            rhs[row] = value
-        phi, _ = lapack.dgetrs(self._lu, self._piv, rhs, overwrite_b=True)
+            rhs = R[:, 1] * phi
+            rhs[1:] += R[1:, 0] * phi[:-1]
+            rhs[:-1] += R[:-1, 2] * phi[1:]
+            rhs += self._load
+        phi = self._solve(rhs)
         time = state.time + self._dt
         if not np.isfinite(phi).all():
             raise ValueError(f"temperatures overflow the float range at t={fmt(time)}")
@@ -188,13 +191,9 @@ class ThetaStepper:
 
 
 def steady_state(A: np.ndarray, b: np.ndarray, bc: EndConditions) -> np.ndarray:
-    """Direct solve of ``A phi = b`` with the same end-condition handling
-    the time stepper uses."""
-    S, rhs = apply_end_conditions(A, b, bc)
-    try:
-        return np.linalg.solve(S, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularStepError(f"singular steady system: {exc}") from exc
+    """Solve ``A phi = b`` (``A`` ``(n, 3)`` by row) as the time stepper does."""
+    solve = _band_solver(A, bc, "singular steady system: Singular matrix")
+    return solve(np.array(b, dtype=float))
 
 
 def courant_number(rod: Rod1D, dt: float) -> float:

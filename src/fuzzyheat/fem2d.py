@@ -37,6 +37,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
+from .memory import check_memory
 from .mesh import WALLS, Mesh2D, Wall, triangle_area
 
 _MIN_AREA = 1e-14
@@ -268,7 +269,7 @@ class AffinePlate:
 
         # K_ll and its factor, K_lb (overwritten by U_lb), and five wall
         # blocks: K_bb, Kc_bb, S0, S0 + h Kc_bb and its factor.
-        _check_memory(8 * (2 * (u + 1) * n_lead + reach * m_wall + 5 * m_wall**2))
+        check_memory(8 * (2 * (u + 1) * n_lead + reach * m_wall + 5 * m_wall**2), "plate")
 
         def band(row: np.ndarray, col: np.ndarray, vals: np.ndarray) -> np.ndarray:
             """Entries on or above the diagonal in the leading block, in
@@ -462,10 +463,10 @@ class AffinePlate:
         return TemperatureField(T)
 
 
-def _cholesky(routine, a: np.ndarray, before: int, n_free: int, **options) -> np.ndarray:
+def _cholesky(routine, a: np.ndarray, before: int, n_free: int) -> np.ndarray:
     """Upper Cholesky factor by a LAPACK ``?pbtrf`` or ``?potrf`` wrapper;
     ``before`` free nodes precede ``a`` in the numbering of the minors."""
-    c, info = routine(a, lower=0, **options)
+    c, info = routine(a, lower=0)
     if info > 0:
         raise SingularSystemError(
             _pivot_diagnosis(
@@ -475,42 +476,6 @@ def _cholesky(routine, a: np.ndarray, before: int, n_free: int, **options) -> np
     if info < 0:
         raise RuntimeError(f"LAPACK rejected argument {-info}")
     return c
-
-
-def _check_memory(need: int) -> None:
-    """Raise ``MemoryError`` when ``need`` bytes exceed the available memory."""
-    available = _available_memory()
-    if available is not None and need > available:
-        raise MemoryError(
-            f"plate needs {need} bytes ({need / 2**30:.3g} GiB), {available} available"
-        )
-
-
-def _available_memory() -> int | None:
-    """The smaller of ``MemAvailable`` and the cgroup v2 headroom
-    (``memory.max`` minus ``memory.current``) in bytes, or ``None`` where
-    neither is reported; a ``memory.max`` of ``max`` sets no limit."""
-    limits = []
-    try:
-        for line in (_read("/proc/meminfo") or "").splitlines():
-            if line.startswith("MemAvailable:"):
-                limits.append(int(line.split()[1]) * 1024)
-        ceiling = _read("/sys/fs/cgroup/memory.max")
-        used = _read("/sys/fs/cgroup/memory.current")
-        if ceiling and used and ceiling.strip() != "max":
-            limits.append(max(int(ceiling) - int(used), 0))
-    except ValueError:
-        pass
-    return min(limits, default=None)
-
-
-def _read(path: str) -> str | None:
-    """The text of ``path``, or ``None`` where it cannot be read."""
-    try:
-        with open(path, encoding="ascii") as f:
-            return f.read()
-    except (OSError, ValueError):
-        return None
 
 
 def _pivot_diagnosis(reason: str, ratio: float) -> str:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fuzzyheat import fem2d
+from fuzzyheat import fem2d, memory
 from fuzzyheat.cli import RunConfig, cmd_fuzzy_sweep
 from fuzzyheat.fem2d import (
     AffinePlate,
@@ -277,14 +277,14 @@ def test_default_sweep_factors_once_per_distinct_h(
 ], ids=["one-wall", "two-walls"])
 def test_plate_fails_fast_when_memory_is_short(monkeypatch, bc, need):
     m = generate_structured_mesh(20.0, 10.0, 5, 5)
-    available = fem2d._available_memory()
+    available = memory.available_memory()
     assert available is None or available > 0
-    monkeypatch.setattr(fem2d, "_available_memory", lambda: need)
+    monkeypatch.setattr(memory, "available_memory", lambda: need)
     AffinePlate(m, PlateParameters(), bc)
-    monkeypatch.setattr(fem2d, "_available_memory", lambda: need - 1)
+    monkeypatch.setattr(memory, "available_memory", lambda: need - 1)
     with pytest.raises(MemoryError, match=rf"plate needs {need} bytes .*, {need - 1} available"):
         AffinePlate(m, PlateParameters(), bc)
-    monkeypatch.setattr(fem2d, "_available_memory", lambda: None)
+    monkeypatch.setattr(memory, "available_memory", lambda: None)
     AffinePlate(m, PlateParameters(), bc)
 
 
@@ -293,6 +293,17 @@ MEMINFO = {"/proc/meminfo": "MemTotal:   100 kB\nMemAvailable:   64 kB\n"}
 
 def cgroup(ceiling, used):
     return {"/sys/fs/cgroup/memory.max": ceiling, "/sys/fs/cgroup/memory.current": used}
+
+
+def cgroup_v1(lines, ceiling, used):
+    """``/proc/self/cgroup`` with ``lines``, and the v1 memory cgroup ``/box/1``."""
+    base = "/sys/fs/cgroup/memory/box/1/"
+    return {"/proc/self/cgroup": lines, base + "memory.limit_in_bytes": ceiling,
+            base + "memory.usage_in_bytes": used}
+
+
+V1 = "9:name=systemd:/\n4:memory:/box/1\n1:cpu:/\n"
+HYBRID = "4:memory:/box/1\n1:cpu:/\n0::/box/1\n"
 
 
 @pytest.mark.parametrize("files,available", [
@@ -304,9 +315,18 @@ def cgroup(ceiling, used):
     ({**MEMINFO, "/sys/fs/cgroup/memory.max": "50000\n"}, 65536),
     (cgroup("50000\n", "20000\n"), 30000),
     ({}, None),
+    ({**MEMINFO, **cgroup_v1(V1, "50000\n", "20000\n")}, 30000),
+    ({**MEMINFO, **cgroup_v1(V1, "9223372036854771712\n", "20000\n")}, 65536),
+    ({**MEMINFO, **cgroup_v1(HYBRID, "50000\n", "20000\n")}, 30000),
+    ({**MEMINFO, "/proc/self/cgroup": V1}, 65536),
+    ({**MEMINFO, **cgroup_v1(V1, None, "20000\n")}, 65536),
+    ({**MEMINFO, "/proc/self/cgroup": "4:memory:/\n",
+      "/sys/fs/cgroup/memory/memory.limit_in_bytes": "40000\n",
+      "/sys/fs/cgroup/memory/memory.usage_in_bytes": "20000\n"}, 20000),
 ], ids=["meminfo", "cgroup-smaller", "meminfo-smaller", "cgroup-max", "cgroup-over",
-        "no-current", "no-meminfo", "nothing"])
+        "no-current", "no-meminfo", "nothing", "v1-limit", "v1-unlimited", "hybrid",
+        "v1-unreadable", "v1-no-limit", "v1-root"])
 def test_available_memory_is_the_smaller_limit(monkeypatch, files, available):
     """The readers are patched: no real /proc or /sys state is read."""
-    monkeypatch.setattr(fem2d, "_read", files.get)
-    assert fem2d._available_memory() == available
+    monkeypatch.setattr(memory, "_read", files.get)
+    assert memory.available_memory() == available

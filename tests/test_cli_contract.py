@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyheat import cli, fem2d
+from fuzzyheat import cli, fem1d, fem2d, memory
 from fuzzyheat.fem2d import BCKind
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -148,13 +148,37 @@ def test_plate_too_large_for_memory_fails_fast(tmp_path, monkeypatch, command):
     """The plate's memory estimate is checked against the available
     memory before any band array is allocated.  The 2x5 plate's estimate
     is 8 * (2 * 4 * 10 + 3 * 2 + 5 * 2**2) = 848 bytes."""
-    monkeypatch.setattr(fem2d, "_available_memory", lambda: 800)
+    monkeypatch.setattr(memory, "available_memory", lambda: 800)
     config = tmp_path / "run.ini"
     config.write_text("[plate]\nnx = 2\n")
     code, err = run([command[0], "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 6
     assert re.fullmatch(r"error: memory-error: plate needs 848 bytes .*, 800 available\n", err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("available,code", [(8888, 0), (8887, 6)])
+def test_rod_states_beyond_memory_fail_before_the_first_step(tmp_path, monkeypatch, available,
+                                                             code):
+    """The kept states of the default rod, 8 * (100 steps + 1) * 11 nodes =
+    8888 bytes, are checked against the available memory before stepping."""
+    steps, step = [], fem1d.ThetaStepper.step
+
+    def counted(self, state):
+        steps.append(state)
+        return step(self, state)
+
+    monkeypatch.setattr(fem1d.ThetaStepper, "step", counted)
+    monkeypatch.setattr(memory, "available_memory", lambda: available)
+    config = tmp_path / "run.ini"
+    config.write_text("[rod]\n")
+    got, err = run(["rod", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert got == code
+    if code:
+        assert err == "error: memory-error: rod needs 8888 bytes (8.28e-06 GiB), 8887 available\n"
+        assert steps == [] and not (tmp_path / "out").exists()
+    else:
+        assert len(steps) == 100 and (tmp_path / "out" / "rod_timeseries.csv").exists()
 
 
 def test_readme_config_block_is_the_defaults(tmp_path):

@@ -21,6 +21,37 @@ from fuzzyheat.fem1d import (
 )
 
 
+def dense(X):
+    """The n x n matrix of a tridiagonal ``(n, 3)`` row-layout array."""
+    return np.diag(X[:, 1]) + np.diag(X[1:, 0], -1) + np.diag(X[:-1, 2], 1)
+
+
+def dense_assembly(rod):
+    """M, A and b added element by element into dense n x n matrices."""
+    n, l = rod.n_nodes, rod.elem_length
+    M, A, b = np.zeros((n, n)), np.zeros((n, n)), np.zeros(n)
+    m_e = (l / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+    a_e = (rod.k / l) * np.array([[1.0, -1.0], [-1.0, 1.0]]) + (rod.u1 / 2.0) * np.array(
+        [[-1.0, 1.0], [-1.0, 1.0]]
+    )
+    for e in range(rod.n_elems):
+        idx = [e, e + 1]
+        M[np.ix_(idx, idx)] += m_e
+        A[np.ix_(idx, idx)] += a_e
+        b[idx] += -rod.Q_src * l / 2.0
+    return M, A, b
+
+
+def row_replaced(S, rhs, bc):
+    """Dense ``S`` and ``rhs`` with each fixed end's equation replaced, in place."""
+    for row, value in ((0, bc.left), (-1, bc.right)):
+        if value is not None:
+            S[row, :] = 0.0
+            S[row, row] = 1.0
+            rhs[row] = value
+    return S, rhs
+
+
 def run_steps(M, A, b, state, dt, theta, bc, n):
     stepper = ThetaStepper(M, A, b, dt, theta, bc)
     for _ in range(n):
@@ -34,13 +65,13 @@ def run_steps(M, A, b, state, dt, theta, bc, n):
 def test_single_element_diffusion_matrix():
     rod = Rod1D(1.0, 1, k=1.0, u1=0.0)
     _, A, _ = assemble_1d(rod)
-    np.testing.assert_allclose(A, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-14)
+    np.testing.assert_allclose(A, [[0.0, 1.0, -1.0], [-1.0, 1.0, 0.0]], atol=1e-14)
 
 
 def test_single_element_convection_matrix():
     rod = Rod1D(1.0, 1, k=0.0, u1=2.0)
     _, A, _ = assemble_1d(rod)
-    np.testing.assert_allclose(A, [[-1.0, 1.0], [-1.0, 1.0]], atol=1e-14)
+    np.testing.assert_allclose(A, [[0.0, -1.0, 1.0], [-1.0, 1.0, 0.0]], atol=1e-14)
 
 
 def test_mass_matrix_rows_sum_to_element_halves():
@@ -56,7 +87,20 @@ def test_mass_matrix_rows_sum_to_element_halves():
 def test_single_element_mass_matrix():
     rod = Rod1D(1.0, 1, k=1.0)
     M, _, _ = assemble_1d(rod)
-    np.testing.assert_allclose(M, np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0, atol=1e-14)
+    np.testing.assert_allclose(M, np.array([[0.0, 2.0, 1.0], [1.0, 2.0, 0.0]]) / 6.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("rod", [
+    Rod1D(1.0, 1), Rod1D(1.0, 2, k=0.0, u1=1.0), Rod1D(3.0, 7, k=0.7, u1=-0.4, Q_src=2.5),
+], ids=["one-element", "two-elements", "seven-elements"])
+def test_band_assembly_equals_dense_element_loop(rod):
+    """The same adds in the same order: equal bit for bit, zero corners included."""
+    M, A, b = assemble_1d(rod)
+    assert M.shape == A.shape == (rod.n_nodes, 3)
+    assert M[0, 0] == M[-1, 2] == A[0, 0] == A[-1, 2] == 0.0
+    ref = dense_assembly(rod)
+    for band, full in zip((M, A, b), ref):
+        np.testing.assert_array_equal(band if band.ndim == 1 else dense(band), full)
 
 
 def test_source_load_sign():
@@ -79,8 +123,8 @@ def test_rod_validation():
 
 
 def test_scalar_backward_euler():
-    M = np.array([[1.0]])
-    A = np.array([[1.0]])
+    M = np.array([[0.0, 1.0, 0.0]])
+    A = np.array([[0.0, 1.0, 0.0]])
     b = np.zeros(1)
     stepper = ThetaStepper(M, A, b, dt=1.0, theta=1.0, bc=EndConditions())
     s = stepper.step(TransientState(0.0, [1.0]))
@@ -121,11 +165,11 @@ def test_conservation_with_free_ends():
     bc = EndConditions()
     rng = np.random.default_rng(42)
     s = TransientState(0.0, rng.uniform(0.0, 1.0, rod.n_nodes))
-    total0 = (M @ s.values).sum()
+    total0 = (dense(M) @ s.values).sum()
     stepper = ThetaStepper(M, A, b, 0.1, 1.0, bc)
     for _ in range(50):
         s = stepper.step(s)
-        assert (M @ s.values).sum() == pytest.approx(total0, abs=1e-10)
+        assert (dense(M) @ s.values).sum() == pytest.approx(total0, abs=1e-10)
 
 
 def test_backward_euler_unconditionally_stable():
@@ -166,36 +210,70 @@ def test_step_argument_validation():
         ThetaStepper(M, A, b, dt=0.0, theta=1.0, bc=EndConditions())
     with pytest.raises(ValueError):
         ThetaStepper(M, A, b, dt=0.1, theta=1.5, bc=EndConditions())
+    dense_M, dense_A, dense_b = dense_assembly(Rod1D(1.0, 4))
+    with pytest.raises(ValueError, match=r"\(n, 3\) array, got shape \(5, 5\)"):
+        ThetaStepper(dense_M, dense_A, dense_b, dt=0.1, theta=1.0, bc=EndConditions())
+    with pytest.raises(ValueError, match=r"\(n, 3\) array, got shape \(5, 5\)"):
+        steady_state(dense_A, dense_b, EndConditions(0.0, 1.0))
 
 
 def test_singular_step_matrix_reported():
-    M = np.zeros((2, 2))
-    A = np.zeros((2, 2))
+    M = np.zeros((2, 3))
+    A = np.zeros((2, 3))
     with pytest.raises(SingularStepError):
         ThetaStepper(M, A, np.zeros(2), 0.1, 1.0, EndConditions())
 
 
 def test_singular_step_matrix_raises_without_warning():
-    zeros = np.zeros((2, 2))
+    zeros = np.zeros((2, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularStepError, match=r"^singular step matrix: Singular matrix$"):
             ThetaStepper(zeros, zeros, np.zeros(2), 0.1, 1.0, EndConditions())
 
 
+def test_singular_steady_system_raises_without_warning():
+    zeros = np.zeros((2, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularStepError, match=r"^singular steady system: Singular matrix$"):
+            steady_state(zeros, np.zeros(2), EndConditions())
+
+
+@pytest.mark.parametrize("bc", [
+    EndConditions(0.0, 1.0), EndConditions(left=2.0), EndConditions(right=-1.0),
+], ids=["fixed", "free-right", "free-left"])
+def test_steady_state_matches_dense_solve(bc):
+    rod = Rod1D(2.0, 30, k=0.8, u1=0.3, Q_src=0.5)
+    _, A, b = assemble_1d(rod)
+    ref = np.linalg.solve(*row_replaced(dense(A), b.copy(), bc))
+    tol = 1e-12 * np.abs(ref).max()
+    np.testing.assert_allclose(steady_state(A, b, bc), ref, rtol=0.0, atol=tol)
+
+
+def test_million_element_rod_steps_in_linear_memory():
+    """Three diagonals, not n x n: a dense 10**6-node step matrix would need 7.28 TiB."""
+    rod = Rod1D(1.0, 10**6, k=1.0, u1=0.5)
+    M, A, b = assemble_1d(rod)
+    assert M.shape == A.shape == (rod.n_nodes, 3) and b.shape == (rod.n_nodes,)
+    state = TransientState(0.0, np.zeros(rod.n_nodes))
+    stepper = ThetaStepper(M, A, b, 1e-3, 1.0, EndConditions(0.0, 1.0))
+    for _ in range(3):
+        state = stepper.step(state)
+    assert np.isfinite(state.values).all()
+    np.testing.assert_allclose(state.values[[0, -1]], [0.0, 1.0], rtol=0.0, atol=1e-12)
+
+
 # --- factored stepper against a dense per-step solve ---------------------------------
 
 
 def dense_reference_step(M, A, b, phi, dt, theta, bc):
-    """One theta step formed and solved from scratch with ``np.linalg.solve``."""
+    """One theta step formed densely from the bands and solved from scratch
+    with ``np.linalg.solve``."""
+    M, A = dense(M), dense(A)
     S = M + theta * dt * A
     rhs = (M - (1.0 - theta) * dt * A) @ phi + dt * b
-    for row, value in ((0, bc.left), (-1, bc.right)):
-        if value is not None:
-            S[row, :] = 0.0
-            S[row, row] = 1.0
-            rhs[row] = value
-    return np.linalg.solve(S, rhs)
+    return np.linalg.solve(*row_replaced(S, rhs, bc))
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
@@ -204,8 +282,8 @@ def dense_reference_step(M, A, b, phi, dt, theta, bc):
 ], ids=["fixed", "free-right", "free-left", "free"])
 @pytest.mark.parametrize("rod", [
     Rod1D(1.0, 20, k=1.0), Rod1D(1.0, 20, k=1.0, u1=0.5), Rod1D(2.0, 20, k=0.7, Q_src=3.0),
-    Rod1D(1.0, 20, k=0.0, u1=1.0),
-], ids=["diffusion", "convection", "source", "k0"])
+    Rod1D(1.0, 20, k=0.0, u1=1.0), Rod1D(1.0, 1, k=1.0, u1=0.5, Q_src=1.0),
+], ids=["diffusion", "convection", "source", "k0", "one-element"])
 def test_stepper_matches_dense_reference(theta, bc, rod):
     M, A, b = assemble_1d(rod)
     dt = 1e-4  # small enough for the explicit scheme
@@ -219,21 +297,21 @@ def test_stepper_matches_dense_reference(theta, bc, rod):
     assert state.time == pytest.approx(200 * dt, rel=1e-12)
 
 
-def count_dgetrf(monkeypatch):
+def count_dgbtrf(monkeypatch):
     calls = []
-    original = lapack.dgetrf
+    original = lapack.dgbtrf
 
     def counting(*args, **kwargs):
         calls.append(None)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(lapack, "dgetrf", counting)
+    monkeypatch.setattr(lapack, "dgbtrf", counting)
     return calls
 
 
 @pytest.mark.parametrize("steps,factorizations", [(200, 1), (0, 0)])
 def test_rod_run_factors_the_step_matrix_once(monkeypatch, tmp_path, steps, factorizations):
-    calls = count_dgetrf(monkeypatch)
+    calls = count_dgbtrf(monkeypatch)
     cfg = tmp_path / "rod.ini"
     cfg.write_text(f"[rod]\nn_elems = 40\nsteps = {steps}\ndt = 5e-4\nu1 = 0.5\n")
     assert main(["rod", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
