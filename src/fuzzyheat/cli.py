@@ -385,7 +385,8 @@ def cmd_fuzzy_sweep(
 def cmd_rod(cfg: RunConfig, out_dir: Path) -> None:
     rc = cfg.rod
     rod = fem1d.Rod1D(rc.length, rc.n_elems, k=rc.k, u1=rc.u1, Q_src=rc.q_src)
-    check_memory(8 * (rc.steps + 1) * rod.n_nodes, "rod")  # the kept states
+    # The kept states and the CSV table of them, one more column wide.
+    check_memory(8 * (rc.steps + 1) * (2 * rod.n_nodes + 1), "rod")
     M, A, b = fem1d.assemble_1d(rod)
     bc = fem1d.EndConditions(rc.left, rc.right)
 

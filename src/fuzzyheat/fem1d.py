@@ -14,8 +14,10 @@ overflows and raises ``ValueError``.  Pure convection is the rod with
 ``X[i] = (X[i, i-1], X[i, i], X[i, i+1])``, with the zeros ``X[0, 0]``
 and ``X[n-1, 2]`` outside the matrix.  :class:`ThetaStepper` (the one way
 to step a rod, built once per run) and :func:`steady_state` share one
-factorization: a band LU (LAPACK ``dgbtrf``) with the fixed ends' rows
-replaced by identity rows, so memory and work grow as O(n).
+factorization: a band LU (LAPACK ``dgbtrf``, through
+:mod:`fuzzyheat._lapack`), so memory and work grow as O(n).  The fixed
+ends' rows are replaced by identity rows, the left one scaled so that it
+stays the pivot of its column, and a fixed end prints exactly its value.
 
 The convection term carries no stabilization (no upwinding or SUPG), so
 convection-dominated runs are only trustworthy at small cell Peclet and
@@ -25,13 +27,14 @@ Courant numbers; see :func:`courant_number`.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .ioutil import CHUNK, fmt, write_csv
+from ._lapack import lapack
+from .ioutil import fmt, write_csv
 
 
 class SingularStepError(RuntimeError):
@@ -116,14 +119,25 @@ def assemble_1d(rod: Rod1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _band_solver(S: np.ndarray, bc: EndConditions, singular: str):
     """Band LU of the tridiagonal ``S`` with each fixed end's row replaced
-    by an identity row, or :class:`SingularStepError` (``singular``) at a
-    zero pivot.  Returns ``solve(rhs)``, which writes the fixed values into
-    ``rhs`` and overwrites it with the solution."""
+    by an identity row (the left one scaled, see below), or
+    :class:`SingularStepError` (``singular``) at a zero pivot.  Returns
+    ``solve(rhs)``, which writes the fixed values into ``rhs`` and
+    overwrites it with the solution."""
     rows = np.array(S, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ValueError(f"need a tridiagonal matrix as an (n, 3) array, got shape {rows.shape}")
     ends = [(row, value) for row, value in ((0, bc.left), (-1, bc.right)) if value is not None]
     rows[[row for row, _ in ends]] = (0.0, 1.0, 0.0)
+    if bc.left is not None:
+        # dgbtrf pivots on the largest entry of a column.  Row 0 and its
+        # value, scaled by a power of two (exactly) at least |S[1, 0]|, stay
+        # the pivot of column 0, so the solve returns the value exactly; with
+        # row 1 as the pivot, node 0 came back with rounding noise (-2.42e-16
+        # for 0).  The right end's row has a zero in column n - 2, so it
+        # never competes for a pivot.
+        scale = 2.0 ** max(0, math.frexp(rows[1, 0])[1])
+        rows[0, 1] = scale
+        ends[0] = (0, scale * bc.left)
     ab = np.zeros((4, len(rows)))  # LAPACK band storage; row 0 takes the LU fill-in
     ab[1, 1:], ab[2], ab[3, :-1] = rows[:-1, 2], rows[:, 1], rows[1:, 0]
     # LAPACK directly: scipy.linalg has no banded LU whose factors can be reused.
@@ -203,7 +217,8 @@ def courant_number(rod: Rod1D, dt: float) -> float:
 
 
 def write_timeseries(stream: io.TextIOBase, states: Iterable[TransientState]) -> None:
-    """CSV dump ``time, node_0, ..., node_n`` with one row per state."""
+    """CSV dump ``time, node_0, ..., node_n`` with one row per state, from
+    one table of all of them."""
     states = list(states)
     if not states:
         raise ValueError("no states to write")
@@ -211,8 +226,8 @@ def write_timeseries(stream: io.TextIOBase, states: Iterable[TransientState]) ->
     if any(s.values.shape != (n,) for s in states):
         raise ValueError("states differ in node count")
     header = ",".join(["time"] + [f"node_{i}" for i in range(n)]) + "\n"
-    rows = max(1, CHUNK // (n + 1))  # a block of states at a time, never a copy of all
-    for start in range(0, len(states), rows):
-        block = states[start:start + rows]
-        table = np.column_stack(([s.time for s in block], [s.values for s in block]))
-        write_csv(stream, None if start else header, table)
+    table = np.empty((len(states), n + 1))  # filled in place: no second copy of the states
+    for row, state in zip(table, states):
+        row[0] = state.time
+        row[1:] = state.values
+    write_csv(stream, header, table)

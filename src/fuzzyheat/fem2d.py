@@ -18,7 +18,9 @@ distinct ``h`` adds a small dense Cholesky on the wall nodes (static
 condensation onto the walls), or nothing on a plate without a
 convective wall.  :func:`solve_crisp` is one factor and one solve.  A
 plate whose band arrays would not fit in the available memory raises
-``MemoryError`` before allocating them.
+``MemoryError`` before allocating them.  The LAPACK and BLAS routines
+come from :mod:`fuzzyheat._lapack`, scipy's compiled wrappers loaded
+without importing ``scipy.linalg``.
 
 Sign conventions (unit plate thickness throughout):
   * ``q > 0`` means heat flowing INTO the plate across a flux wall and
@@ -35,8 +37,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import blas, lapack
 from .memory import check_memory
 from .mesh import WALLS, Mesh2D, Wall, triangle_area
 
@@ -145,7 +147,9 @@ def _boundary_edges(m: Mesh2D, bc: BoundaryConditionSet, kind: BCKind) -> np.nda
 
 def dirichlet_nodes(m: Mesh2D, bc: BoundaryConditionSet) -> list[int]:
     """Nodes constrained by the fixed-temperature walls, sorted."""
-    return np.unique(_boundary_edges(m, bc, BCKind.DIRICHLET)).tolist()
+    edges = _boundary_edges(m, bc, BCKind.DIRICHLET)
+    # Not np.unique: on numpy 2 it imports numpy.ma (about 18 ms).
+    return np.flatnonzero(np.bincount(edges.ravel(), minlength=m.n_nodes)).tolist()
 
 
 @dataclass(frozen=True)
@@ -232,7 +236,9 @@ class AffinePlate:
         self._f_a = scatter(conv_edges, 0.5 * conv_length)
         self._f_G = scatter(tris, (0.5 * area2) / 3.0)
 
-        free = np.setdiff1d(np.arange(n), dirichlet_nodes(m, bc))
+        fixed = np.zeros(n, dtype=bool)  # not np.setdiff1d, which imports numpy.ma
+        fixed[dirichlet_nodes(m, bc)] = True
+        free = np.flatnonzero(~fixed)
         n_free = free.size
         on_wall = np.zeros(n, dtype=bool)
         on_wall[conv_edges] = True
@@ -326,7 +332,6 @@ class AffinePlate:
             ab, coupling, s0 = self._ab_k, self._k_lb, self._k_bb
             if not np.isfinite(ab).all():
                 raise ValueError(f"plate matrix overflows the float range at h={h}")
-            lapack = scipy.linalg.lapack
             # LAPACK's band routines are skipped on an empty leading block
             # or right-hand side: ?tbtrs corrupts the heap on either.
             lead = _cholesky(lapack.dpbtrf, ab, 0, self._free.size) if ab.size else ab
@@ -341,7 +346,7 @@ class AffinePlate:
                 # Dense products use scipy's BLAS, here and in _substitute:
                 # numpy links its own OpenBLAS, and two thread pools
                 # spinning in turn slow each other down.
-                s0 = scipy.linalg.blas.dsyrk(-1.0, coupling, beta=1.0, c=s0, trans=1)
+                s0 = blas.dsyrk(-1.0, coupling, beta=1.0, c=s0, trans=1)
             self._lead = lead, coupling, s0
             self._ab_k = self._k_lb = self._k_bb = None
         return self._lead
@@ -363,7 +368,7 @@ class AffinePlate:
             s = s0 + h * self._kc_bb
         if not np.isfinite(s).all():
             raise ValueError(f"plate matrix overflows the float range at h={h}")
-        block = _cholesky(scipy.linalg.lapack.dpotrf, s, lead.shape[1], n_free) if s.size else s
+        block = _cholesky(lapack.dpotrf, s, lead.shape[1], n_free) if s.size else s
         d = np.abs(np.concatenate([lead[-1], np.diag(block)]))
         ratio = float((d.min() / d.max()) ** 2)
         if ratio < 1e-13:
@@ -389,7 +394,6 @@ class AffinePlate:
         """``x`` with ``U^T U x = b``: forward through the band and then the
         trailing block, back through the trailing block and then the band.
         A zero diagonal leaves ``b`` unsolved, which the residual check reports."""
-        lapack, gemv = scipy.linalg.lapack, scipy.linalg.blas.dgemv
         n_lead, reach = factor.band.shape[1], factor.coupling.shape[0]
         x, x_b = b[:n_lead], b[n_lead:]
         if n_lead:  # no band routine on an empty block (see _leading)
@@ -397,10 +401,10 @@ class AffinePlate:
         if x_b.size:
             tail = slice(n_lead - reach, n_lead)
             if reach:
-                x_b = gemv(-1.0, factor.coupling, x[tail], 1.0, x_b, trans=1)
+                x_b = blas.dgemv(-1.0, factor.coupling, x[tail], 1.0, x_b, trans=1)
             x_b = lapack.dpotrs(factor.block, x_b)[0]
             if reach:
-                x[tail] = gemv(-1.0, factor.coupling, x_b, 1.0, x[tail])
+                x[tail] = blas.dgemv(-1.0, factor.coupling, x_b, 1.0, x[tail])
         if n_lead:
             x = lapack.dtbtrs(factor.band, x, overwrite_b=1)[0]
         return np.concatenate([x, x_b])
@@ -449,10 +453,11 @@ class AffinePlate:
             if not np.isfinite(T).all():
                 raise ValueError(f"temperatures overflow the float range at {at}")
 
-            # Norm of the full constrained right-hand side, fixed rows included;
-            # scipy's (BLAS nrm2) scales as it sums, so it overflows only if the norm does.
-            f_norm = np.hypot(scipy.linalg.norm(rhs), t_fixed * np.sqrt(self._n_fixed))
-            residual = scipy.linalg.norm((self._matvec(h, T) - loads)[free], check_finite=False)
+            # Norm of the full constrained right-hand side, fixed rows included.
+            # BLAS nrm2 (what scipy.linalg.norm calls for a float vector)
+            # scales as it sums, so it overflows only if the norm does.
+            f_norm = np.hypot(blas.dnrm2(rhs), t_fixed * np.sqrt(self._n_fixed))
+            residual = blas.dnrm2((self._matvec(h, T) - loads)[free])
             if f_norm > 0.0 and residual > 1e-10 * f_norm:
                 raise SingularSystemError(
                     _pivot_diagnosis(

@@ -2,7 +2,7 @@
 byte for byte what ``"{:.9g}".format`` prints, formatted in bulk.
 
 :func:`write_csv` formats a 2-D float table with NumPy alone, in chunks
-of 4096 values, each written to the stream as soon as it is done.
+of 2048 values, each written to the stream as soon as it is done.
 Per value, with ``a = |x|``:
 
 * ``e = floor(log10(a))`` and ``y = a * p``, where ``p`` is the double
@@ -36,7 +36,12 @@ import numpy as np
 # Stdout lines and error messages format one value at a time.
 fmt = "{:.9g}".format
 
-CHUNK = 4096  # values formatted at a time: about 1 MB of temporaries
+# Values formatted at a time.  A chunk's temporaries peak at about 185
+# bytes a value.  glibc 2.36 keeps those of 2048 values for the next chunk;
+# those of 4096 it returned to the system after each chunk and faulted back
+# in (about 90 page faults a chunk), unless an earlier large free had
+# raised its trim threshold.
+CHUNK = 2048
 _LARGEST = 1e280  # |x| in [1 / _LARGEST, _LARGEST] can be certified
 
 _WORD = np.dtype("<u8")  # eight bytes of a record, first byte lowest

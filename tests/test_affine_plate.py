@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from fuzzyheat import fem2d, memory
+from fuzzyheat._lapack import lapack
 from fuzzyheat.cli import RunConfig, cmd_fuzzy_sweep
 from fuzzyheat.fem2d import (
     AffinePlate,
@@ -256,7 +256,7 @@ def test_default_sweep_factors_once_per_distinct_h(
         monkeypatch.setattr(owner, name, counting)
 
     for name in ("dpbtrf", "dpotrf"):
-        count(scipy.linalg.lapack, name)
+        count(lapack, name)
     for name in ("factor", "solve", "slope"):
         count(AffinePlate, name)
     cmd_fuzzy_sweep(cfg, [scenario], tmp_path, workers=workers)

@@ -408,14 +408,41 @@ def test_outputs_match_golden_bytes(tmp_path, case):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
-def test_cli_import_does_not_load_scipy_sparse():
-    """``scipy.sparse`` would add about a fifth to the CLI start-up time."""
+# Packages the CLI does not use.  ``scipy.sparse`` would add about a fifth
+# to its start-up time, and ``scipy.linalg`` about half: on scipy 1.17 it
+# loads ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``.  ``np.unique``
+# and ``np.setdiff1d`` load ``numpy.ma`` too.
+UNUSED = ("scipy.linalg", "scipy.sparse", "numpy.ma", "numpy.f2py", "numpy.testing")
+LOADED = ("[m for m in sys.modules "
+          f"if any(m == p or m.startswith(p + '.') for p in {UNUSED!r})]")
+
+
+def run_python(code):
+    """Standard output of ``code`` run by a fresh interpreter on ``src/``."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, fuzzyheat.cli; print([m for m in sys.modules if 'scipy.sparse' in m])"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_cli_import_does_not_load_scipy_sparse():
+    assert run_python(f"import sys, fuzzyheat.cli; print({LOADED})") == "[]\n"
+
+
+def test_cli_commands_load_no_unused_package(tmp_path):
+    """Running ``solve``, ``fuzzy-sweep`` and ``rod`` loads none of them either."""
+    config = write_config(tmp_path, "[plate]\nnx = 3\nny = 2\n[rod]\nn_elems = 4\nsteps = 3\n")
+    commands = [["solve"], ["fuzzy-sweep", "--scenario", "all"], ["rod"]]
+    code = (
+        "import sys\n"
+        "from fuzzyheat.cli import main\n"
+        f"for command in {commands!r}:\n"
+        f"    argv = [command[0], '--config', {config!r}, '--out', {str(tmp_path / 'out')!r}]\n"
+        "    assert main(argv + command[1:]) == 0\n"
+        f"print({LOADED})\n"
+    )
+    assert run_python(code).splitlines()[-1] == "[]"
 
 
 # --- rod command ----------------------------------------------------------------------

@@ -157,11 +157,12 @@ def test_plate_too_large_for_memory_fails_fast(tmp_path, monkeypatch, command):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("available,code", [(8888, 0), (8887, 6)])
+@pytest.mark.parametrize("available,code", [(18584, 0), (18583, 6)])
 def test_rod_states_beyond_memory_fail_before_the_first_step(tmp_path, monkeypatch, available,
                                                              code):
-    """The kept states of the default rod, 8 * (100 steps + 1) * 11 nodes =
-    8888 bytes, are checked against the available memory before stepping."""
+    """The kept states of the default rod and their CSV table, one column
+    wider, 8 * (100 steps + 1) * (11 + 12) = 18584 bytes, are checked
+    against the available memory before stepping."""
     steps, step = [], fem1d.ThetaStepper.step
 
     def counted(self, state):
@@ -175,7 +176,7 @@ def test_rod_states_beyond_memory_fail_before_the_first_step(tmp_path, monkeypat
     got, err = run(["rod", "--config", str(config), "--out", str(tmp_path / "out")])
     assert got == code
     if code:
-        assert err == "error: memory-error: rod needs 8888 bytes (8.28e-06 GiB), 8887 available\n"
+        assert err == "error: memory-error: rod needs 18584 bytes (1.73e-05 GiB), 18583 available\n"
         assert steps == [] and not (tmp_path / "out").exists()
     else:
         assert len(steps) == 100 and (tmp_path / "out" / "rod_timeseries.csv").exists()

@@ -5,8 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
+from fuzzyheat._lapack import lapack
 from fuzzyheat.cli import main
 from fuzzyheat.fem1d import (
     EndConditions,
@@ -316,6 +316,22 @@ def test_rod_run_factors_the_step_matrix_once(monkeypatch, tmp_path, steps, fact
     cfg.write_text(f"[rod]\nn_elems = 40\nsteps = {steps}\ndt = 5e-4\nu1 = 0.5\n")
     assert main(["rod", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == factorizations
+
+
+@pytest.mark.parametrize("left", ["0", "-3.7"])
+@pytest.mark.parametrize("dt", [1e-3, 0.05, 0.5, 20.0])
+@pytest.mark.parametrize("n_elems", [1, 2, 10, 40])
+def test_fixed_ends_print_exactly_their_values(tmp_path, n_elems, dt, left):
+    """Node 0 prints its fixed value exactly, also where |S[1, 0]| > 1 (10
+    elements at dt = 0.5 give 4.98); partial pivoting on row 1 used to
+    print back-substitution noise there, such as -2.42e-16 for 0."""
+    cfg = tmp_path / "rod.ini"
+    cfg.write_text(f"[rod]\nn_elems = {n_elems}\nsteps = 5\ndt = {dt}\nu1 = 0.5\nleft = {left}\n"
+                   "right = 2.5\n")
+    assert main(["rod", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "rod_timeseries.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[1] for row in rows] == [left] * 5
+    assert [row.split(",")[-1] for row in rows] == ["2.5"] * 5
 
 
 # --- pure convection (k = 0, Q_src = 0) ------------------------------------------

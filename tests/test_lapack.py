@@ -1,0 +1,94 @@
+"""The LAPACK and BLAS routines the solvers call, loaded without scipy.linalg."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from fuzzyheat import _lapack
+
+from test_cli import run_python
+
+
+def spd(rng, n):
+    a = rng.standard_normal((n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+def calls(lapack, blas, rng):
+    """Every routine the solvers call, each on random inputs; returns all
+    their outputs, in order."""
+    n, kd = 12, 2
+    dense = spd(rng, n)
+    dense[np.abs(np.subtract.outer(range(n), range(n))) > kd] = 0.0
+    band = np.zeros((kd + 1, n))  # upper band form
+    for i in range(kd + 1):
+        band[kd - i, i:] = np.diagonal(dense, i)
+    u, info = lapack.dpbtrf(band, lower=0)
+    b = rng.standard_normal((n, 2))
+    out = [u, info, *lapack.dtbtrs(u, b, trans="T"), *lapack.dtbtrs(u, b[:, 0])]
+
+    c, info = lapack.dpotrf(spd(rng, 5), lower=0)
+    out += [c, info, *lapack.dpotrs(c, rng.standard_normal(5))]
+
+    ab = np.zeros((4, n))  # kl = ku = 1, row 0 for the fill-in
+    ab[1:] = rng.standard_normal((3, n))
+    lu, piv, info = lapack.dgbtrf(ab, 1, 1)
+    out += [lu, piv, info, *lapack.dgbtrs(lu, 1, 1, rng.standard_normal(n), piv)]
+
+    a = rng.standard_normal((4, 3))
+    out += [blas.dsyrk(-1.0, a, beta=1.0, c=spd(rng, 3), trans=1),
+            blas.dgemv(-1.0, a, rng.standard_normal(4), 1.0, rng.standard_normal(3), trans=1),
+            blas.dgemv(-1.0, a, rng.standard_normal(3), 1.0, rng.standard_normal(4)),
+            blas.dnrm2(rng.standard_normal(7) * 1e200)]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_routines_match_scipy_linalg_bit_for_bit(seed):
+    ours = calls(_lapack.lapack, _lapack.blas, np.random.default_rng(seed))
+    theirs = calls(scipy.linalg.lapack, scipy.linalg.blas, np.random.default_rng(seed))
+    assert len(ours) == len(theirs) == 19
+    for mine, reference in zip(ours, theirs):
+        assert np.asarray(mine).tobytes() == np.asarray(reference).tobytes()
+
+
+def test_scipy_linalg_imports_after_the_loader():
+    """The loaded extension modules are kept out of ``sys.modules``, so a
+    later ``import scipy.linalg`` loads its own and sets its attributes."""
+    code = (
+        "import sys\n"
+        "from fuzzyheat import _lapack\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "import numpy as np, scipy.linalg\n"
+        "assert scipy.linalg._flapack.dpbtrf is scipy.linalg.lapack.dpbtrf\n"
+        "assert scipy.linalg._fblas.dnrm2 is scipy.linalg.blas.dnrm2\n"
+        "a = np.array([[4.0, 1.0], [1.0, 3.0]])\n"
+        "assert (scipy.linalg.cholesky(a) == _lapack.lapack.dpotrf(a)[0]).all()\n"
+        "print('ok')\n"
+    )
+    assert run_python(code) == "ok\n"
+
+
+def test_falls_back_to_scipy_linalg_without_the_extension_files():
+    """Where the finder does not see ``_flapack`` or ``_fblas`` in scipy's
+    ``linalg`` directory, both names come from ``scipy.linalg``."""
+    code = (
+        "import sys\n"
+        "from importlib.machinery import PathFinder\n"
+        "find_spec = PathFinder.find_spec\n"
+        "def hidden(name, path=None, target=None):\n"
+        "    # The loader's own lookup only; scipy.linalg's imports find them.\n"
+        "    if name.startswith('scipy.linalg.') and 'scipy.linalg' not in sys.modules:\n"
+        "        return None\n"
+        "    return find_spec(name, path, target)\n"
+        "PathFinder.find_spec = hidden\n"
+        "from fuzzyheat import _lapack\n"
+        "import scipy.linalg\n"
+        "assert _lapack.lapack is scipy.linalg.lapack and _lapack.blas is scipy.linalg.blas\n"
+        "from fuzzyheat.fem2d import PlateParameters, BoundaryConditionSet, solve_crisp\n"
+        "from fuzzyheat.mesh import generate_structured_mesh\n"
+        "T = solve_crisp(generate_structured_mesh(20.0, 10.0, 3, 3), PlateParameters(),\n"
+        "                BoundaryConditionSet()).values\n"
+        "print(T.max())\n"
+    )
+    assert run_python(code) == "100.0\n"
