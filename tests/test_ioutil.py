@@ -69,7 +69,7 @@ def test_special_values_and_range_ends():
                   np.nextafter(1e280, np.inf), 1e-4, 1e-5, 123456789e-13, 0.0001234567891])
 
 
-@pytest.mark.parametrize("cols", [1, 3, 202, ioutil.CHUNK + 5])
+@pytest.mark.parametrize("cols", [1, 3, 202, ioutil.CHUNK + 5, 2 * ioutil.CHUNK + 5])
 def test_rows_across_chunks_with_a_prefix(cols):
     rng = np.random.default_rng(cols)
     table = rng.standard_normal((2 * ioutil.CHUNK // cols + 3, cols)) * 10.0 ** rng.integers(
