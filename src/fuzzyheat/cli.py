@@ -385,20 +385,21 @@ def cmd_fuzzy_sweep(
 def cmd_rod(cfg: RunConfig, out_dir: Path) -> None:
     rc = cfg.rod
     rod = fem1d.Rod1D(rc.length, rc.n_elems, k=rc.k, u1=rc.u1, Q_src=rc.q_src)
-    # The kept states and the CSV table of them, one more column wide.
-    check_memory(8 * (rc.steps + 1) * (2 * rod.n_nodes + 1), "rod")
+    # The time-series table march fills, one row per state.
+    check_memory(8 * (rc.steps + 1) * (rod.n_nodes + 1), "rod")
     M, A, b = fem1d.assemble_1d(rod)
     bc = fem1d.EndConditions(rc.left, rc.right)
 
-    states = [fem1d.TransientState(0.0, np.full(rod.n_nodes, rc.initial))]
+    initial = fem1d.TransientState(0.0, np.full(rod.n_nodes, rc.initial))
     if rc.steps > 0:
         stepper = fem1d.ThetaStepper(M, A, b, rc.dt, rc.theta, bc)
-        for _ in range(rc.steps):
-            states.append(stepper.step(states[-1]))
+        table = stepper.march(initial, rc.steps)
+    else:  # no step, so no step matrix to form or factor
+        table = np.append(initial.time, initial.values)[np.newaxis]
 
     with _open_out(out_dir, "rod_timeseries.csv") as fh:
-        fem1d.write_timeseries(fh, states)
-    print(f"rod: {rc.steps} steps of dt={fmt(rc.dt)}, final time {fmt(states[-1].time)}")
+        fem1d.write_timeseries(fh, table)
+    print(f"rod: {rc.steps} steps of dt={fmt(rc.dt)}, final time {fmt(table[-1, 0])}")
 
 
 def build_parser() -> argparse.ArgumentParser:

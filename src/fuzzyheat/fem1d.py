@@ -6,16 +6,20 @@ matrix and plain Galerkin weighting, then advances in time with a theta
 scheme: theta = 1 is backward Euler (the robust default), theta = 0.5 is
 Crank-Nicolson, theta = 0 explicit.  For theta < 1/2 the scheme is
 stable only for ``dt <= l**2 / (6 (1 - 2 theta) k)`` on elements of
-length ``l``; above that limit the field grows without bound until a step
-overflows and raises ``ValueError``.  Pure convection is the rod with
-``k = 0`` and ``Q_src = 0``.
+length ``l``; above that limit the field grows without bound until it
+overflows, and the run raises ``ValueError``.  Pure convection is the rod
+with ``k = 0`` and ``Q_src = 0``.
 
 ``M`` and ``A`` are tridiagonal, stored ``(n, 3)`` by row:
 ``X[i] = (X[i, i-1], X[i, i], X[i, i+1])``, with the zeros ``X[0, 0]``
 and ``X[n-1, 2]`` outside the matrix.  :class:`ThetaStepper` (the one way
 to step a rod, built once per run) and :func:`steady_state` share one
 factorization: a band LU (LAPACK ``dgbtrf``, through
-:mod:`fuzzyheat._lapack`), so memory and work grow as O(n).  The fixed
+:mod:`fuzzyheat._lapack`), so memory and work grow as O(n).
+:meth:`ThetaStepper.march` fills a run's time-series table row by row: a
+step is three products and three adds into the next row and one
+``dgbtrs`` solving that row in place, and the table is checked for
+overflow once per run.  The fixed
 ends' rows are replaced by identity rows, the left one scaled so that it
 stays the pivot of its column, and a fixed end prints exactly its value.
 
@@ -29,7 +33,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -159,11 +163,15 @@ class ThetaStepper:
 
     Each step solves ``(M + theta*dt*A) phi_new = (M - (1-theta)*dt*A) phi
     + dt*b`` with the end conditions applied.  The step matrix is formed and
-    band-LU-factored (``dgbtrf``) once here; a step is a three-term product
-    per node and one ``dgbtrs``.  A steady state of the constrained system
-    is an exact fixed point for any ``theta`` and ``dt``.  Matrices, a load
-    or temperatures that overflow the float range raise ``ValueError``; a
-    singular step matrix, :class:`SingularStepError`.
+    band-LU-factored (``dgbtrf``) once here.  :meth:`march` writes a step's
+    right-hand side into the next row of its table, three products (main,
+    sub- and superdiagonal of the right-hand matrix) and three adds (the
+    two off-diagonal products and the load), and solves that row in place
+    with one ``dgbtrs``; it checks finiteness once per run.  A steady state
+    of the constrained system is an exact fixed point for any ``theta`` and
+    ``dt``.  Matrices, a load or temperatures that overflow the float range
+    raise ``ValueError`` (for temperatures, naming the time of the first
+    step that overflowed); a singular step matrix, :class:`SingularStepError`.
     """
 
     def __init__(
@@ -182,26 +190,50 @@ class ThetaStepper:
 
         with np.errstate(over="ignore", invalid="ignore"):  # huge k or dt; checked below
             S = M + theta * dt * A
-            self._R = M - (1.0 - theta) * dt * A
+            R = M - (1.0 - theta) * dt * A
             self._load = dt * b
-        if not all(np.isfinite(x).all() for x in (S, self._R, self._load)):
+        if not all(np.isfinite(x).all() for x in (S, R, self._load)):
             raise ValueError(f"step matrices or load overflow the float range at dt={fmt(dt)}")
+        # R's three diagonals, each contiguous: the sub-, main and superdiagonal.
+        self._R = tuple(np.ascontiguousarray(d) for d in (R[1:, 0], R[:, 1], R[:-1, 2]))
         self._dt = dt
         self._solve = _band_solver(S, bc, "singular step matrix: Singular matrix")
 
-    def step(self, state: TransientState) -> TransientState:
-        """Advance ``state`` by one step of ``dt``."""
-        phi, R = state.values, self._R
-        with np.errstate(over="ignore", invalid="ignore"):
-            rhs = R[:, 1] * phi
-            rhs[1:] += R[1:, 0] * phi[:-1]
-            rhs[:-1] += R[:-1, 2] * phi[1:]
-            rhs += self._load
-        phi = self._solve(rhs)
-        time = state.time + self._dt
-        if not np.isfinite(phi).all():
+    def march(self, state: TransientState, steps: int) -> np.ndarray:
+        """``steps`` steps of ``dt`` from ``state`` as one ``(steps + 1, n + 1)``
+        table: row k holds the time ``t_k`` and the ``n`` nodal values after
+        k steps, row 0 ``state`` itself.  The times are the running sum of
+        ``dt`` from ``state.time``."""
+        if steps < 0:
+            raise ValueError(f"steps must be >= 0, got {steps}")
+        sub, main, sup = self._R
+        table = np.empty((steps + 1, len(state.values) + 1))
+        table[0, 1:] = state.values
+        times = table[:, 0]
+        times[0], times[1:] = state.time, self._dt
+        np.cumsum(times, out=times)  # sequential: t_k = t_{k-1} + dt, bit for bit
+        # Per step k: phi_k, its nodes but the last and but the first, and
+        # the right-hand side written into row k + 1, whole and likewise cut.
+        old, new = table[:-1], table[1:]
+        rows = zip(old[:, 1:], old[:, 1:-1], old[:, 2:], new[:, 1:], new[:, 1:-1], new[:, 2:])
+        scratch, load = np.empty(len(sub)), self._load
+        with np.errstate(over="ignore", invalid="ignore"):  # checked once, after the loop
+            for phi, phi_lo, phi_hi, rhs, rhs_lo, rhs_hi in rows:
+                np.multiply(main, phi, out=rhs)
+                np.add(rhs_hi, np.multiply(sub, phi_lo, out=scratch), out=rhs_hi)
+                np.add(rhs_lo, np.multiply(sup, phi_hi, out=scratch), out=rhs_lo)
+                np.add(rhs, load, out=rhs)
+                self._solve(rhs)  # in place: the row becomes phi_{k+1}
+        finite = np.isfinite(table[1:, 1:]).all(axis=1)
+        if not finite.all():
+            time = table[1 + np.argmin(finite), 0]
             raise ValueError(f"temperatures overflow the float range at t={fmt(time)}")
-        return TransientState(time, phi)
+        return table
+
+    def step(self, state: TransientState) -> TransientState:
+        """Advance ``state`` by one step of ``dt``: :meth:`march` of one step."""
+        row = self.march(state, 1)[1]
+        return TransientState(float(row[0]), row[1:])
 
 
 def steady_state(A: np.ndarray, b: np.ndarray, bc: EndConditions) -> np.ndarray:
@@ -216,18 +248,14 @@ def courant_number(rod: Rod1D, dt: float) -> float:
     return abs(rod.u1) * dt / rod.elem_length
 
 
-def write_timeseries(stream: io.TextIOBase, states: Iterable[TransientState]) -> None:
-    """CSV dump ``time, node_0, ..., node_n`` with one row per state, from
-    one table of all of them."""
-    states = list(states)
-    if not states:
-        raise ValueError("no states to write")
-    n = states[0].values.shape[0]
-    if any(s.values.shape != (n,) for s in states):
-        raise ValueError("states differ in node count")
-    header = ",".join(["time"] + [f"node_{i}" for i in range(n)]) + "\n"
-    table = np.empty((len(states), n + 1))  # filled in place: no second copy of the states
-    for row, state in zip(table, states):
-        row[0] = state.time
-        row[1:] = state.values
+def write_timeseries(stream: io.TextIOBase, table: np.ndarray) -> None:
+    """CSV dump ``time, node_0, ..., node_n`` of a :meth:`ThetaStepper.march`
+    table, one line per row."""
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 2:
+        raise ValueError(
+            "need a table of a time and node values per row, with at least one row, "
+            f"got shape {table.shape}"
+        )
+    header = ",".join(["time"] + [f"node_{i}" for i in range(table.shape[1] - 1)]) + "\n"
     write_csv(stream, header, table)

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyheat import cli, fem1d, fem2d, memory
+from fuzzyheat import cli, fem2d, memory
+from fuzzyheat._lapack import lapack
 from fuzzyheat.fem2d import BCKind
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -100,17 +101,22 @@ def test_plate_without_convective_wall_is_solved_at_one_h(tmp_path):
     assert lines[1] == "0,0,126.666667,126.666667"
 
 
-@pytest.mark.parametrize("rod", [
-    "k = 1e308", "dt = 1e308", "u1 = 1e308",
-    "n_elems = 40\ntheta = 0\ndt = 1e-2\nsteps = 400",  # explicit, far above its stable dt
+@pytest.mark.parametrize("rod,message", [
+    ("k = 1e308", "step matrices or load overflow the float range at dt=0.01"),
+    ("dt = 1e308", "step matrices or load overflow the float range at dt=1e+308"),
+    ("u1 = 1e308", "temperatures overflow the float range at t=0.01"),
+    # Explicit, far above its stable dt.  The temperatures are checked once,
+    # after the last step, and the message names the first step that overflowed.
+    ("n_elems = 40\ntheta = 0\ndt = 1e-2\nsteps = 400",
+     "temperatures overflow the float range at t=1.38"),
 ], ids=["k", "dt", "u1", "unstable-explicit"])
-def test_overflowing_rods_are_solver_errors(tmp_path, rod):
+def test_overflowing_rods_are_solver_errors(tmp_path, rod, message):
     config = tmp_path / "run.ini"
     config.write_text(f"[rod]\n{rod}\n")
     code, err = run(["rod", "--config", str(config), "--out", str(tmp_path / "out")])
-    assert code == 4
-    assert err.startswith("error: solver-error: ") and err.count("\n") == 1
+    assert (code, err) == (4, f"error: solver-error: {message}\n")
     assert_contract(code, err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("message,shown", [
@@ -157,29 +163,29 @@ def test_plate_too_large_for_memory_fails_fast(tmp_path, monkeypatch, command):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("available,code", [(18584, 0), (18583, 6)])
+@pytest.mark.parametrize("available,code", [(9696, 0), (9695, 6)])
 def test_rod_states_beyond_memory_fail_before_the_first_step(tmp_path, monkeypatch, available,
                                                              code):
-    """The kept states of the default rod and their CSV table, one column
-    wider, 8 * (100 steps + 1) * (11 + 12) = 18584 bytes, are checked
-    against the available memory before stepping."""
-    steps, step = [], fem1d.ThetaStepper.step
+    """The default rod's time-series table, 8 * (100 steps + 1) * (1 + 11
+    nodes) = 9696 bytes, is checked against the available memory before
+    stepping: no band solve (one per step) runs when it does not fit."""
+    solves, dgbtrs = [], lapack.dgbtrs
 
-    def counted(self, state):
-        steps.append(state)
-        return step(self, state)
+    def counted(*args, **kwargs):
+        solves.append(None)
+        return dgbtrs(*args, **kwargs)
 
-    monkeypatch.setattr(fem1d.ThetaStepper, "step", counted)
+    monkeypatch.setattr(lapack, "dgbtrs", counted)
     monkeypatch.setattr(memory, "available_memory", lambda: available)
     config = tmp_path / "run.ini"
     config.write_text("[rod]\n")
     got, err = run(["rod", "--config", str(config), "--out", str(tmp_path / "out")])
     assert got == code
     if code:
-        assert err == "error: memory-error: rod needs 18584 bytes (1.73e-05 GiB), 18583 available\n"
-        assert steps == [] and not (tmp_path / "out").exists()
+        assert err == "error: memory-error: rod needs 9696 bytes (9.03e-06 GiB), 9695 available\n"
+        assert solves == [] and not (tmp_path / "out").exists()
     else:
-        assert len(steps) == 100 and (tmp_path / "out" / "rod_timeseries.csv").exists()
+        assert len(solves) == 100 and (tmp_path / "out" / "rod_timeseries.csv").exists()
 
 
 def test_readme_config_block_is_the_defaults(tmp_path):

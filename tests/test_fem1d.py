@@ -14,6 +14,7 @@ from fuzzyheat.fem1d import (
     SingularStepError,
     ThetaStepper,
     TransientState,
+    _band_solver,
     assemble_1d,
     courant_number,
     steady_state,
@@ -53,10 +54,9 @@ def row_replaced(S, rhs, bc):
 
 
 def run_steps(M, A, b, state, dt, theta, bc, n):
-    stepper = ThetaStepper(M, A, b, dt, theta, bc)
-    for _ in range(n):
-        state = stepper.step(state)
-    return state
+    """The last row of ``n`` marched steps as a state."""
+    row = ThetaStepper(M, A, b, dt, theta, bc).march(state, n)[-1]
+    return TransientState(row[0], row[1:])
 
 
 # --- assembly ----------------------------------------------------------------
@@ -195,11 +195,8 @@ def test_explicit_stability_limit(theta):
     peaks = []
     for factor in (0.9, 1.1):
         stepper = ThetaStepper(M, A, b, factor * limit, theta, EndConditions(0.0, 1.0))
-        s, peak = TransientState(0.0, np.zeros(rod.n_nodes)), 0.0
-        for _ in range(3000):
-            s = stepper.step(s)
-            peak = max(peak, np.abs(s.values).max())
-        peaks.append(peak)
+        table = stepper.march(TransientState(0.0, np.zeros(rod.n_nodes)), 3000)
+        peaks.append(np.abs(table[1:, 1:]).max())
     assert peaks[0] == 1.0
     assert peaks[1] > 1e100
 
@@ -256,12 +253,11 @@ def test_million_element_rod_steps_in_linear_memory():
     rod = Rod1D(1.0, 10**6, k=1.0, u1=0.5)
     M, A, b = assemble_1d(rod)
     assert M.shape == A.shape == (rod.n_nodes, 3) and b.shape == (rod.n_nodes,)
-    state = TransientState(0.0, np.zeros(rod.n_nodes))
     stepper = ThetaStepper(M, A, b, 1e-3, 1.0, EndConditions(0.0, 1.0))
-    for _ in range(3):
-        state = stepper.step(state)
-    assert np.isfinite(state.values).all()
-    np.testing.assert_allclose(state.values[[0, -1]], [0.0, 1.0], rtol=0.0, atol=1e-12)
+    table = stepper.march(TransientState(0.0, np.zeros(rod.n_nodes)), 3)
+    assert table.shape == (4, rod.n_nodes + 1)
+    assert np.isfinite(table).all()
+    np.testing.assert_allclose(table[1:, [1, -1]], [[0.0, 1.0]] * 3, rtol=0.0, atol=1e-12)
 
 
 # --- factored stepper against a dense per-step solve ---------------------------------
@@ -295,6 +291,48 @@ def test_stepper_matches_dense_reference(theta, bc, rod):
         ref = dense_reference_step(M, A, b, ref, dt, theta, bc)
         assert np.max(np.abs(state.values - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert state.time == pytest.approx(200 * dt, rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("bc", [
+    EndConditions(0.0, 1.0), EndConditions(left=2.0), EndConditions(right=-1.0), EndConditions(),
+], ids=["fixed", "free-right", "free-left", "free"])
+@pytest.mark.parametrize("rod", [
+    Rod1D(1.0, 20, k=0.7, u1=0.5, Q_src=3.0), Rod1D(1.0, 1, k=1.0, u1=0.5, Q_src=1.0),
+], ids=["twenty-elements", "one-element"])
+def test_march_equals_repeated_steps_bit_for_bit(theta, bc, rod):
+    """Row k of the table is the state after k calls of ``step``, the time
+    column (the running sum of dt from the start time) included, and the
+    state after k steps of a loop that forms each right-hand side in fresh
+    arrays and solves it with the same band LU."""
+    M, A, b = assemble_1d(rod)
+    dt = 1e-3
+    stepper = ThetaStepper(M, A, b, dt, theta, bc)
+    state = TransientState(0.3, np.sin(np.linspace(0.0, 3.0, rod.n_nodes)) - 0.25)
+    table = stepper.march(state, 60)
+    assert table.shape == (61, rod.n_nodes + 1)
+    R, load = M - (1.0 - theta) * dt * A, dt * b
+    solve = _band_solver(M + theta * dt * A, bc, "singular")
+    time, phi = state.time, state.values
+    for row in table:
+        assert row[0] == state.time == time
+        np.testing.assert_array_equal(row[1:], state.values)
+        np.testing.assert_array_equal(row[1:], phi)
+        state = stepper.step(state)
+        rhs = R[:, 1] * phi
+        rhs[1:] += R[1:, 0] * phi[:-1]
+        rhs[:-1] += R[:-1, 2] * phi[1:]
+        rhs += load
+        time, phi = time + dt, solve(rhs)
+
+
+def test_march_of_no_steps_is_the_initial_row():
+    stepper = ThetaStepper(*assemble_1d(Rod1D(1.0, 3)), 0.1, 1.0, EndConditions(0.0, 1.0))
+    table = stepper.march(TransientState(0.5, [0.25, -0.0, 2.0, 7.0]), 0)
+    np.testing.assert_array_equal(table, [[0.5, 0.25, -0.0, 2.0, 7.0]])
+    assert np.signbit(table[0, 2])
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        stepper.march(TransientState(0.0, np.zeros(4)), -1)
 
 
 def count_dgbtrf(monkeypatch):
@@ -391,12 +429,9 @@ def test_advected_front_tracks_velocity():
 
 
 def test_timeseries_csv_format():
-    states = [
-        TransientState(0.0, [0.0, 1.0]),
-        TransientState(0.25, [0.123456789123, 1.0]),
-    ]
+    table = np.array([[0.0, 0.0, 1.0], [0.25, 0.123456789123, 1.0]])
     buf = io.StringIO()
-    write_timeseries(buf, states)
+    write_timeseries(buf, table)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "time,node_0,node_1"
     assert lines[1] == "0,0,1"
@@ -404,10 +439,21 @@ def test_timeseries_csv_format():
 
 
 def test_timeseries_rejects_empty():
-    with pytest.raises(ValueError):
-        write_timeseries(io.StringIO(), [])
+    for empty in ([], np.empty((0, 3))):
+        with pytest.raises(ValueError, match="at least one row"):
+            write_timeseries(io.StringIO(), empty)
 
 
 def test_timeseries_rejects_ragged_states():
-    with pytest.raises(ValueError, match="node count"):
-        write_timeseries(io.StringIO(), [TransientState(0.0, [0.0, 1.0]), TransientState(1.0, [0.0])])
+    with pytest.raises(ValueError):
+        write_timeseries(io.StringIO(), [[0.0, 0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("table", [
+    np.zeros(3), np.zeros((2, 1)), np.zeros((2, 2, 2)), 0.0,
+], ids=["one-dimensional", "one-column", "three-dimensional", "scalar"])
+def test_timeseries_rejects_what_is_no_table(table):
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=r"got shape"):
+        write_timeseries(buf, table)
+    assert buf.getvalue() == ""
