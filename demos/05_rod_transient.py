@@ -12,7 +12,6 @@ from fuzzyheat import (
     EndConditions,
     Rod1D,
     ThetaStepper,
-    TransientState,
     assemble_1d,
     courant_number,
 )
@@ -25,7 +24,7 @@ bc = EndConditions(left=0.0, right=1.0)
 
 stepper = ThetaStepper(M, A, b, dt=0.05, theta=1.0, bc=bc)
 # One row per step: the time, then the nodal values.
-table = stepper.march(TransientState(0.0, np.zeros(rod.n_nodes)), 60)
+table = stepper.march(np.zeros(rod.n_nodes), 60)
 print("diffusion rod, backward Euler, dt = 0.05:")
 for row in table[[1, 5, 20, 60]]:
     dev = np.abs(row[1:] - steady_state(A, b, bc)).max()
@@ -35,7 +34,7 @@ for row in table[[1, 5, 20, 60]]:
 rod = Rod1D(length=10.0, n_elems=100, k=0.0, u1=1.0)
 x = rod.node_positions()
 front0 = 2.0
-initial = TransientState(0.0, 0.5 * (1.0 - np.tanh((x - front0) / 0.4)))
+initial = 0.5 * (1.0 - np.tanh((x - front0) / 0.4))
 bc = EndConditions(left=1.0)
 
 dt, steps = 0.02, 100

@@ -31,14 +31,12 @@ from .fem2d import (
     PlateFactor,
     PlateParameters,
     SingularSystemError,
-    TemperatureField,
     solve_crisp,
 )
 from .fem1d import (
     EndConditions,
     Rod1D,
     ThetaStepper,
-    TransientState,
     assemble_1d,
     courant_number,
 )
@@ -74,12 +72,10 @@ __all__ = [
     "PlateFactor",
     "PlateParameters",
     "SingularSystemError",
-    "TemperatureField",
     "solve_crisp",
     "EndConditions",
     "Rod1D",
     "ThetaStepper",
-    "TransientState",
     "assemble_1d",
     "courant_number",
     "FuzzyScenario",

@@ -36,7 +36,6 @@ from .fem2d import (
     BoundaryConditionSet,
     PlateParameters,
     SingularSystemError,
-    TemperatureField,
     solve_crisp,
 )
 from .fuzzy import AlphaLevels, tfn_from_tolerance
@@ -312,8 +311,7 @@ def write_nodes_csv(stream, mesh: Mesh2D) -> None:
     write_csv(stream, "node_id,x_cm,y_cm\n", np.column_stack((_ids(mesh.n_nodes), mesh.coords)))
 
 
-def write_temperature_csv(stream, result: TemperatureField) -> None:
-    T = result.values
+def write_temperature_csv(stream, T: np.ndarray) -> None:
     write_csv(stream, "node_id,T\n", np.column_stack((_ids(T.shape[0]), T)))
 
 
@@ -337,13 +335,12 @@ def write_sensitivity_csv(stream, report: SensitivityReport) -> None:
 
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> None:
     mesh = cfg.mesh()
-    result = solve_crisp(mesh, cfg.parameters(), cfg.boundary_conditions())
+    T = solve_crisp(mesh, cfg.parameters(), cfg.boundary_conditions())
 
     with _open_out(out_dir, "nodes.csv") as fh:
         write_nodes_csv(fh, mesh)
     with _open_out(out_dir, "temperature.csv") as fh:
-        write_temperature_csv(fh, result)
-    T = result.values
+        write_temperature_csv(fh, T)
     print(f"temperature: min {fmt(T.min())} max {fmt(T.max())} mean {fmt(mean_power(T))}")
 
 
@@ -385,17 +382,18 @@ def cmd_fuzzy_sweep(
 def cmd_rod(cfg: RunConfig, out_dir: Path) -> None:
     rc = cfg.rod
     rod = fem1d.Rod1D(rc.length, rc.n_elems, k=rc.k, u1=rc.u1, Q_src=rc.q_src)
-    # The time-series table march fills, one row per state.
-    check_memory(8 * (rc.steps + 1) * (rod.n_nodes + 1), "rod")
+    # The time-series table march fills, one row per state, 8 bytes a value,
+    # and the finiteness mask march checks it with, at most 1 byte a value.
+    check_memory(9 * (rc.steps + 1) * (rod.n_nodes + 1), "rod")
     M, A, b = fem1d.assemble_1d(rod)
     bc = fem1d.EndConditions(rc.left, rc.right)
 
-    initial = fem1d.TransientState(0.0, np.full(rod.n_nodes, rc.initial))
+    initial = np.full(rod.n_nodes, rc.initial)
     if rc.steps > 0:
         stepper = fem1d.ThetaStepper(M, A, b, rc.dt, rc.theta, bc)
         table = stepper.march(initial, rc.steps)
     else:  # no step, so no step matrix to form or factor
-        table = np.append(initial.time, initial.values)[np.newaxis]
+        table = np.append(0.0, initial)[np.newaxis]
 
     with _open_out(out_dir, "rod_timeseries.csv") as fh:
         fem1d.write_timeseries(fh, table)

@@ -16,12 +16,13 @@ and ``X[n-1, 2]`` outside the matrix.  :class:`ThetaStepper` (the one way
 to step a rod, built once per run) and :func:`steady_state` share one
 factorization: a band LU (LAPACK ``dgbtrf``, through
 :mod:`fuzzyheat._lapack`), so memory and work grow as O(n).
-:meth:`ThetaStepper.march` fills a run's time-series table row by row: a
-step is three products and three adds into the next row and one
-``dgbtrs`` solving that row in place, and the table is checked for
-overflow once per run.  The fixed
-ends' rows are replaced by identity rows, the left one scaled so that it
-stays the pivot of its column, and a fixed end prints exactly its value.
+``ThetaStepper.march(initial, steps)`` fills a run's time-series table
+row by row from the nodal values ``initial`` at time 0: a step is three
+products and three adds into the next row and one ``dgbtrs`` solving
+that row in place, and the table is checked for overflow once per run.
+The fixed ends' rows are replaced by identity rows, the left one scaled
+so that it stays the pivot of its column, and a fixed end prints
+exactly its value.
 
 The convection term carries no stabilization (no upwinding or SUPG), so
 convection-dominated runs are only trustworthy at small cell Peclet and
@@ -76,18 +77,6 @@ class Rod1D:
 
     def node_positions(self) -> np.ndarray:
         return np.linspace(0.0, self.length, self.n_nodes)
-
-
-@dataclass(frozen=True)
-class TransientState:
-    """Immutable snapshot of the nodal field at one time instant."""
-
-    time: float
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.array(self.values, dtype=float))
-        self.values.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -199,18 +188,21 @@ class ThetaStepper:
         self._dt = dt
         self._solve = _band_solver(S, bc, "singular step matrix: Singular matrix")
 
-    def march(self, state: TransientState, steps: int) -> np.ndarray:
-        """``steps`` steps of ``dt`` from ``state`` as one ``(steps + 1, n + 1)``
-        table: row k holds the time ``t_k`` and the ``n`` nodal values after
-        k steps, row 0 ``state`` itself.  The times are the running sum of
-        ``dt`` from ``state.time``."""
+    def march(self, initial, steps: int) -> np.ndarray:
+        """``steps`` steps of ``dt`` from the ``n`` nodal values ``initial``
+        (any 1-D array-like) at time 0, as one ``(steps + 1, n + 1)`` table:
+        row k holds the time ``t_k`` and the nodal values after k steps, row
+        0 ``initial`` itself.  The times are the running sum of ``dt``."""
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
         sub, main, sup = self._R
-        table = np.empty((steps + 1, len(state.values) + 1))
-        table[0, 1:] = state.values
+        initial = np.asarray(initial, dtype=float)
+        if initial.shape != main.shape:
+            raise ValueError(f"need {len(main)} initial nodal values, got shape {initial.shape}")
+        table = np.empty((steps + 1, len(main) + 1))
+        table[0, 1:] = initial
         times = table[:, 0]
-        times[0], times[1:] = state.time, self._dt
+        times[0], times[1:] = 0.0, self._dt
         np.cumsum(times, out=times)  # sequential: t_k = t_{k-1} + dt, bit for bit
         # Per step k: phi_k, its nodes but the last and but the first, and
         # the right-hand side written into row k + 1, whole and likewise cut.
@@ -229,11 +221,6 @@ class ThetaStepper:
             time = table[1 + np.argmin(finite), 0]
             raise ValueError(f"temperatures overflow the float range at t={fmt(time)}")
         return table
-
-    def step(self, state: TransientState) -> TransientState:
-        """Advance ``state`` by one step of ``dt``: :meth:`march` of one step."""
-        row = self.march(state, 1)[1]
-        return TransientState(float(row[0]), row[1:])
 
 
 def steady_state(A: np.ndarray, b: np.ndarray, bc: EndConditions) -> np.ndarray:

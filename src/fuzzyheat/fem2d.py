@@ -16,11 +16,12 @@ numbers the nodes of every convective wall last, so the band Cholesky
 of the ``h``-independent leading block is formed once per plate and each
 distinct ``h`` adds a small dense Cholesky on the wall nodes (static
 condensation onto the walls), or nothing on a plate without a
-convective wall.  :func:`solve_crisp` is one factor and one solve.  A
-plate whose band arrays would not fit in the available memory raises
-``MemoryError`` before allocating them.  The LAPACK and BLAS routines
-come from :mod:`fuzzyheat._lapack`, scipy's compiled wrappers loaded
-without importing ``scipy.linalg``.
+convective wall.  :func:`solve_crisp` is one factor and one solve.
+Solves and slopes return a new float array of nodal values, indexed
+like the mesh nodes.  A plate whose band arrays would not fit in the
+available memory raises ``MemoryError`` before allocating them.  The
+LAPACK and BLAS routines come from :mod:`fuzzyheat._lapack`, scipy's
+compiled wrappers loaded without importing ``scipy.linalg``.
 
 Sign conventions (unit plate thickness throughout):
   * ``q > 0`` means heat flowing INTO the plate across a flux wall and
@@ -101,17 +102,6 @@ class BoundaryConditionSet:
 
     def kind(self, wall: Wall) -> BCKind:
         return getattr(self, wall.value)
-
-
-@dataclass(frozen=True)
-class TemperatureField:
-    """Nodal temperatures [K], indexed like the mesh nodes."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.array(self.values, dtype=float))
-        self.values.setflags(write=False)
 
 
 def _doubled_areas(coords: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -409,8 +399,9 @@ class AffinePlate:
             x = lapack.dtbtrs(factor.band, x, overwrite_b=1)[0]
         return np.concatenate([x, x_b])
 
-    def solve(self, factor: PlateFactor, q: float, t_inf: float) -> TemperatureField:
-        """Temperatures for ``factor.h`` and the given ``q`` and ``t_inf``.
+    def solve(self, factor: PlateFactor, q: float, t_inf: float) -> np.ndarray:
+        """Nodal temperatures [K] for ``factor.h`` and the given ``q`` and
+        ``t_inf``, a new float array indexed like the mesh nodes.
 
         Two block substitutions: the solve itself and one step of
         iterative refinement.  A relative residual above 1e-10 raises
@@ -425,7 +416,7 @@ class AffinePlate:
         at = f"h={h}, q={q}, t_inf={t_inf}, t_fixed={self._t_fixed}"
         return self._solve(factor, loads, self._t_fixed, at)
 
-    def slope(self, factor: PlateFactor, name: str) -> TemperatureField:
+    def slope(self, factor: PlateFactor, name: str) -> np.ndarray:
         """``dT/dq`` or ``dT/dt_inf`` at ``factor.h``; exact, because ``T``
         is affine in both.  It is the plate's response to the load ``f_q``
         or ``h f_a`` alone, with the fixed walls at 0, under the same
@@ -436,13 +427,13 @@ class AffinePlate:
 
     def _solve(
         self, factor: PlateFactor, loads: np.ndarray, t_fixed: float, at: str
-    ) -> TemperatureField:
+    ) -> np.ndarray:
         """``T`` with ``K(h) T = loads`` on the free nodes and ``t_fixed``
         on the fixed ones; ``at`` names the parameters in error messages."""
         h, free = factor.h, self._free
-        T = np.full(self._n, t_fixed)
+        T = np.full(self._n, t_fixed, dtype=float)
         if free.size == 0:
-            return TemperatureField(T)
+            return T
 
         with np.errstate(over="ignore", invalid="ignore"):
             rhs = t_fixed * (self._l_k + h * self._l_c) + loads[free]
@@ -465,7 +456,7 @@ class AffinePlate:
                         factor.pivot_ratio,
                     )
                 )
-        return TemperatureField(T)
+        return T
 
 
 def _cholesky(routine, a: np.ndarray, before: int, n_free: int) -> np.ndarray:
@@ -490,10 +481,9 @@ def _pivot_diagnosis(reason: str, ratio: float) -> str:
     return f"{reason}; condition estimate {cond:.3e} from the Cholesky pivots"
 
 
-def solve_crisp(
-    m: Mesh2D, p: PlateParameters, bc: BoundaryConditionSet
-) -> TemperatureField:
-    """Assemble the affine plate, factor it at ``p.h`` and solve.
+def solve_crisp(m: Mesh2D, p: PlateParameters, bc: BoundaryConditionSet) -> np.ndarray:
+    """Nodal temperatures [K] of the plate: assemble the affine plate,
+    factor it at ``p.h`` and solve.
 
     This is the single crisp pipeline: the fuzzy sweep runs the same
     :class:`AffinePlate` factor and solve at every distinct ``h``, at the

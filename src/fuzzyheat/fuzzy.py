@@ -7,7 +7,7 @@ level ``alpha`` yields a closed interval; sweeping ``alpha`` from 0 to 1
 turns fuzzy arithmetic into ordinary interval arithmetic level by level.
 
 Everything in this module is an immutable value and every operation is
-pure, so instances can be shared freely across worker threads.
+pure.
 """
 
 from __future__ import annotations

@@ -7,12 +7,14 @@ assembles it once (:class:`~fuzzyheat.fem2d.AffinePlate`) and, per
 distinct ``h`` of all levels, runs one factor, one solve at the modal
 ``q`` and ``t_inf`` and one exact slope per fuzzy load (once in all on
 a plate with no convective wall, which does not depend on ``h``); the
-extremes in ``q`` and ``t_inf`` follow in closed form.  In ``h`` the
-envelope takes the two ends of each cut (the vertex method), which is
-exact only where the response is monotone in ``h``: a wide fuzzy ``h``
-can put a node's extremum inside the cut.  Sensitivity of a parameter
-is summarized by the width of the full-support envelope: its per-node
-values, their average, and their population variance.
+extremes in ``q`` and ``t_inf`` follow in closed form.  The envelope is
+two ``(n_levels, n_nodes)`` arrays, ``lower`` and ``upper``; at alpha = 1
+both are the modal crisp solve.  In ``h`` the envelope takes the two
+ends of each cut (the vertex method), which is exact only where the
+response is monotone in ``h``: a wide fuzzy ``h`` can put a node's
+extremum inside the cut.  Sensitivity of a parameter is summarized by
+the width of the full-support envelope: its per-node values, their
+average, and their population variance.
 """
 
 from __future__ import annotations
@@ -73,22 +75,22 @@ class FuzzyScenario:
 class FuzzyTemperatureField:
     """Per-node temperature intervals for every alpha level.
 
-    ``lower`` and ``upper`` have shape (n_levels, n_nodes); ``crisp`` is
-    the modal (alpha = 1) solution and coincides with the degenerate top
-    level.  Intervals shrink as alpha grows (nesting).
+    ``lower`` and ``upper`` have shape (n_levels, n_nodes).  The top
+    level (alpha = 1) of a :func:`propagate` envelope is degenerate: both
+    bounds are the modal crisp solution.  Intervals shrink as alpha grows
+    (nesting).
     """
 
     levels: tuple[float, ...]
     lower: np.ndarray
     upper: np.ndarray
-    crisp: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("lower", "upper", "crisp"):
+        for name in ("lower", "upper"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        shape = (len(self.levels), self.crisp.shape[0])
+        shape = (len(self.levels), *self.lower.shape[-1:])
         if self.lower.shape != shape or self.upper.shape != shape:
             raise ValueError(
                 f"envelope arrays must have shape {shape}, got "
@@ -97,7 +99,7 @@ class FuzzyTemperatureField:
 
     @property
     def n_nodes(self) -> int:
-        return self.crisp.shape[0]
+        return self.lower.shape[1]
 
     def level_index(self, alpha: float) -> int:
         try:
@@ -189,8 +191,8 @@ def propagate(
                 continue
             try:
                 factor = plate.factor(h)
-                T = plate.solve(factor, mode["q"], mode["t_inf"]).values
-                solved[h] = T, [(name, plate.slope(factor, name).values) for name in loads]
+                T = plate.solve(factor, mode["q"], mode["t_inf"])
+                solved[h] = T, [(name, plate.slope(factor, name)) for name in loads]
             except (ValueError, SingularSystemError) as exc:
                 raise type(exc)(
                     f"crisp solve failed at alpha={alpha} h={h} "
@@ -209,7 +211,7 @@ def propagate(
         bad = ~np.isfinite(upper - lower).all(axis=1)
     if bad.any():
         raise ValueError(f"envelope overflows the float range at alpha={levels[bad.argmax()]}")
-    return FuzzyTemperatureField(levels, lower, upper, solved[mode["h"]][0])
+    return FuzzyTemperatureField(levels, lower, upper)
 
 
 def sensitivity(field: FuzzyTemperatureField, label: str) -> SensitivityReport:

@@ -45,7 +45,7 @@ CASES = {
 def test_affine_plate_matches_dense_reference(case):
     (nx, ny), bc, p = CASES[case]
     m = generate_structured_mesh(20.0, 10.0, nx, ny)
-    T = solve_crisp(m, p, bc).values
+    T = solve_crisp(m, p, bc)
     ref = dense_solve(m, p, bc)
     assert np.abs(T - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -57,7 +57,7 @@ def test_one_factor_serves_every_q_and_t_inf(case):
     plate = AffinePlate(m, p, bc)
     factor = plate.factor(2.5)
     for q, t_inf in [(0.0, 0.0), (-3.0, 40.0), (7.5, -12.0)]:
-        T = plate.solve(factor, q, t_inf).values
+        T = plate.solve(factor, q, t_inf)
         ref = dense_solve(m, PlateParameters(k=p.k, G=p.G, h=2.5, q=q, t_inf=t_inf,
                                              t_fixed=p.t_fixed), bc)
         assert np.abs(T - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -65,7 +65,7 @@ def test_one_factor_serves_every_q_and_t_inf(case):
     for name, q, t_inf in [("q", 1.0, 0.0), ("t_inf", 0.0, 1.0)]:
         ref = dense_solve(m, PlateParameters(k=p.k, G=0.0, h=2.5, q=q, t_inf=t_inf,
                                              t_fixed=0.0), bc)
-        slope = plate.slope(factor, name).values
+        slope = plate.slope(factor, name)
         assert np.abs(slope - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -107,7 +107,7 @@ def test_wall_last_numbering_matches_dense_reference(case):
     plate = AffinePlate(m, p, bc)
     factor = plate.factor(p.h)
     assert factor.block.shape == (trailing, trailing)
-    T = plate.solve(factor, p.q, p.t_inf).values
+    T = plate.solve(factor, p.q, p.t_inf)
     ref = dense_solve(m, p, bc)
     assert np.abs(T - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -130,8 +130,25 @@ def test_bandwidth_of_structured_plate():
 
 def test_all_nodes_fixed_gives_fixed_temperature():
     m = generate_structured_mesh(1.0, 1.0, 1, 1)
-    T = solve_crisp(m, PlateParameters(t_fixed=42.0), walls(D, D, A, A)).values
+    T = solve_crisp(m, PlateParameters(t_fixed=42.0), walls(D, D, A, A))
     np.testing.assert_array_equal(T, np.full(4, 42.0))
+
+
+def test_solves_return_new_float_arrays():
+    """Temperatures are floats even for an integer ``t_fixed`` (an integer
+    array used to reject the refinement's float update), and every solve
+    and slope returns an array of its own."""
+    m, bc = generate_structured_mesh(20.0, 10.0, 3, 3), BoundaryConditionSet()
+    for fixed in (walls(D, D, A, A), bc):
+        T = solve_crisp(m, PlateParameters(t_fixed=100), fixed)
+        assert T.dtype == np.float64 and T.shape == (m.n_nodes,)
+        np.testing.assert_array_equal(T, solve_crisp(m, PlateParameters(t_fixed=100.0), fixed))
+    plate = AffinePlate(m, PlateParameters(), bc)
+    factor = plate.factor(1.2)
+    arrays = [plate.solve(factor, 2.0, 25.0), plate.solve(factor, 2.0, 25.0),
+              plate.slope(factor, "q"), plate.slope(factor, "q")]
+    assert all(a.flags.writeable and a.flags.owndata for a in arrays)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
 def test_singular_plate_reports_condition_estimate():
@@ -209,7 +226,7 @@ def test_residual_check_holds_at_any_load_scale(t_fixed):
     bad = PlateFactor(
         good.h, good.band * 1.01, good.coupling * 1.01, good.block * 1.01, good.pivot_ratio
     )
-    assert np.isfinite(plate.solve(good, 2.0, 25.0).values).all()
+    assert np.isfinite(plate.solve(good, 2.0, 25.0)).all()
     with pytest.raises(SingularSystemError, match=r"relative residual [23]\.\d{3}e-04"):
         plate.solve(bad, 2.0, 25.0)
 
@@ -306,6 +323,17 @@ V1 = "9:name=systemd:/\n4:memory:/box/1\n1:cpu:/\n"
 HYBRID = "4:memory:/box/1\n1:cpu:/\n0::/box/1\n"
 
 
+def nested(limits):
+    """``/proc/self/cgroup`` of a pure v2 host without a cgroup namespace,
+    naming ``/user.slice/run.scope/``, and ``memory.max`` / ``memory.current``
+    of the cgroups that ``limits`` gives as ``{path: (ceiling, used)}``."""
+    files = {"/proc/self/cgroup": "0::/user.slice/run.scope/\n"}
+    for path, (ceiling, used) in limits.items():
+        files[f"/sys/fs/cgroup{path}/memory.max"] = ceiling
+        files[f"/sys/fs/cgroup{path}/memory.current"] = used
+    return files
+
+
 @pytest.mark.parametrize("files,available", [
     (MEMINFO, 65536),
     ({**MEMINFO, **cgroup("50000\n", "20000\n")}, 30000),
@@ -323,9 +351,17 @@ HYBRID = "4:memory:/box/1\n1:cpu:/\n0::/box/1\n"
     ({**MEMINFO, "/proc/self/cgroup": "4:memory:/\n",
       "/sys/fs/cgroup/memory/memory.limit_in_bytes": "40000\n",
       "/sys/fs/cgroup/memory/memory.usage_in_bytes": "20000\n"}, 20000),
+    ({**MEMINFO, **nested({"/user.slice/run.scope": ("50000\n", "20000\n")})}, 30000),
+    ({**MEMINFO, **nested({"/user.slice/run.scope": ("50000\n", "20000\n"),
+                           "/user.slice": ("40000\n", "30000\n")})}, 10000),
+    ({**MEMINFO, **nested({"/user.slice/run.scope": ("max\n", "20000\n"),
+                           "/user.slice": ("max\n", "30000\n")})}, 65536),
+    ({**MEMINFO, **nested({"/user.slice/run.scope": ("50000\n", "garbage\n"),
+                           "/user.slice": ("40000\n", "30000\n")})}, 10000),
 ], ids=["meminfo", "cgroup-smaller", "meminfo-smaller", "cgroup-max", "cgroup-over",
         "no-current", "no-meminfo", "nothing", "v1-limit", "v1-unlimited", "hybrid",
-        "v1-unreadable", "v1-no-limit", "v1-root"])
+        "v1-unreadable", "v1-no-limit", "v1-root", "v2-nested", "v2-parent-tighter",
+        "v2-max-leaf", "v2-unreadable-leaf"])
 def test_available_memory_is_the_smaller_limit(monkeypatch, files, available):
     """The readers are patched: no real /proc or /sys state is read."""
     monkeypatch.setattr(memory, "_read", files.get)

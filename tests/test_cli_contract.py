@@ -163,12 +163,13 @@ def test_plate_too_large_for_memory_fails_fast(tmp_path, monkeypatch, command):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("available,code", [(9696, 0), (9695, 6)])
+@pytest.mark.parametrize("available,code", [(10908, 0), (10907, 6)])
 def test_rod_states_beyond_memory_fail_before_the_first_step(tmp_path, monkeypatch, available,
                                                              code):
-    """The default rod's time-series table, 8 * (100 steps + 1) * (1 + 11
-    nodes) = 9696 bytes, is checked against the available memory before
-    stepping: no band solve (one per step) runs when it does not fit."""
+    """The default rod's time-series table and its finiteness mask, 9 * (100
+    steps + 1) * (1 + 11 nodes) = 10908 bytes, are checked against the
+    available memory before stepping: no band solve (one per step) runs
+    when they do not fit."""
     solves, dgbtrs = [], lapack.dgbtrs
 
     def counted(*args, **kwargs):
@@ -182,7 +183,7 @@ def test_rod_states_beyond_memory_fail_before_the_first_step(tmp_path, monkeypat
     got, err = run(["rod", "--config", str(config), "--out", str(tmp_path / "out")])
     assert got == code
     if code:
-        assert err == "error: memory-error: rod needs 9696 bytes (9.03e-06 GiB), 9695 available\n"
+        assert err == "error: memory-error: rod needs 10908 bytes (1.02e-05 GiB), 10907 available\n"
         assert solves == [] and not (tmp_path / "out").exists()
     else:
         assert len(solves) == 100 and (tmp_path / "out" / "rod_timeseries.csv").exists()

@@ -13,7 +13,6 @@ from fuzzyheat.fem1d import (
     Rod1D,
     SingularStepError,
     ThetaStepper,
-    TransientState,
     _band_solver,
     assemble_1d,
     courant_number,
@@ -53,10 +52,9 @@ def row_replaced(S, rhs, bc):
     return S, rhs
 
 
-def run_steps(M, A, b, state, dt, theta, bc, n):
-    """The last row of ``n`` marched steps as a state."""
-    row = ThetaStepper(M, A, b, dt, theta, bc).march(state, n)[-1]
-    return TransientState(row[0], row[1:])
+def run_steps(M, A, b, initial, dt, theta, bc, n):
+    """The nodal values after ``n`` marched steps."""
+    return ThetaStepper(M, A, b, dt, theta, bc).march(initial, n)[-1, 1:]
 
 
 # --- assembly ----------------------------------------------------------------
@@ -127,9 +125,9 @@ def test_scalar_backward_euler():
     A = np.array([[0.0, 1.0, 0.0]])
     b = np.zeros(1)
     stepper = ThetaStepper(M, A, b, dt=1.0, theta=1.0, bc=EndConditions())
-    s = stepper.step(TransientState(0.0, [1.0]))
-    assert s.values[0] == pytest.approx(0.5, abs=1e-15)
-    assert s.time == 1.0
+    time, value = stepper.march([1.0], 1)[1]
+    assert value == pytest.approx(0.5, abs=1e-15)
+    assert time == 1.0
 
 
 @pytest.mark.parametrize("theta,dt", [(0.0, 0.01), (0.5, 0.3), (1.0, 2.0)])
@@ -138,24 +136,24 @@ def test_steady_state_is_fixed_point(theta, dt):
     M, A, b = assemble_1d(rod)
     bc = EndConditions(0.0, 2.0)
     phi = steady_state(A, b, bc)
-    s = ThetaStepper(M, A, b, dt, theta, bc).step(TransientState(0.0, phi))
-    np.testing.assert_allclose(s.values, phi, atol=1e-12)
+    stepped = ThetaStepper(M, A, b, dt, theta, bc).march(phi, 1)[1, 1:]
+    np.testing.assert_allclose(stepped, phi, atol=1e-12)
 
 
 def test_diffusion_converges_to_linear_profile():
     rod = Rod1D(1.0, 10, k=1.0)
     M, A, b = assemble_1d(rod)
     bc = EndConditions(0.0, 1.0)
-    s = run_steps(M, A, b, TransientState(0.0, np.zeros(rod.n_nodes)), 0.5, 1.0, bc, 100)
-    np.testing.assert_allclose(s.values, rod.node_positions(), atol=1e-8)
+    phi = run_steps(M, A, b, np.zeros(rod.n_nodes), 0.5, 1.0, bc, 100)
+    np.testing.assert_allclose(phi, rod.node_positions(), atol=1e-8)
 
 
 def test_long_time_matches_direct_steady_solve():
     rod = Rod1D(2.0, 12, k=0.8, u1=0.3, Q_src=0.5)
     M, A, b = assemble_1d(rod)
     bc = EndConditions(1.0, 0.0)
-    s = run_steps(M, A, b, TransientState(0.0, np.zeros(rod.n_nodes)), 0.5, 1.0, bc, 200)
-    np.testing.assert_allclose(s.values, steady_state(A, b, bc), atol=1e-8)
+    phi = run_steps(M, A, b, np.zeros(rod.n_nodes), 0.5, 1.0, bc, 200)
+    np.testing.assert_allclose(phi, steady_state(A, b, bc), atol=1e-8)
 
 
 def test_conservation_with_free_ends():
@@ -164,12 +162,11 @@ def test_conservation_with_free_ends():
     M, A, b = assemble_1d(rod)
     bc = EndConditions()
     rng = np.random.default_rng(42)
-    s = TransientState(0.0, rng.uniform(0.0, 1.0, rod.n_nodes))
-    total0 = (dense(M) @ s.values).sum()
-    stepper = ThetaStepper(M, A, b, 0.1, 1.0, bc)
-    for _ in range(50):
-        s = stepper.step(s)
-        assert (dense(M) @ s.values).sum() == pytest.approx(total0, abs=1e-10)
+    phi0 = rng.uniform(0.0, 1.0, rod.n_nodes)
+    total0 = (dense(M) @ phi0).sum()
+    table = ThetaStepper(M, A, b, 0.1, 1.0, bc).march(phi0, 50)
+    for row in table[1:]:
+        assert (dense(M) @ row[1:]).sum() == pytest.approx(total0, abs=1e-10)
 
 
 def test_backward_euler_unconditionally_stable():
@@ -178,10 +175,9 @@ def test_backward_euler_unconditionally_stable():
     bc = EndConditions(0.0, 0.0)
     rng = np.random.default_rng(7)
     for dt in rng.uniform(0.01, 100.0, 20):
-        s = TransientState(0.0, rng.uniform(-1.0, 1.0, rod.n_nodes))
-        norm0 = np.linalg.norm(s.values)
-        s2 = ThetaStepper(M, A, b, float(dt), 1.0, bc).step(s)
-        assert np.linalg.norm(s2.values) <= norm0 * (1.0 + 1e-12)
+        phi = rng.uniform(-1.0, 1.0, rod.n_nodes)
+        stepped = ThetaStepper(M, A, b, float(dt), 1.0, bc).march(phi, 1)[1, 1:]
+        assert np.linalg.norm(stepped) <= np.linalg.norm(phi) * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.25])
@@ -195,7 +191,7 @@ def test_explicit_stability_limit(theta):
     peaks = []
     for factor in (0.9, 1.1):
         stepper = ThetaStepper(M, A, b, factor * limit, theta, EndConditions(0.0, 1.0))
-        table = stepper.march(TransientState(0.0, np.zeros(rod.n_nodes)), 3000)
+        table = stepper.march(np.zeros(rod.n_nodes), 3000)
         peaks.append(np.abs(table[1:, 1:]).max())
     assert peaks[0] == 1.0
     assert peaks[1] > 1e100
@@ -254,7 +250,7 @@ def test_million_element_rod_steps_in_linear_memory():
     M, A, b = assemble_1d(rod)
     assert M.shape == A.shape == (rod.n_nodes, 3) and b.shape == (rod.n_nodes,)
     stepper = ThetaStepper(M, A, b, 1e-3, 1.0, EndConditions(0.0, 1.0))
-    table = stepper.march(TransientState(0.0, np.zeros(rod.n_nodes)), 3)
+    table = stepper.march(np.zeros(rod.n_nodes), 3)
     assert table.shape == (4, rod.n_nodes + 1)
     assert np.isfinite(table).all()
     np.testing.assert_allclose(table[1:, [1, -1]], [[0.0, 1.0]] * 3, rtol=0.0, atol=1e-12)
@@ -281,16 +277,17 @@ def dense_reference_step(M, A, b, phi, dt, theta, bc):
     Rod1D(1.0, 20, k=0.0, u1=1.0), Rod1D(1.0, 1, k=1.0, u1=0.5, Q_src=1.0),
 ], ids=["diffusion", "convection", "source", "k0", "one-element"])
 def test_stepper_matches_dense_reference(theta, bc, rod):
+    """Every row of one 200-step march against a dense solve per step."""
     M, A, b = assemble_1d(rod)
     dt = 1e-4  # small enough for the explicit scheme
     phi0 = np.sin(np.linspace(0.0, 3.0, rod.n_nodes)) + 0.5
-    stepper = ThetaStepper(M, A, b, dt, theta, bc)
-    state, ref = TransientState(0.0, phi0), phi0
-    for _ in range(200):
-        state = stepper.step(state)
+    table = ThetaStepper(M, A, b, dt, theta, bc).march(phi0, 200)
+    assert table.shape == (201, rod.n_nodes + 1)
+    ref = phi0
+    for row in table[1:]:
         ref = dense_reference_step(M, A, b, ref, dt, theta, bc)
-        assert np.max(np.abs(state.values - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert state.time == pytest.approx(200 * dt, rel=1e-12)
+        assert np.max(np.abs(row[1:] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert table[-1, 0] == pytest.approx(200 * dt, rel=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
@@ -301,24 +298,26 @@ def test_stepper_matches_dense_reference(theta, bc, rod):
     Rod1D(1.0, 20, k=0.7, u1=0.5, Q_src=3.0), Rod1D(1.0, 1, k=1.0, u1=0.5, Q_src=1.0),
 ], ids=["twenty-elements", "one-element"])
 def test_march_equals_repeated_steps_bit_for_bit(theta, bc, rod):
-    """Row k of the table is the state after k calls of ``step``, the time
-    column (the running sum of dt from the start time) included, and the
-    state after k steps of a loop that forms each right-hand side in fresh
-    arrays and solves it with the same band LU."""
+    """Row k + 1 of the table is a one-step march from the values of row k,
+    and row k the state after k steps of a loop that forms each right-hand
+    side in fresh arrays and solves it with the same band LU; the time
+    column is the running sum of dt from 0."""
     M, A, b = assemble_1d(rod)
     dt = 1e-3
     stepper = ThetaStepper(M, A, b, dt, theta, bc)
-    state = TransientState(0.3, np.sin(np.linspace(0.0, 3.0, rod.n_nodes)) - 0.25)
-    table = stepper.march(state, 60)
+    phi = np.sin(np.linspace(0.0, 3.0, rod.n_nodes)) - 0.25
+    table = stepper.march(phi, 60)
     assert table.shape == (61, rod.n_nodes + 1)
+    np.testing.assert_array_equal(table[0, 1:], phi)
+    for row, after in zip(table[:-1], table[1:]):
+        stepped = stepper.march(row[1:], 1)[1]
+        assert stepped[0] == dt and stepped[1:].tobytes() == after[1:].tobytes()
     R, load = M - (1.0 - theta) * dt * A, dt * b
     solve = _band_solver(M + theta * dt * A, bc, "singular")
-    time, phi = state.time, state.values
+    time = 0.0
     for row in table:
-        assert row[0] == state.time == time
-        np.testing.assert_array_equal(row[1:], state.values)
+        assert row[0] == time
         np.testing.assert_array_equal(row[1:], phi)
-        state = stepper.step(state)
         rhs = R[:, 1] * phi
         rhs[1:] += R[1:, 0] * phi[:-1]
         rhs[:-1] += R[:-1, 2] * phi[1:]
@@ -328,11 +327,19 @@ def test_march_equals_repeated_steps_bit_for_bit(theta, bc, rod):
 
 def test_march_of_no_steps_is_the_initial_row():
     stepper = ThetaStepper(*assemble_1d(Rod1D(1.0, 3)), 0.1, 1.0, EndConditions(0.0, 1.0))
-    table = stepper.march(TransientState(0.5, [0.25, -0.0, 2.0, 7.0]), 0)
-    np.testing.assert_array_equal(table, [[0.5, 0.25, -0.0, 2.0, 7.0]])
+    table = stepper.march([0.25, -0.0, 2.0, 7.0], 0)
+    np.testing.assert_array_equal(table, [[0.0, 0.25, -0.0, 2.0, 7.0]])
     assert np.signbit(table[0, 2])
     with pytest.raises(ValueError, match="steps must be >= 0"):
-        stepper.march(TransientState(0.0, np.zeros(4)), -1)
+        stepper.march(np.zeros(4), -1)
+
+
+@pytest.mark.parametrize("initial", [np.zeros(3), np.zeros(5), np.zeros((1, 4)), 0.0],
+                         ids=["short", "long", "two-dimensional", "scalar"])
+def test_march_rejects_initial_values_of_another_shape(initial):
+    stepper = ThetaStepper(*assemble_1d(Rod1D(1.0, 3)), 0.1, 1.0, EndConditions(0.0, 1.0))
+    with pytest.raises(ValueError, match=r"need 4 initial nodal values, got shape"):
+        stepper.march(initial, 2)
 
 
 def count_dgbtrf(monkeypatch):
@@ -379,15 +386,13 @@ def test_zero_velocity_leaves_state_unchanged():
     rod = Rod1D(1.0, 10, k=0.0, u1=0.0)
     phi = np.sin(np.linspace(0, np.pi, rod.n_nodes))
     stepper = ThetaStepper(*assemble_1d(rod), 0.1, 1.0, EndConditions())
-    s = stepper.step(TransientState(0.0, phi))
-    np.testing.assert_allclose(s.values, phi, atol=1e-14)
+    np.testing.assert_allclose(stepper.march(phi, 1)[1, 1:], phi, atol=1e-14)
 
 
 def test_uniform_field_in_convection_nullspace():
     rod = Rod1D(10.0, 50, k=0.0, u1=1.0)
-    s = TransientState(0.0, np.ones(rod.n_nodes))
-    s2 = ThetaStepper(*assemble_1d(rod), 0.05, 1.0, EndConditions(left=1.0)).step(s)
-    np.testing.assert_allclose(s2.values, np.ones(rod.n_nodes), atol=1e-12)
+    stepper = ThetaStepper(*assemble_1d(rod), 0.05, 1.0, EndConditions(left=1.0))
+    np.testing.assert_allclose(stepper.march(np.ones(rod.n_nodes), 1)[1, 1:], 1.0, atol=1e-12)
 
 
 def front_position(x, phi, level=0.5):
@@ -409,11 +414,7 @@ def test_advected_front_tracks_velocity():
     bc = EndConditions(left=1.0)
 
     def run(dt, steps):
-        stepper = ThetaStepper(*assemble_1d(rod), dt, 0.5, bc)
-        s = TransientState(0.0, phi0)
-        for _ in range(steps):
-            s = stepper.step(s)
-        return s.values
+        return ThetaStepper(*assemble_1d(rod), dt, 0.5, bc).march(phi0, steps)[-1, 1:]
 
     assert courant_number(rod, 0.02) == pytest.approx(0.2)
     coarse = run(0.02, 100)

@@ -150,7 +150,7 @@ def test_single_convection_edge_removes_nullspace():
     )
     T = solve_crisp(m, p, bc)
     # Uniform ambient temperature is the exact solution.
-    np.testing.assert_allclose(T.values, np.full(m.n_nodes, 30.0), atol=1e-10)
+    np.testing.assert_allclose(T, np.full(m.n_nodes, 30.0), atol=1e-10)
 
 
 def test_assembled_matrix_symmetry():
@@ -192,7 +192,7 @@ def test_linear_conduction_profile(k, q, t_fixed):
     T = solve_crisp(m, p, bc)
     for node, (x, _) in enumerate(m.coords):
         expected = t_fixed + (q / k) * (W - x)
-        assert T.values[node] == pytest.approx(expected, abs=1e-8)
+        assert T[node] == pytest.approx(expected, abs=1e-8)
 
 
 def test_patch_affine_all_dirichlet():
@@ -223,7 +223,7 @@ def test_patch_affine_flux_consistent():
         top=BCKind.ADIABATIC, bottom=BCKind.ADIABATIC,
     )
     T = solve_crisp(m, p, bc)
-    np.testing.assert_allclose(T.values, exact, atol=1e-9)
+    np.testing.assert_allclose(T, exact, atol=1e-9)
 
 
 def test_energy_balance():
@@ -232,7 +232,7 @@ def test_energy_balance():
     p = PlateParameters(k=1.5, G=0.3, h=1.2, q=2.0, t_inf=25.0, t_fixed=100.0)
     bc = BoundaryConditionSet()
     K, f = assemble(m, p, bc)
-    T = solve_crisp(m, p, bc).values
+    T = solve_crisp(m, p, bc)
 
     reactions = K @ T - f
     free = np.ones(m.n_nodes, dtype=bool)
@@ -258,4 +258,4 @@ def test_solve_crisp_pins_right_wall():
     p = PlateParameters()
     T = solve_crisp(m, p, BoundaryConditionSet())
     for i in nodes_on_wall(m, Wall.RIGHT):
-        assert T.values[i] == p.t_fixed
+        assert T[i] == p.t_fixed

@@ -88,7 +88,7 @@ def test_falls_back_to_scipy_linalg_without_the_extension_files():
         "from fuzzyheat.fem2d import PlateParameters, BoundaryConditionSet, solve_crisp\n"
         "from fuzzyheat.mesh import generate_structured_mesh\n"
         "T = solve_crisp(generate_structured_mesh(20.0, 10.0, 3, 3), PlateParameters(),\n"
-        "                BoundaryConditionSet()).values\n"
+        "                BoundaryConditionSet())\n"
         "print(T.max())\n"
     )
     assert run_python(code) == "100.0\n"

@@ -54,7 +54,7 @@ def test_all_crisp_scenario_gives_degenerate_envelopes():
     sc = FuzzyScenario(h=base.h, q=base.q, t_inf=base.t_inf,
                        alpha_levels=AlphaLevels.uniform(3))
     env = propagate(mesh, base, bc, sc)
-    crisp = solve_crisp(mesh, base, bc).values
+    crisp = solve_crisp(mesh, base, bc)
     for li in range(len(env.levels)):
         np.testing.assert_array_equal(env.lower[li], crisp)
         np.testing.assert_array_equal(env.upper[li], crisp)
@@ -91,6 +91,8 @@ def test_envelopes_nest_across_alpha_levels():
 
 
 def test_modal_level_is_bitwise_crisp_solve():
+    """Both bounds of the top level are the crisp solve's bytes, so the
+    signs of zeros match too."""
     mesh, base, bc = default_plate()
     sc = FuzzyScenario(
         h=tfn_from_tolerance(base.h, 0.05),
@@ -98,10 +100,9 @@ def test_modal_level_is_bitwise_crisp_solve():
         t_inf=base.t_inf,
     )
     env = propagate(mesh, base, bc, sc)
-    crisp = solve_crisp(mesh, base, bc).values
-    np.testing.assert_array_equal(env.crisp, crisp)
-    np.testing.assert_array_equal(env.lower[-1], crisp)
-    np.testing.assert_array_equal(env.upper[-1], crisp)
+    crisp = solve_crisp(mesh, base, bc)
+    assert env.lower[-1].tobytes() == crisp.tobytes()
+    assert env.upper[-1].tobytes() == crisp.tobytes()
 
 
 def test_random_samples_inside_zero_alpha_box_stay_inside_envelope():
@@ -121,7 +122,7 @@ def test_random_samples_inside_zero_alpha_box_stay_inside_envelope():
             PlateParameters(k=base.k, G=base.G, h=h, q=q,
                             t_inf=base.t_inf, t_fixed=base.t_fixed),
             bc,
-        ).values
+        )
         assert np.all(sample >= env.lower[0] - 1e-8)
         assert np.all(sample <= env.upper[0] + 1e-8)
 
@@ -155,7 +156,7 @@ def test_envelope_is_the_extreme_over_every_box_corner(h):
     for li, alpha in enumerate(env.levels):
         cut = sc.cut(alpha)
         corners = np.array([
-            solve_crisp(mesh, PlateParameters(h=hv, q=qv, t_inf=tv), bc).values
+            solve_crisp(mesh, PlateParameters(h=hv, q=qv, t_inf=tv), bc)
             for hv in (cut["h"].lo, cut["h"].hi)
             for qv in (cut["q"].lo, cut["q"].hi)
             for tv in (cut["t_inf"].lo, cut["t_inf"].hi)
@@ -172,12 +173,18 @@ def synthetic_field(widths, center=10.0):
     crisp = np.full(widths.shape, center)
     lower = np.vstack([crisp - widths / 2.0, crisp])
     upper = np.vstack([crisp + widths / 2.0, crisp])
-    return FuzzyTemperatureField((0.0, 1.0), lower, upper, crisp)
+    return FuzzyTemperatureField((0.0, 1.0), lower, upper)
 
 
 def test_field_shape_validation():
-    with pytest.raises(ValueError):
-        FuzzyTemperatureField((0.0, 1.0), np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(2))
+    """One row of node values per level, in both bounds."""
+    for lower, upper in [
+        (np.zeros((3, 2)), np.zeros((2, 2))),  # a level too many
+        (np.zeros((2, 2)), np.zeros((2, 3))),  # bounds over different nodes
+        (np.zeros(2), np.zeros(2)),  # no node axis
+    ]:
+        with pytest.raises(ValueError, match="must have shape"):
+            FuzzyTemperatureField((0.0, 1.0), lower, upper)
 
 
 def test_field_accessors():
