@@ -11,14 +11,15 @@ import sys
 from fuzzyheat import Wall, generate_structured_mesh, nodes_on_wall, write_mesh_listing
 from fuzzyheat.mesh import triangle_area
 
-mesh = generate_structured_mesh(20.0, 10.0, 5, 5)
+width, height = 20.0, 10.0
+mesh = generate_structured_mesh(width, height, 5, 5)
 coords = mesh.coords
 
-print(f"plate {mesh.width_cm} x {mesh.height_cm} cm")
+print(f"plate {width} x {height} cm")
 print(f"nodes: {mesh.n_nodes}, triangles: {len(mesh.elements)}, boundary edges: {len(mesh.boundary)}")
 
 total_area = sum(triangle_area(coords, t) for t in mesh.elements)
-print(f"sum of element areas: {total_area} (plate area {mesh.width_cm * mesh.height_cm})")
+print(f"sum of element areas: {total_area} (plate area {width * height})")
 
 for wall in Wall:
     ids = nodes_on_wall(mesh, wall)

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import fem1d
 from .fem2d import (
+    AffinePlate,
     BCKind,
     BoundaryConditionSet,
     PlateParameters,
@@ -355,13 +356,14 @@ def cmd_fuzzy_sweep(
         raise CliError("config-error", f"--workers must be >= 1, got {workers}")
 
     mesh = cfg.mesh()
-    base = cfg.parameters()
-    bc = cfg.boundary_conditions()
-
     scenarios = [cfg.scenario(selector) for selector in selectors]  # all checked before any output
+    plate = AffinePlate(mesh, cfg.parameters(), cfg.boundary_conditions())  # one for all scenarios
+    # write_envelope_csv's table: 4 floats per node and level.
+    check_memory(32 * cfg.alpha_level_count * mesh.n_nodes, "envelope table")
     # Every scenario is swept before any file is written or line printed,
     # so a failing one leaves no partial output.
-    envelopes = [propagate(mesh, base, bc, scenario) for scenario in scenarios]
+    envelopes = [propagate(plate, scenario) for scenario in scenarios]
+    del plate  # its factors are freed before the output tables are built
     reports = [sensitivity(envelope, selector) for envelope, selector in zip(envelopes, selectors)]
     for selector, envelope, report in zip(selectors, envelopes, reports):
         target = out_dir if len(selectors) == 1 else out_dir / selector

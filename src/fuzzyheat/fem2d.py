@@ -170,7 +170,8 @@ _EMPTY = np.empty((0, 0))
 
 class AffinePlate:
     """The plate problem for one mesh, wall layout, ``k``, ``G`` and
-    ``t_fixed``, assembled once and affine in ``h``, ``q`` and ``t_inf``.
+    ``t_fixed``, assembled once and affine in ``h``, ``q`` and ``t_inf``;
+    ``n_nodes`` is the length of every solve and slope.
 
     On the free (non-Dirichlet) nodes the constrained system reads::
 
@@ -303,7 +304,7 @@ class AffinePlate:
         self._free = free
         self._tris, self._ke = tris, ke
         self._conv_edges, self._kc = conv_edges, kc
-        self._n = n
+        self.n_nodes = n
         self._n_fixed = n - n_free
         self._G = p.G
         self._t_fixed = p.t_fixed
@@ -367,15 +368,11 @@ class AffinePlate:
 
     def _matvec(self, h: float, T: np.ndarray) -> np.ndarray:
         """``(K_k + h K_c) @ T`` over all nodes, by element scatter-add."""
-        tris, edges = self._tris, self._conv_edges
-        y = np.bincount(
-            tris.ravel(), np.einsum("eij,ej->ei", self._ke, T[tris]).ravel(), minlength=self._n
-        )
+        tris, edges, n = self._tris, self._conv_edges, self.n_nodes
+        y = np.bincount(tris.ravel(), np.einsum("eij,ej->ei", self._ke, T[tris]).ravel(), minlength=n)
         if edges.size:
             y += h * np.bincount(
-                edges.ravel(),
-                np.einsum("eij,ej->ei", self._kc, T[edges]).ravel(),
-                minlength=self._n,
+                edges.ravel(), np.einsum("eij,ej->ei", self._kc, T[edges]).ravel(), minlength=n
             )
         return y
 
@@ -431,7 +428,7 @@ class AffinePlate:
         """``T`` with ``K(h) T = loads`` on the free nodes and ``t_fixed``
         on the fixed ones; ``at`` names the parameters in error messages."""
         h, free = factor.h, self._free
-        T = np.full(self._n, t_fixed, dtype=float)
+        T = np.full(self.n_nodes, t_fixed, dtype=float)
         if free.size == 0:
             return T
 

@@ -33,14 +33,12 @@ WALLS = tuple(Wall)
 class Mesh2D:
     """Node coordinates ``coords`` (n, 2), counter-clockwise node triples
     ``elements`` (E, 3), boundary edges ``boundary`` (B, 2) and their
-    wall codes ``walls`` (B,), all read-only, plus the plate size."""
+    wall codes ``walls`` (B,), all read-only."""
 
     coords: np.ndarray
     elements: np.ndarray
     boundary: np.ndarray
     walls: np.ndarray
-    width_cm: float
-    height_cm: float
 
     def __post_init__(self) -> None:
         for name, dtype, shape in (("coords", float, (-1, 2)), ("elements", np.intp, (-1, 3)),
@@ -104,8 +102,6 @@ def generate_structured_mesh(
         tris,
         np.stack([ring, np.roll(ring, -1)], axis=1),
         np.repeat(codes, [nx, ny, nx, ny]),
-        width_cm,
-        height_cm,
     )
 
     total = float(triangle_area(mesh.coords, tris).sum())

@@ -2,19 +2,20 @@
 
 Fuzzy inputs are cut into intervals level by level, and the per-node
 minima / maxima of the temperature over each interval box form the
-envelopes.  The plate is affine in ``q`` and ``t_inf``, so a sweep
-assembles it once (:class:`~fuzzyheat.fem2d.AffinePlate`) and, per
-distinct ``h`` of all levels, runs one factor, one solve at the modal
-``q`` and ``t_inf`` and one exact slope per fuzzy load (once in all on
-a plate with no convective wall, which does not depend on ``h``); the
-extremes in ``q`` and ``t_inf`` follow in closed form.  The envelope is
-two ``(n_levels, n_nodes)`` arrays, ``lower`` and ``upper``; at alpha = 1
-both are the modal crisp solve.  In ``h`` the envelope takes the two
-ends of each cut (the vertex method), which is exact only where the
-response is monotone in ``h``: a wide fuzzy ``h`` can put a node's
-extremum inside the cut.  Sensitivity of a parameter is summarized by
-the width of the full-support envelope: its per-node values, their
-average, and their population variance.
+envelopes.  The plate is affine in ``q`` and ``t_inf``, so
+:func:`propagate` sweeps an assembled
+:class:`~fuzzyheat.fem2d.AffinePlate`, which several scenarios can
+share, and, per distinct ``h`` of all levels, runs one factor, one solve
+at the modal ``q`` and ``t_inf`` and one exact slope per fuzzy load
+(once in all on a plate with no convective wall, which does not depend
+on ``h``); the extremes in ``q`` and ``t_inf`` follow in closed form.
+The envelope is two ``(n_levels, n_nodes)`` arrays, ``lower`` and
+``upper``; at alpha = 1 both are the modal crisp solve.  In ``h`` the
+envelope takes the two ends of each cut (the vertex method), which is
+exact only where the response is monotone in ``h``: a wide fuzzy ``h``
+can put a node's extremum inside the cut.  Sensitivity of a parameter
+is summarized by the width of the full-support envelope: its per-node
+values, their average, and their population variance.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .fem2d import AffinePlate, BoundaryConditionSet, PlateParameters, SingularSystemError
+from .fem2d import AffinePlate, SingularSystemError
 from .fuzzy import AlphaLevels, Interval, TriangularFuzzyNumber, alpha_cut
-from .mesh import Mesh2D
+from .memory import check_memory
 
 FuzzyOrCrisp = Union[float, TriangularFuzzyNumber]
 
@@ -49,21 +50,16 @@ class FuzzyScenario:
     t_inf: FuzzyOrCrisp
     alpha_levels: AlphaLevels = AlphaLevels.uniform(11)
 
-    def entry(self, name: str) -> FuzzyOrCrisp:
-        if name not in PARAM_NAMES:
-            raise KeyError(f"unknown fuzzy parameter {name!r}")
-        return getattr(self, name)
-
     def fuzzy_names(self) -> list[str]:
         return [
-            n for n in PARAM_NAMES if isinstance(self.entry(n), TriangularFuzzyNumber)
+            n for n in PARAM_NAMES if isinstance(getattr(self, n), TriangularFuzzyNumber)
         ]
 
     def cut(self, alpha: float) -> dict[str, Interval]:
         """Alpha-cut of every parameter; crisp entries give point intervals."""
         out = {}
         for name in PARAM_NAMES:
-            v = self.entry(name)
+            v = getattr(self, name)
             if isinstance(v, TriangularFuzzyNumber):
                 out[name] = alpha_cut(v, alpha)
             else:
@@ -96,10 +92,6 @@ class FuzzyTemperatureField:
                 f"envelope arrays must have shape {shape}, got "
                 f"{self.lower.shape} and {self.upper.shape}"
             )
-
-    @property
-    def n_nodes(self) -> int:
-        return self.lower.shape[1]
 
     def level_index(self, alpha: float) -> int:
         try:
@@ -135,8 +127,6 @@ class SensitivityReport:
 class ScenarioComparison:
     """Per-metric verdicts of two sensitivity reports (``None`` = tie)."""
 
-    a: SensitivityReport
-    b: SensitivityReport
     more_sensitive_by_average: Optional[str]
     more_sensitive_by_variance: Optional[str]
 
@@ -154,20 +144,21 @@ class ScenarioComparison:
         return "\n".join(lines)
 
 
-def propagate(
-    mesh: Mesh2D,
-    base: PlateParameters,
-    bc: BoundaryConditionSet,
-    scenario: FuzzyScenario,
-) -> FuzzyTemperatureField:
-    """Sweep the scenario through the crisp solver, level by level.
+def propagate(plate: AffinePlate, scenario: FuzzyScenario) -> FuzzyTemperatureField:
+    """Sweep the scenario through an assembled plate, level by level.
 
-    At either end of a level's ``h`` cut, each bound is the modal solve
+    The plate's ``k``, ``G``, ``t_fixed`` and wall layout hold for every
+    level, and ``h``, ``q`` and ``t_inf`` come from the scenario, so one
+    plate serves every scenario of a run: its ``h``-independent band
+    Cholesky is formed at the first factor and kept on the plate.  At
+    either end of a level's ``h`` cut, each bound is the modal solve
     plus, per fuzzy load, the smaller (larger) of its
     :meth:`~fuzzyheat.fem2d.AffinePlate.slope` times the two deviations
     of the load's cut from its mode; the envelope is the min / max over
     both ends.  At alpha = 1 every deviation is 0, so the top level is
     the crisp modal solve, bit for bit as :func:`~fuzzyheat.fem2d.solve_crisp`.
+    The solves kept per distinct ``h`` and the envelope are checked
+    against the available memory before the first factor (``MemoryError``).
     A failed solve keeps its type and gains ``h`` and the modal loads in
     front of its message; a bound or width beyond the float range is a
     ``ValueError``.
@@ -176,10 +167,10 @@ def propagate(
     cuts = [scenario.cut(a) for a in levels]
     mode = {name: iv.lo for name, iv in cuts[-1].items()}  # the alpha = 1 point
     loads = [name for name in scenario.fuzzy_names() if name != "h"]
-    try:
-        plate = AffinePlate(mesh, base, bc)
-    except ValueError as exc:
-        raise type(exc)(f"plate assembly failed: {exc}") from exc
+    # A solve and a slope per load at each distinct h (at one h without a
+    # convective wall), and the two envelope arrays, n_nodes floats each.
+    n_h = len({h for cut in cuts for h in (cut["h"].lo, cut["h"].hi)}) if plate.depends_on_h else 1
+    check_memory(8 * plate.n_nodes * (n_h * (1 + len(loads)) + 2 * len(levels)), "sweep")
 
     solved = {}  # h -> (modal temperatures, [(load, dT/dload)])
     for alpha, cut in zip(levels, cuts):
@@ -255,8 +246,6 @@ def compare_scenarios(a: SensitivityReport, b: SensitivityReport) -> ScenarioCom
         return a.label if x > y else b.label
 
     return ScenarioComparison(
-        a,
-        b,
         winner(a.average_width, b.average_width),
         winner(a.variance_of_widths, b.variance_of_widths),
     )

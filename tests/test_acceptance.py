@@ -19,7 +19,13 @@ from fuzzyheat.fem1d import (
     assemble_1d,
     steady_state,
 )
-from fuzzyheat.fem2d import BCKind, BoundaryConditionSet, PlateParameters, solve_crisp
+from fuzzyheat.fem2d import (
+    AffinePlate,
+    BCKind,
+    BoundaryConditionSet,
+    PlateParameters,
+    solve_crisp,
+)
 from fuzzyheat.fuzzy import (
     AlphaLevels,
     Interval,
@@ -207,7 +213,7 @@ def test_crisp_consistency_bitwise():
         ),
     ]
     for sc in scenarios:
-        env = propagate(m, base, bc, sc)
+        env = propagate(AffinePlate(m, base, bc), sc)
         assert env.lower[-1].tobytes() == crisp.tobytes()
         assert env.upper[-1].tobytes() == crisp.tobytes()
     _pass("crisp consistency (alpha=1 bit-for-bit)")
@@ -226,7 +232,7 @@ def test_vertex_vs_grid_oracle():
 
     sc = FuzzyScenario(h=h_tfn, q=q_tfn, t_inf=base.t_inf,
                        alpha_levels=AlphaLevels.uniform(2))
-    env = propagate(m, base, bc, sc)
+    env = propagate(AffinePlate(m, base, bc), sc)
 
     samples = []
     for h in np.linspace(h_tfn.a_l, h_tfn.a_r, 21):
@@ -256,7 +262,7 @@ def test_envelope_nesting_default_plate():
         t_inf=base.t_inf,
         alpha_levels=AlphaLevels.uniform(11),
     )
-    env = propagate(m, base, BoundaryConditionSet(), sc)
+    env = propagate(AffinePlate(m, base, BoundaryConditionSet()), sc)
     assert len(env.levels) == 11
     for li in range(10):
         assert np.all(env.lower[li + 1] >= env.lower[li] - 1e-10)
@@ -278,7 +284,7 @@ def test_sensitivity_pipeline_structural(tmp_path, capsys):
     bc = cfg.boundary_conditions()
     reports = []
     for selector in ("h-only", "q-only"):
-        env = propagate(mesh, base, bc, cfg.scenario(selector))
+        env = propagate(AffinePlate(mesh, base, bc), cfg.scenario(selector))
         reports.append(sensitivity(env, selector))
 
     for report in reports:

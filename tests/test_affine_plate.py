@@ -16,9 +16,7 @@ from fuzzyheat.fem2d import (
     SingularSystemError,
     solve_crisp,
 )
-from fuzzyheat.fuzzy import tfn_from_tolerance
 from fuzzyheat.mesh import WALLS, Mesh2D, Wall, generate_structured_mesh
-from fuzzyheat.uq import FuzzyScenario, propagate
 
 from dense_plate import dense_solve
 
@@ -199,7 +197,7 @@ LOOP = ((0, 1, Wall.BOTTOM), (1, 2, Wall.RIGHT), (2, 0, Wall.LEFT))
 def _one_triangle_mesh(points, edges=LOOP):
     boundary = [(a, b) for a, b, _ in edges]
     walls = [WALLS.index(w) for _, _, w in edges]
-    return Mesh2D(points, [(0, 1, 2)], boundary, walls, 1.0, 1.0)
+    return Mesh2D(points, [(0, 1, 2)], boundary, walls)
 
 
 def test_degenerate_triangle_rejected():
@@ -231,30 +229,25 @@ def test_residual_check_holds_at_any_load_scale(t_fixed):
         plate.solve(bad, 2.0, 25.0)
 
 
-def test_sweep_wraps_plate_assembly_failure():
-    m = _one_triangle_mesh([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
-    sc = FuzzyScenario(h=tfn_from_tolerance(1.2, 0.05), q=2.0, t_inf=25.0)
-    with pytest.raises(DegenerateElementError, match="plate assembly failed"):
-        propagate(m, PlateParameters(), BoundaryConditionSet(), sc)
-
-
-@pytest.mark.parametrize("cfg,scenario,workers,counts,dpotrf", [
-    (RunConfig(), "custom", 1, (21, 21, 21), 21),
-    (RunConfig(), "custom", 4, (21, 21, 21), 21),
-    (RunConfig(), "h-only", 1, (21, 21, 0), 21),
-    (RunConfig(), "q-only", 1, (1, 1, 1), 1),
-    (RunConfig(), "tinf-only", 1, (1, 1, 1), 1),
-    (RunConfig(), "all", 1, (21, 21, 42), 21),
-    (RunConfig(left=C), "custom", 1, (21, 21, 21), 21),
-    (RunConfig(top=A), "custom", 1, (1, 1, 1), 0),
-], ids=["1", "4", "h-only", "q-only", "tinf-only", "all", "two-walls", "no-wall"])
+@pytest.mark.parametrize("cfg,scenarios,workers,counts,dpotrf", [
+    (RunConfig(), ["custom"], 1, (21, 21, 21), 21),
+    (RunConfig(), ["custom"], 4, (21, 21, 21), 21),
+    (RunConfig(), ["h-only"], 1, (21, 21, 0), 21),
+    (RunConfig(), ["q-only"], 1, (1, 1, 1), 1),
+    (RunConfig(), ["tinf-only"], 1, (1, 1, 1), 1),
+    (RunConfig(), ["all"], 1, (21, 21, 42), 21),
+    (RunConfig(left=C), ["custom"], 1, (21, 21, 21), 21),
+    (RunConfig(top=A), ["custom"], 1, (1, 1, 1), 0),
+    (RunConfig(), ["h-only", "q-only"], 1, (22, 22, 1), 22),
+], ids=["1", "4", "h-only", "q-only", "tinf-only", "all", "two-walls", "no-wall", "shared"])
 def test_default_sweep_factors_once_per_distinct_h(
-    monkeypatch, tmp_path, cfg, scenario, workers, counts, dpotrf
+    monkeypatch, tmp_path, cfg, scenarios, workers, counts, dpotrf
 ):
     """11 levels give 10 * 2 + 1 = 21 distinct h values when h is fuzzy,
     and 1 when it is not, however many corners the levels' boxes have.
-    The band does not depend on h, so a plate is factored once in band
-    form, plus one trailing-block factorization per distinct h; each h
+    The band does not depend on h, so a run assembles one plate and
+    factors it once in band form, for all its scenarios, plus one
+    trailing-block factorization per distinct h of each scenario; each h
     gets one solve at the modal (q, t_inf) and one slope per fuzzy load,
     whatever ``--workers`` the CLI sweep is given.  A plate without a
     convective wall does not depend on h: one factor, solve and slope
@@ -274,9 +267,10 @@ def test_default_sweep_factors_once_per_distinct_h(
 
     for name in ("dpbtrf", "dpotrf"):
         count(lapack, name)
-    for name in ("factor", "solve", "slope"):
+    for name in ("__init__", "factor", "solve", "slope"):
         count(AffinePlate, name)
-    cmd_fuzzy_sweep(cfg, [scenario], tmp_path, workers=workers)
+    cmd_fuzzy_sweep(cfg, scenarios, tmp_path, workers=workers)
+    assert calls.count("__init__") == 1
     assert [c for c in calls if c.startswith("dp")] == ["dpbtrf"] + dpotrf * ["dpotrf"]
     assert tuple(map(calls.count, ("factor", "solve", "slope"))) == counts
 

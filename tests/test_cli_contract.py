@@ -189,6 +189,40 @@ def test_rod_states_beyond_memory_fail_before_the_first_step(tmp_path, monkeypat
         assert len(solves) == 100 and (tmp_path / "out" / "rod_timeseries.csv").exists()
 
 
+@pytest.mark.parametrize("available,what,need", [
+    (18432, None, None),
+    (15000, "sweep", 18432),
+    (10000, "envelope table", 12672),
+], ids=["fits", "sweep", "table"])
+def test_sweep_arrays_beyond_memory_fail_before_any_output(tmp_path, monkeypatch, available,
+                                                           what, need):
+    """The default custom sweep: 36 nodes, 11 levels, h and q fuzzy.  The
+    plate needs 4040 bytes; the envelope table 32 * 11 levels * 36 nodes
+    = 12672, checked before sweeping; the sweep 8 * 36 * (21 h values *
+    (1 solve + 1 slope) + 2 * 11 envelope rows) = 18432, checked before
+    its first factor.  A run that does not fit factors nothing and
+    writes nothing."""
+    factors, factor = [], fem2d.AffinePlate.factor
+
+    def counted(*args):
+        factors.append(None)
+        return factor(*args)
+
+    monkeypatch.setattr(fem2d.AffinePlate, "factor", counted)
+    monkeypatch.setattr(memory, "available_memory", lambda: available)
+    config = tmp_path / "run.ini"
+    config.write_text("[plate]\n")
+    code, err = run(["fuzzy-sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+    if what is None:
+        assert (code, err) == (0, "") and len(factors) == 21
+        assert (tmp_path / "out" / "envelope.csv").exists()
+    else:
+        assert code == 6
+        assert err == (f"error: memory-error: {what} needs {need} bytes "
+                       f"({need / 2**30:.3g} GiB), {available} available\n")
+        assert factors == [] and not (tmp_path / "out").exists()
+
+
 def test_readme_config_block_is_the_defaults(tmp_path):
     block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
     config = tmp_path / "readme.ini"

@@ -30,7 +30,7 @@ UNIT_COORDS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 def one_triangle(points, edge_walls=((0, 1, Wall.BOTTOM), (1, 2, Wall.RIGHT), (2, 0, Wall.LEFT))):
     boundary = [(a, b) for a, b, _ in edge_walls]
-    return Mesh2D(points, [(0, 1, 2)], boundary, [WALLS.index(w) for *_, w in edge_walls], 1, 1)
+    return Mesh2D(points, [(0, 1, 2)], boundary, [WALLS.index(w) for *_, w in edge_walls])
 
 
 # --- element stiffness ------------------------------------------------------
@@ -228,7 +228,8 @@ def test_patch_affine_flux_consistent():
 
 def test_energy_balance():
     """Flux in + source + Dirichlet reactions balance convective losses."""
-    m = generate_structured_mesh(20, 10, 5, 5)
+    width, height = 20, 10
+    m = generate_structured_mesh(width, height, 5, 5)
     p = PlateParameters(k=1.5, G=0.3, h=1.2, q=2.0, t_inf=25.0, t_fixed=100.0)
     bc = BoundaryConditionSet()
     K, f = assemble(m, p, bc)
@@ -240,8 +241,8 @@ def test_energy_balance():
     assert np.abs(reactions[free]).max() < 1e-9  # free equations hold
 
     coords = m.coords
-    flux_in = p.q * m.height_cm  # left wall length
-    source_in = p.G * m.width_cm * m.height_cm
+    flux_in = p.q * height  # left wall length
+    source_in = p.G * width * height
     conv_out = sum(
         p.h
         * np.linalg.norm(coords[b] - coords[a])

@@ -206,7 +206,7 @@ def test_nodes_on_wall_follows_edge_tags():
     """Wall membership comes from the edge tags, not from coordinates."""
     coords = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
     m = Mesh2D(coords, [(0, 1, 2)], [(0, 1), (1, 2), (2, 0)],
-               [WALLS.index(w) for w in (Wall.BOTTOM, Wall.TOP, Wall.LEFT)], 1.0, 1.0)
+               [WALLS.index(w) for w in (Wall.BOTTOM, Wall.TOP, Wall.LEFT)])
     assert nodes_on_wall(m, Wall.TOP) == [2, 1]  # sorted by x
     assert nodes_on_wall(m, Wall.RIGHT) == []
 
@@ -220,7 +220,7 @@ def test_mesh_arrays_are_read_only():
 
 def test_mesh_rejects_wall_count_mismatch():
     with pytest.raises(ValueError, match="wall codes"):
-        Mesh2D([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)], [(0, 1)], [0, 1], 1.0, 1.0)
+        Mesh2D([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)], [(0, 1)], [0, 1])
 
 
 @pytest.mark.parametrize("w,h", [(1e308, 10.0), (20.0, 1e308), (1e-320, 10.0)])
