@@ -16,9 +16,12 @@ numbers the nodes of every convective wall last, so the band Cholesky
 of the ``h``-independent leading block is formed once per plate and each
 distinct ``h`` adds a small dense Cholesky on the wall nodes (static
 condensation onto the walls), or nothing on a plate without a
-convective wall.  :func:`solve_crisp` is one factor and one solve.
-Solves and slopes return a new float array of nodal values, indexed
-like the mesh nodes.  A plate whose band arrays would not fit in the
+convective wall.  A solve or slope is one block substitution, without
+iterative refinement, and one residual product that checks it; the
+forward band solve of a load's ``h``-free leading rows is kept on the
+plate and reused at every ``h``.  :func:`solve_crisp` is one factor and
+one solve.  Solves and slopes return a new float array of nodal values,
+indexed like the mesh nodes.  A plate whose band arrays would not fit in the
 available memory raises ``MemoryError`` before allocating them.  The
 LAPACK and BLAS routines come from :mod:`fuzzyheat._lapack`, scipy's
 compiled wrappers loaded without importing ``scipy.linalg``.
@@ -191,7 +194,13 @@ class AffinePlate:
     ``U_lb`` is dense from the first row of ``K_lb`` on: the last band
     width of rows with one wall, nearly all rows with two or more.
     :meth:`solve` reuses a factor for every ``(q, t_inf)``, and
-    :meth:`slope` gives ``dT/dq`` and ``dT/dt_inf`` from it.  The
+    :meth:`slope` gives ``dT/dq`` and ``dT/dt_inf`` from it.  The leading
+    rows of every right-hand side do not depend on ``h`` either (``l_c``
+    and ``f_a`` vanish off the walls), so the forward solve
+    ``U_ll^-T b_l`` is kept per load kind, the modal loads and the unit
+    ``q`` load, and each later solve or slope runs only the wall block
+    and the back substitution.  ``work_bytes`` is what one factor and
+    solve may allocate on top.  The
     constructor raises ``MemoryError`` when its estimate of the band
     arrays and factors exceeds the memory the platform reports available.  The tests
     compare the result with a dense per-element assembly solved by
@@ -299,6 +308,7 @@ class AffinePlate:
         self._k_bb = to_wall(tri_r, tri_c, ke, n_lead, n_free)
         self._kc_bb = to_wall(edge_r, edge_c, kc, n_lead, n_free)
         self._lead: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._kept: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._l_k = lift(tri_r, tri_c, ke)
         self._l_c = lift(edge_r, edge_c, kc)
         self._free = free
@@ -314,6 +324,19 @@ class AffinePlate:
         """Whether a free node lies on a convective wall.  Without one,
         the temperatures and slopes are the same at every ``h``."""
         return self._kc_bb.shape[0] > 0
+
+    @property
+    def work_bytes(self) -> int:
+        """Bytes that the next :meth:`factor` and a :meth:`solve` or
+        :meth:`slope` at it may allocate besides the array returned: the
+        band Cholesky and its finiteness mask at the first factor, three
+        wall blocks, the two forward band solves kept (each with its
+        right-hand side), two floats per triangle corner and eight per
+        node for the residual product and the substitution."""
+        m = self._kc_bb.shape[0]
+        n_lead = self._free.size - m
+        band = self._ab_k.size if self._lead is None else 0
+        return 9 * band + 8 * (3 * m * m + 4 * n_lead + 2 * self._tris.size + 8 * self.n_nodes)
 
     def _leading(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``U_ll`` (band form), the rows of ``U_lb`` from its first
@@ -376,15 +399,33 @@ class AffinePlate:
             )
         return y
 
+    def _forward(self, factor: PlateFactor, rhs: np.ndarray, kind: str) -> np.ndarray:
+        """``U_ll^-T`` times the leading rows of ``rhs``: the forward band
+        solve.  ``l_c`` and ``f_a`` vanish off the convective walls, so
+        these rows do not depend on ``h``, and the last result per load
+        ``kind`` is kept and reused while the band and the rows are
+        bitwise the same.  Zero rows (a ``t_inf`` slope) solve to zero."""
+        band = factor.band
+        b = rhs[:band.shape[1]]
+        if not b.any():  # also skips the band routine on an empty block (see _leading)
+            return b
+        kept = self._kept.get(kind)
+        if kept is not None and kept[0] is band and np.array_equal(
+            kept[1].view(np.uint64), b.view(np.uint64)
+        ):
+            return kept[2]
+        y = lapack.dtbtrs(band, b, trans="T")[0]
+        self._kept[kind] = band, b.copy(), y
+        return y
+
     @staticmethod
-    def _substitute(factor: PlateFactor, b: np.ndarray) -> np.ndarray:
-        """``x`` with ``U^T U x = b``: forward through the band and then the
-        trailing block, back through the trailing block and then the band.
-        A zero diagonal leaves ``b`` unsolved, which the residual check reports."""
+    def _substitute(factor: PlateFactor, y: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``x`` with ``U^T U x = b``, given ``y``, the forward band solve of
+        ``b``'s leading rows: forward through the trailing block, back
+        through it and then through the band.  A zero diagonal leaves ``b``
+        unsolved, which the residual check reports."""
         n_lead, reach = factor.band.shape[1], factor.coupling.shape[0]
-        x, x_b = b[:n_lead], b[n_lead:]
-        if n_lead:  # no band routine on an empty block (see _leading)
-            x = lapack.dtbtrs(factor.band, x, trans="T")[0]
+        x, x_b = y.copy(), b[n_lead:]  # the kept forward solve stays as it is
         if x_b.size:
             tail = slice(n_lead - reach, n_lead)
             if reach:
@@ -392,7 +433,7 @@ class AffinePlate:
             x_b = lapack.dpotrs(factor.block, x_b)[0]
             if reach:
                 x[tail] = blas.dgemv(-1.0, factor.coupling, x_b, 1.0, x[tail])
-        if n_lead:
+        if n_lead:  # no band routine on an empty block (see _leading)
             x = lapack.dtbtrs(factor.band, x, overwrite_b=1)[0]
         return np.concatenate([x, x_b])
 
@@ -400,8 +441,9 @@ class AffinePlate:
         """Nodal temperatures [K] for ``factor.h`` and the given ``q`` and
         ``t_inf``, a new float array indexed like the mesh nodes.
 
-        Two block substitutions: the solve itself and one step of
-        iterative refinement.  A relative residual above 1e-10 raises
+        One block substitution, whose forward band solve is kept for the
+        next solve at the same ``q`` (see :meth:`_forward`), and one
+        residual product.  A relative residual above 1e-10 raises
         :class:`SingularSystemError`; loads or temperatures that overflow
         the float range raise ``ValueError``.
         """
@@ -411,22 +453,24 @@ class AffinePlate:
         with np.errstate(over="ignore", invalid="ignore"):
             loads = q * self._f_q + (h * t_inf) * self._f_a + self._G * self._f_G
         at = f"h={h}, q={q}, t_inf={t_inf}, t_fixed={self._t_fixed}"
-        return self._solve(factor, loads, self._t_fixed, at)
+        return self._solve(factor, loads, self._t_fixed, at, "solve")
 
     def slope(self, factor: PlateFactor, name: str) -> np.ndarray:
         """``dT/dq`` or ``dT/dt_inf`` at ``factor.h``; exact, because ``T``
         is affine in both.  It is the plate's response to the load ``f_q``
-        or ``h f_a`` alone, with the fixed walls at 0, under the same
-        refinement and checks as :meth:`solve`."""
+        or ``h f_a`` alone, with the fixed walls at 0, by the same
+        substitution and checks as :meth:`solve`.  The forward band solve
+        of ``f_q`` is kept for every later ``h``; that of ``h f_a`` is zero."""
         with np.errstate(over="ignore"):
             loads = {"q": self._f_q, "t_inf": factor.h * self._f_a}[name]
-        return self._solve(factor, loads, 0.0, f"h={factor.h}, slope in {name}")
+        return self._solve(factor, loads, 0.0, f"h={factor.h}, slope in {name}", name)
 
     def _solve(
-        self, factor: PlateFactor, loads: np.ndarray, t_fixed: float, at: str
+        self, factor: PlateFactor, loads: np.ndarray, t_fixed: float, at: str, kind: str
     ) -> np.ndarray:
         """``T`` with ``K(h) T = loads`` on the free nodes and ``t_fixed``
-        on the fixed ones; ``at`` names the parameters in error messages."""
+        on the fixed ones; ``at`` names the parameters in error messages
+        and ``kind`` the load whose forward band solve is kept."""
         h, free = factor.h, self._free
         T = np.full(self.n_nodes, t_fixed, dtype=float)
         if free.size == 0:
@@ -436,8 +480,7 @@ class AffinePlate:
             rhs = t_fixed * (self._l_k + h * self._l_c) + loads[free]
             if not np.isfinite(rhs).all():
                 raise ValueError(f"right-hand side overflows the float range at {at}")
-            T[free] = self._substitute(factor, rhs)
-            T[free] += self._substitute(factor, (loads - self._matvec(h, T))[free])
+            T[free] = self._substitute(factor, self._forward(factor, rhs, kind), rhs)
             if not np.isfinite(T).all():
                 raise ValueError(f"temperatures overflow the float range at {at}")
 

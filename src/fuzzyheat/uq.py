@@ -83,8 +83,14 @@ class FuzzyTemperatureField:
 
     def __post_init__(self) -> None:
         for name in ("lower", "upper"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
+            arr = getattr(self, name)
+            # A read-only float array that owns its data (as propagate
+            # makes them) is kept; anything else is copied, so that the
+            # caller cannot change the field.
+            if not (isinstance(arr, np.ndarray) and arr.dtype == float
+                    and arr.flags.owndata and not arr.flags.writeable):
+                arr = np.array(arr, dtype=float)
+                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         shape = (len(self.levels), *self.lower.shape[-1:])
         if self.lower.shape != shape or self.upper.shape != shape:
@@ -157,7 +163,8 @@ def propagate(plate: AffinePlate, scenario: FuzzyScenario) -> FuzzyTemperatureFi
     of the load's cut from its mode; the envelope is the min / max over
     both ends.  At alpha = 1 every deviation is 0, so the top level is
     the crisp modal solve, bit for bit as :func:`~fuzzyheat.fem2d.solve_crisp`.
-    The solves kept per distinct ``h`` and the envelope are checked
+    The solves kept per distinct ``h``, the envelope and what one factor
+    and solve allocate on top (``AffinePlate.work_bytes``) are checked
     against the available memory before the first factor (``MemoryError``).
     A failed solve keeps its type and gains ``h`` and the modal loads in
     front of its message; a bound or width beyond the float range is a
@@ -168,9 +175,11 @@ def propagate(plate: AffinePlate, scenario: FuzzyScenario) -> FuzzyTemperatureFi
     mode = {name: iv.lo for name, iv in cuts[-1].items()}  # the alpha = 1 point
     loads = [name for name in scenario.fuzzy_names() if name != "h"]
     # A solve and a slope per load at each distinct h (at one h without a
-    # convective wall), and the two envelope arrays, n_nodes floats each.
+    # convective wall), and the two envelope arrays, n_nodes floats each;
+    # one factor and solve at a time on top.
     n_h = len({h for cut in cuts for h in (cut["h"].lo, cut["h"].hi)}) if plate.depends_on_h else 1
-    check_memory(8 * plate.n_nodes * (n_h * (1 + len(loads)) + 2 * len(levels)), "sweep")
+    need = 8 * plate.n_nodes * (n_h * (1 + len(loads)) + 2 * len(levels)) + plate.work_bytes
+    check_memory(need, "sweep")
 
     solved = {}  # h -> (modal temperatures, [(load, dT/dload)])
     for alpha, cut in zip(levels, cuts):
@@ -196,12 +205,16 @@ def propagate(plate: AffinePlate, scenario: FuzzyScenario) -> FuzzyTemperatureFi
             for T, slopes in (solved[cut["h"].lo], solved[cut["h"].hi])
         ])
 
+    lower = np.empty((len(levels), plate.n_nodes))
+    upper = np.empty_like(lower)
     with np.errstate(over="ignore", invalid="ignore"):
-        lower = np.array([bound(cut, np.minimum) for cut in cuts])
-        upper = np.array([bound(cut, np.maximum) for cut in cuts])
-        bad = ~np.isfinite(upper - lower).all(axis=1)
-    if bad.any():
-        raise ValueError(f"envelope overflows the float range at alpha={levels[bad.argmax()]}")
+        for alpha, cut, lo, hi in zip(levels, cuts, lower, upper):
+            lo[:] = bound(cut, np.minimum)
+            hi[:] = bound(cut, np.maximum)
+            if not np.isfinite(hi - lo).all():
+                raise ValueError(f"envelope overflows the float range at alpha={alpha}")
+    lower.setflags(write=False)
+    upper.setflags(write=False)
     return FuzzyTemperatureField(levels, lower, upper)
 
 

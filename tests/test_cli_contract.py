@@ -190,18 +190,22 @@ def test_rod_states_beyond_memory_fail_before_the_first_step(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("available,what,need", [
-    (18432, None, None),
-    (15000, "sweep", 18432),
+    (26111, None, None),
+    (26110, "sweep", 26111),
     (10000, "envelope table", 12672),
 ], ids=["fits", "sweep", "table"])
 def test_sweep_arrays_beyond_memory_fail_before_any_output(tmp_path, monkeypatch, available,
                                                            what, need):
     """The default custom sweep: 36 nodes, 11 levels, h and q fuzzy.  The
     plate needs 4040 bytes; the envelope table 32 * 11 levels * 36 nodes
-    = 12672, checked before sweeping; the sweep 8 * 36 * (21 h values *
-    (1 solve + 1 slope) + 2 * 11 envelope rows) = 18432, checked before
-    its first factor.  A run that does not fit factors nothing and
-    writes nothing."""
+    = 12672, checked before sweeping; the sweep, checked before its first
+    factor, 8 * 36 * (21 h values * (1 solve + 1 slope) + 2 * 11 envelope
+    rows) = 18432 plus the plate's ``work_bytes``: 9 * 7 * 25 for the
+    first band Cholesky of the 25 leading nodes (6 superdiagonals) and
+    its finiteness mask, and 8 * (3 * 5**2 wall blocks + 4 * 25 kept
+    forward rows + 2 * 150 triangle corners + 8 * 36 nodes), 7679 in all,
+    so 26111.  A run that does not fit factors nothing and writes
+    nothing."""
     factors, factor = [], fem2d.AffinePlate.factor
 
     def counted(*args):

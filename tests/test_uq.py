@@ -1,8 +1,12 @@
 """Tests for fuzzy propagation, envelopes, and sensitivity statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fuzzyheat import uq
+from fuzzyheat.cli import RunConfig
 from fuzzyheat.fem2d import (
     AffinePlate,
     BCKind,
@@ -98,6 +102,29 @@ def test_modal_level_is_bitwise_crisp_solve():
     crisp = solve_crisp(mesh, base, bc)
     assert env.lower[-1].tobytes() == crisp.tobytes()
     assert env.upper[-1].tobytes() == crisp.tobytes()
+
+
+@pytest.mark.parametrize("formed", [False, True], ids=["first-factor", "band-formed"])
+@pytest.mark.parametrize("name", ["custom", "all"])
+def test_sweep_memory_estimate_covers_its_peak(monkeypatch, name, formed):
+    """The bytes a 40x40 default sweep asks ``check_memory`` for cover
+    the peak that ``tracemalloc`` sees during it: the kept solves, the
+    envelope, and one factor and solve with the forward band solves they
+    keep (``AffinePlate.work_bytes``), whether the sweep forms the band
+    Cholesky or finds it formed."""
+    cfg = RunConfig(nx=40, ny=40)
+    plate = AffinePlate(cfg.mesh(), cfg.parameters(), cfg.boundary_conditions())
+    if formed:
+        plate.factor(cfg.h)
+    asked = []
+    monkeypatch.setattr(uq, "check_memory", lambda need, what: asked.append(need))
+    tracemalloc.start()
+    try:
+        propagate(plate, cfg.scenario(name))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(asked) == 1 and peak <= asked[0]
 
 
 def test_random_samples_inside_zero_alpha_box_stay_inside_envelope():
