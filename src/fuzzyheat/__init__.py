@@ -28,7 +28,6 @@ from .fem2d import (
     BCKind,
     BoundaryConditionSet,
     DegenerateElementError,
-    PlateFactor,
     PlateParameters,
     SingularSystemError,
     solve_crisp,
@@ -69,7 +68,6 @@ __all__ = [
     "BCKind",
     "BoundaryConditionSet",
     "DegenerateElementError",
-    "PlateFactor",
     "PlateParameters",
     "SingularSystemError",
     "solve_crisp",

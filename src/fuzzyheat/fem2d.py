@@ -16,11 +16,13 @@ numbers the nodes of every convective wall last, so the band Cholesky
 of the ``h``-independent leading block is formed once per plate and each
 distinct ``h`` adds a small dense Cholesky on the wall nodes (static
 condensation onto the walls), or nothing on a plate without a
-convective wall.  A solve or slope is one block substitution, without
+convective wall.  :meth:`AffinePlate.sweep` is the one solve entry: it
+yields the temperatures and the slopes in ``q`` and ``t_inf`` at each
+``h`` of a list, by one block substitution per right-hand side, without
 iterative refinement, and one residual product that checks it; the
-forward band solve of a load's ``h``-free leading rows is kept on the
-plate and reused at every ``h``.  :func:`solve_crisp` is one factor and
-one solve.  Solves and slopes return a new float array of nodal values,
+forward band solve of a load's ``h``-free leading rows is made at the
+sweep's first ``h`` and reused at the others.  :func:`solve_crisp` is a
+one-``h`` sweep.  Temperatures and slopes are new float arrays,
 indexed like the mesh nodes.  A plate whose band arrays would not fit in the
 available memory raises ``MemoryError`` before allocating them.  The
 LAPACK and BLAS routines come from :mod:`fuzzyheat._lapack`, scipy's
@@ -145,36 +147,13 @@ def dirichlet_nodes(m: Mesh2D, bc: BoundaryConditionSet) -> list[int]:
     return np.flatnonzero(np.bincount(edges.ravel(), minlength=m.n_nodes)).tolist()
 
 
-@dataclass(frozen=True)
-class PlateFactor:
-    """Cholesky factor ``U^T U`` of the free-node matrix at one ``h``.
-
-    With the free nodes numbered so that those on the convective walls
-    come last, ``U = [[U_ll, U_lb], [0, U_bb]]``.  ``band`` is ``U_ll``
-    in LAPACK upper band form; it does not depend on ``h`` and every
-    factor of a plate shares it.  ``coupling`` holds the last rows of
-    ``U_lb``, from its first non-zero one on (all of them on a plate
-    with two or more convective walls), and ``block`` the dense upper
-    triangle ``U_bb``; only ``block`` is formed per ``h``.  Without a
-    convective wall ``coupling`` and ``block`` are empty; with every
-    free node on one, ``band`` is.  ``pivot_ratio`` is the squared ratio
-    of the smallest to the largest diagonal entry of ``U``.
-    """
-
-    h: float
-    band: np.ndarray
-    coupling: np.ndarray
-    block: np.ndarray
-    pivot_ratio: float
-
-
 _EMPTY = np.empty((0, 0))
 
 
 class AffinePlate:
     """The plate problem for one mesh, wall layout, ``k``, ``G`` and
     ``t_fixed``, assembled once and affine in ``h``, ``q`` and ``t_inf``;
-    ``n_nodes`` is the length of every solve and slope.
+    ``n_nodes`` is the length of every temperature and slope array.
 
     On the free (non-Dirichlet) nodes the constrained system reads::
 
@@ -189,18 +168,19 @@ class AffinePlate:
     that ``K(h) = [[K_ll, K_lb], [K_bl, K_bb + h Kc_bb]]``.  The leading
     block does not depend on ``h``: its banded Cholesky ``U_ll``, the
     coupling ``U_lb = U_ll^-T K_lb`` and ``S0 = K_bb - U_lb^T U_lb`` are
-    formed once per plate, and :meth:`factor` runs only the dense
-    ``m x m`` Cholesky of ``S0 + h Kc_bb`` (nothing when ``m = 0``).
-    ``U_lb`` is dense from the first row of ``K_lb`` on: the last band
-    width of rows with one wall, nearly all rows with two or more.
-    :meth:`solve` reuses a factor for every ``(q, t_inf)``, and
-    :meth:`slope` gives ``dT/dq`` and ``dT/dt_inf`` from it.  The leading
-    rows of every right-hand side do not depend on ``h`` either (``l_c``
-    and ``f_a`` vanish off the walls), so the forward solve
-    ``U_ll^-T b_l`` is kept per load kind, the modal loads and the unit
-    ``q`` load, and each later solve or slope runs only the wall block
-    and the back substitution.  ``work_bytes`` is what one factor and
-    solve may allocate on top.  The
+    formed once per plate, at its first factor, and each ``h`` adds only
+    the dense ``m x m`` Cholesky of ``S0 + h Kc_bb`` (nothing when
+    ``m = 0``).  ``U_lb`` is dense from the first row of ``K_lb`` on: the
+    last band width of rows with one wall, nearly all rows with two or
+    more.  :meth:`sweep` runs that factor at each ``h`` of a list and
+    solves it for the modal ``(q, t_inf)`` and for ``dT/dq`` and
+    ``dT/dt_inf``.  The leading rows of every right-hand side do not
+    depend on ``h`` either (``l_c`` and ``f_a`` vanish off the walls), so
+    a sweep forward-solves them, ``U_ll^-T b_l``, once at its first ``h``
+    for the modal loads and once for the unit ``q`` load, and at every
+    ``h`` runs only the wall block and the back substitution.
+    ``work_bytes`` is what one step of a sweep may allocate besides the
+    arrays it yields.  The
     constructor raises ``MemoryError`` when its estimate of the band
     arrays and factors exceeds the memory the platform reports available.  The tests
     compare the result with a dense per-element assembly solved by
@@ -217,7 +197,7 @@ class AffinePlate:
         gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], 1)
         gx /= area2[:, None]
         gy /= area2[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):  # factor() rejects inf
+        with np.errstate(over="ignore", invalid="ignore"):  # _factor rejects inf
             ke = (p.k * (0.5 * area2))[:, None, None] * (
                 gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
             )
@@ -308,7 +288,6 @@ class AffinePlate:
         self._k_bb = to_wall(tri_r, tri_c, ke, n_lead, n_free)
         self._kc_bb = to_wall(edge_r, edge_c, kc, n_lead, n_free)
         self._lead: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._kept: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._l_k = lift(tri_r, tri_c, ke)
         self._l_c = lift(edge_r, edge_c, kc)
         self._free = free
@@ -327,20 +306,20 @@ class AffinePlate:
 
     @property
     def work_bytes(self) -> int:
-        """Bytes that the next :meth:`factor` and a :meth:`solve` or
-        :meth:`slope` at it may allocate besides the array returned: the
-        band Cholesky and its finiteness mask at the first factor, three
-        wall blocks, the two forward band solves kept (each with its
-        right-hand side), two floats per triangle corner and eight per
-        node for the residual product and the substitution."""
+        """Bytes that the next step of a :meth:`sweep` may allocate besides
+        the arrays it yields: the band Cholesky and its finiteness mask at
+        the plate's first factor, three wall blocks, the forward band
+        solves the sweep holds (at most two: the modal and the unit ``q``
+        load), two floats per triangle corner and eight per node for the
+        residual product and the substitution."""
         m = self._kc_bb.shape[0]
         n_lead = self._free.size - m
         band = self._ab_k.size if self._lead is None else 0
-        return 9 * band + 8 * (3 * m * m + 4 * n_lead + 2 * self._tris.size + 8 * self.n_nodes)
+        return 9 * band + 8 * (3 * m * m + 2 * n_lead + 2 * self._tris.size + 8 * self.n_nodes)
 
     def _leading(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``U_ll`` (band form), the rows of ``U_lb`` from its first
-        non-zero one, and ``S0``; formed at the first :meth:`factor` call,
+        non-zero one, and ``S0``; formed at the plate's first factor,
         so that a failure is reported at its ``h`` like any other."""
         if self._lead is None:
             ab, coupling, s0 = self._ab_k, self._k_lb, self._k_bb
@@ -365,8 +344,15 @@ class AffinePlate:
             self._ab_k = self._k_lb = self._k_bb = None
         return self._lead
 
-    def factor(self, h: float) -> PlateFactor:
-        """Cholesky factor of ``K_k + h K_c`` on the free nodes.
+    def _factor(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Cholesky factor ``U^T U`` of ``K_k + h K_c`` on the free nodes,
+        as ``(U_ll, U_lb, U_bb, pivot ratio)`` with
+        ``U = [[U_ll, U_lb], [0, U_bb]]``: ``U_ll`` in LAPACK upper band
+        form, the same at every ``h``; the rows of ``U_lb`` from its first
+        non-zero one (all of them with two or more convective walls); and
+        the dense upper triangle ``U_bb``, the only part formed per ``h``.
+        The pivot ratio is the squared ratio of the smallest to the
+        largest diagonal entry of ``U``.
 
         Raises :class:`SingularSystemError` when the matrix is not
         positive definite or its squared pivot ratio is below 1e-13, and
@@ -376,7 +362,7 @@ class AffinePlate:
             raise ValueError(f"convection coefficient must be finite and >= 0, got h={h}")
         n_free = self._free.size
         if n_free == 0:
-            return PlateFactor(h, self._ab_k, _EMPTY, _EMPTY, 1.0)
+            return _EMPTY, _EMPTY, _EMPTY, 1.0
         lead, coupling, s0 = self._leading(h)
         with np.errstate(over="ignore", invalid="ignore"):
             s = s0 + h * self._kc_bb
@@ -387,7 +373,51 @@ class AffinePlate:
         ratio = float((d.min() / d.max()) ** 2)
         if ratio < 1e-13:
             raise SingularSystemError(_pivot_diagnosis("near-singular Cholesky pivot", ratio))
-        return PlateFactor(h, lead, coupling, block, ratio)
+        return lead, coupling, block, ratio
+
+    def sweep(self, hs: list[float], q: float, t_inf: float, loads: tuple[str, ...] = ()):
+        """Yield ``(T, [dT/dload for load in loads])`` for each ``h`` of
+        ``hs`` in turn: the nodal temperatures [K] at ``h``, ``q`` and
+        ``t_inf``, and per name in ``loads`` the slope ``dT/dq`` or
+        ``dT/dt_inf``, exact because ``T`` is affine in both; each a new
+        float array indexed like the mesh nodes.
+
+        Each ``h`` gets one factor, a dense Cholesky of the wall block
+        (the band Cholesky is formed at the plate's first), and per
+        right-hand side one block substitution, without iterative
+        refinement, and one residual product that checks it.  A slope is
+        the plate's response to the load ``f_q`` or ``h f_a`` alone, with
+        the fixed walls at 0.  ``l_c`` and ``f_a`` vanish off the
+        convective walls, so the leading rows of every right-hand side do
+        not depend on ``h``: their forward band solve is made at the first
+        ``h`` and held for the rest of the sweep, and those of ``h f_a``
+        are zero and need none.  A plate without a convective wall does
+        not depend on ``h`` and yields its first result, the same arrays,
+        again.
+
+        Raises :class:`SingularSystemError` when the matrix is not
+        positive definite, its squared pivot ratio is below 1e-13 or a
+        relative residual exceeds 1e-10, and ``ValueError`` for a
+        negative or non-finite ``h``, a non-finite ``q`` or ``t_inf``, or
+        a matrix, load or temperature beyond the float range.
+        """
+        forward: dict[str, np.ndarray | None] = {}  # per right-hand side, made at the first h
+        result = None
+        for h in hs:
+            if result is None or self.depends_on_h:
+                factor = self._factor(h)
+                if not (np.isfinite(q) and np.isfinite(t_inf)):
+                    raise ValueError(f"parameters must be finite, got q={q}, t_inf={t_inf}")
+                with np.errstate(over="ignore", invalid="ignore"):
+                    modal = q * self._f_q + (h * t_inf) * self._f_a + self._G * self._f_G
+                    unit = {"q": self._f_q, "t_inf": h * self._f_a}
+                at = f"h={h}, q={q}, t_inf={t_inf}, t_fixed={self._t_fixed}"
+                T = self._solve(h, factor, modal, self._t_fixed, at, forward, "T")
+                result = T, [
+                    self._solve(h, factor, unit[n], 0.0, f"h={h}, slope in {n}", forward, n)
+                    for n in loads
+                ]
+            yield result
 
     def _matvec(self, h: float, T: np.ndarray) -> np.ndarray:
         """``(K_k + h K_c) @ T`` over all nodes, by element scatter-add."""
@@ -399,79 +429,36 @@ class AffinePlate:
             )
         return y
 
-    def _forward(self, factor: PlateFactor, rhs: np.ndarray, kind: str) -> np.ndarray:
-        """``U_ll^-T`` times the leading rows of ``rhs``: the forward band
-        solve.  ``l_c`` and ``f_a`` vanish off the convective walls, so
-        these rows do not depend on ``h``, and the last result per load
-        ``kind`` is kept and reused while the band and the rows are
-        bitwise the same.  Zero rows (a ``t_inf`` slope) solve to zero."""
-        band = factor.band
-        b = rhs[:band.shape[1]]
-        if not b.any():  # also skips the band routine on an empty block (see _leading)
-            return b
-        kept = self._kept.get(kind)
-        if kept is not None and kept[0] is band and np.array_equal(
-            kept[1].view(np.uint64), b.view(np.uint64)
-        ):
-            return kept[2]
-        y = lapack.dtbtrs(band, b, trans="T")[0]
-        self._kept[kind] = band, b.copy(), y
-        return y
-
     @staticmethod
-    def _substitute(factor: PlateFactor, y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _substitute(factor: tuple, y: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``x`` with ``U^T U x = b``, given ``y``, the forward band solve of
         ``b``'s leading rows: forward through the trailing block, back
         through it and then through the band.  A zero diagonal leaves ``b``
         unsolved, which the residual check reports."""
-        n_lead, reach = factor.band.shape[1], factor.coupling.shape[0]
-        x, x_b = y.copy(), b[n_lead:]  # the kept forward solve stays as it is
+        band, coupling, block, _ = factor
+        n_lead, reach = band.shape[1], coupling.shape[0]
+        x, x_b = y.copy(), b[n_lead:]  # the held forward solve stays as it is
         if x_b.size:
             tail = slice(n_lead - reach, n_lead)
             if reach:
-                x_b = blas.dgemv(-1.0, factor.coupling, x[tail], 1.0, x_b, trans=1)
-            x_b = lapack.dpotrs(factor.block, x_b)[0]
+                x_b = blas.dgemv(-1.0, coupling, x[tail], 1.0, x_b, trans=1)
+            x_b = lapack.dpotrs(block, x_b)[0]
             if reach:
-                x[tail] = blas.dgemv(-1.0, factor.coupling, x_b, 1.0, x[tail])
+                x[tail] = blas.dgemv(-1.0, coupling, x_b, 1.0, x[tail])
         if n_lead:  # no band routine on an empty block (see _leading)
-            x = lapack.dtbtrs(factor.band, x, overwrite_b=1)[0]
+            x = lapack.dtbtrs(band, x, overwrite_b=1)[0]
         return np.concatenate([x, x_b])
 
-    def solve(self, factor: PlateFactor, q: float, t_inf: float) -> np.ndarray:
-        """Nodal temperatures [K] for ``factor.h`` and the given ``q`` and
-        ``t_inf``, a new float array indexed like the mesh nodes.
-
-        One block substitution, whose forward band solve is kept for the
-        next solve at the same ``q`` (see :meth:`_forward`), and one
-        residual product.  A relative residual above 1e-10 raises
-        :class:`SingularSystemError`; loads or temperatures that overflow
-        the float range raise ``ValueError``.
-        """
-        if not (np.isfinite(q) and np.isfinite(t_inf)):
-            raise ValueError(f"parameters must be finite, got q={q}, t_inf={t_inf}")
-        h = factor.h
-        with np.errstate(over="ignore", invalid="ignore"):
-            loads = q * self._f_q + (h * t_inf) * self._f_a + self._G * self._f_G
-        at = f"h={h}, q={q}, t_inf={t_inf}, t_fixed={self._t_fixed}"
-        return self._solve(factor, loads, self._t_fixed, at, "solve")
-
-    def slope(self, factor: PlateFactor, name: str) -> np.ndarray:
-        """``dT/dq`` or ``dT/dt_inf`` at ``factor.h``; exact, because ``T``
-        is affine in both.  It is the plate's response to the load ``f_q``
-        or ``h f_a`` alone, with the fixed walls at 0, by the same
-        substitution and checks as :meth:`solve`.  The forward band solve
-        of ``f_q`` is kept for every later ``h``; that of ``h f_a`` is zero."""
-        with np.errstate(over="ignore"):
-            loads = {"q": self._f_q, "t_inf": factor.h * self._f_a}[name]
-        return self._solve(factor, loads, 0.0, f"h={factor.h}, slope in {name}", name)
-
     def _solve(
-        self, factor: PlateFactor, loads: np.ndarray, t_fixed: float, at: str, kind: str
+        self, h: float, factor: tuple, loads: np.ndarray, t_fixed: float, at: str,
+        forward: dict, kind: str,
     ) -> np.ndarray:
         """``T`` with ``K(h) T = loads`` on the free nodes and ``t_fixed``
-        on the fixed ones; ``at`` names the parameters in error messages
-        and ``kind`` the load whose forward band solve is kept."""
-        h, free = factor.h, self._free
+        on the fixed ones; ``at`` names the parameters in error messages.
+        ``forward[kind]`` is the forward band solve of the right-hand
+        side's leading rows, made at the sweep's first ``h``, or ``None``
+        when those rows are zero."""
+        free = self._free
         T = np.full(self.n_nodes, t_fixed, dtype=float)
         if free.size == 0:
             return T
@@ -480,7 +467,11 @@ class AffinePlate:
             rhs = t_fixed * (self._l_k + h * self._l_c) + loads[free]
             if not np.isfinite(rhs).all():
                 raise ValueError(f"right-hand side overflows the float range at {at}")
-            T[free] = self._substitute(factor, self._forward(factor, rhs, kind), rhs)
+            b = rhs[:factor[0].shape[1]]
+            if kind not in forward:  # no band routine on zero or empty rows (see _leading)
+                forward[kind] = lapack.dtbtrs(factor[0], b, trans="T")[0] if b.any() else None
+            y = forward[kind]
+            T[free] = self._substitute(factor, b if y is None else y, rhs)
             if not np.isfinite(T).all():
                 raise ValueError(f"temperatures overflow the float range at {at}")
 
@@ -492,8 +483,7 @@ class AffinePlate:
             if f_norm > 0.0 and residual > 1e-10 * f_norm:
                 raise SingularSystemError(
                     _pivot_diagnosis(
-                        f"relative residual {residual / f_norm:.3e} exceeds 1e-10",
-                        factor.pivot_ratio,
+                        f"relative residual {residual / f_norm:.3e} exceeds 1e-10", factor[3]
                     )
                 )
         return T
@@ -522,13 +512,12 @@ def _pivot_diagnosis(reason: str, ratio: float) -> str:
 
 
 def solve_crisp(m: Mesh2D, p: PlateParameters, bc: BoundaryConditionSet) -> np.ndarray:
-    """Nodal temperatures [K] of the plate: assemble the affine plate,
-    factor it at ``p.h`` and solve.
+    """Nodal temperatures [K] of the plate: assemble the affine plate and
+    take the one item of its sweep at ``p.h``.
 
     This is the single crisp pipeline: the fuzzy sweep runs the same
-    :class:`AffinePlate` factor and solve at every distinct ``h``, at the
-    modal ``q`` and ``t_inf``, so its top level and a plain crisp solve
-    are bit-for-bit identical.
+    :meth:`AffinePlate.sweep` at every distinct ``h``, at the modal ``q``
+    and ``t_inf``, so its top level and a plain crisp solve are
+    bit-for-bit identical.
     """
-    plate = AffinePlate(m, p, bc)
-    return plate.solve(plate.factor(p.h), p.q, p.t_inf)
+    return next(AffinePlate(m, p, bc).sweep([p.h], p.q, p.t_inf))[0]

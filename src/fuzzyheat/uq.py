@@ -5,10 +5,12 @@ minima / maxima of the temperature over each interval box form the
 envelopes.  The plate is affine in ``q`` and ``t_inf``, so
 :func:`propagate` sweeps an assembled
 :class:`~fuzzyheat.fem2d.AffinePlate`, which several scenarios can
-share, and, per distinct ``h`` of all levels, runs one factor, one solve
-at the modal ``q`` and ``t_inf`` and one exact slope per fuzzy load
-(once in all on a plate with no convective wall, which does not depend
-on ``h``); the extremes in ``q`` and ``t_inf`` follow in closed form.
+share, through its one solve entry,
+:meth:`~fuzzyheat.fem2d.AffinePlate.sweep`: at each distinct ``h`` of
+all levels, one solve at the modal ``q`` and ``t_inf`` and one exact
+slope per fuzzy load (once in all on a plate with no convective wall,
+which does not depend on ``h``); the extremes in ``q`` and ``t_inf``
+follow in closed form.
 The envelope is two ``(n_levels, n_nodes)`` arrays, ``lower`` and
 ``upper``; at alpha = 1 both are the modal crisp solve.  In ``h`` the
 envelope takes the two ends of each cut (the vertex method), which is
@@ -156,52 +158,51 @@ def propagate(plate: AffinePlate, scenario: FuzzyScenario) -> FuzzyTemperatureFi
     The plate's ``k``, ``G``, ``t_fixed`` and wall layout hold for every
     level, and ``h``, ``q`` and ``t_inf`` come from the scenario, so one
     plate serves every scenario of a run: its ``h``-independent band
-    Cholesky is formed at the first factor and kept on the plate.  At
-    either end of a level's ``h`` cut, each bound is the modal solve
-    plus, per fuzzy load, the smaller (larger) of its
-    :meth:`~fuzzyheat.fem2d.AffinePlate.slope` times the two deviations
-    of the load's cut from its mode; the envelope is the min / max over
-    both ends.  At alpha = 1 every deviation is 0, so the top level is
-    the crisp modal solve, bit for bit as :func:`~fuzzyheat.fem2d.solve_crisp`.
-    The solves kept per distinct ``h``, the envelope and what one factor
-    and solve allocate on top (``AffinePlate.work_bytes``) are checked
-    against the available memory before the first factor (``MemoryError``).
-    A failed solve keeps its type and gains ``h`` and the modal loads in
-    front of its message; a bound or width beyond the float range is a
-    ``ValueError``.
+    Cholesky is formed at its first factor and kept on the plate.  One
+    :meth:`~fuzzyheat.fem2d.AffinePlate.sweep` over the distinct ``h``
+    of all levels, in first-seen order, gives the modal solve and one
+    slope per fuzzy load at each.  At either end of a level's ``h`` cut,
+    each bound is the modal solve plus, per fuzzy load, the smaller
+    (larger) of its slope times the two deviations of the load's cut
+    from its mode; the envelope is the min / max over both ends.  At
+    alpha = 1 every deviation is 0, so the top level is the crisp modal
+    solve, bit for bit as :func:`~fuzzyheat.fem2d.solve_crisp`.  The
+    solves kept per distinct ``h``, the envelope and what one step of
+    the sweep allocates on top (``AffinePlate.work_bytes``) are checked
+    against the available memory before the first factor
+    (``MemoryError``).  A failed solve keeps its type and gains the
+    first level whose cut ends at the failing ``h``, that ``h`` and the
+    modal loads in front of its message; a bound or width beyond the
+    float range is a ``ValueError``.
     """
     levels = tuple(scenario.alpha_levels)
     cuts = [scenario.cut(a) for a in levels]
     mode = {name: iv.lo for name, iv in cuts[-1].items()}  # the alpha = 1 point
-    loads = [name for name in scenario.fuzzy_names() if name != "h"]
+    loads = tuple(name for name in scenario.fuzzy_names() if name != "h")
+    hs = list(dict.fromkeys(h for cut in cuts for h in (cut["h"].lo, cut["h"].hi)))
     # A solve and a slope per load at each distinct h (at one h without a
     # convective wall), and the two envelope arrays, n_nodes floats each;
-    # one factor and solve at a time on top.
-    n_h = len({h for cut in cuts for h in (cut["h"].lo, cut["h"].hi)}) if plate.depends_on_h else 1
+    # one step of the sweep at a time on top.
+    n_h = len(hs) if plate.depends_on_h else 1
     need = 8 * plate.n_nodes * (n_h * (1 + len(loads)) + 2 * len(levels)) + plate.work_bytes
     check_memory(need, "sweep")
 
-    solved = {}  # h -> (modal temperatures, [(load, dT/dload)])
-    for alpha, cut in zip(levels, cuts):
-        for h in (cut["h"].lo, cut["h"].hi):
-            if h in solved:
-                continue
-            if solved and not plate.depends_on_h:  # no convective wall: solved once
-                solved[h] = next(iter(solved.values()))
-                continue
-            try:
-                factor = plate.factor(h)
-                T = plate.solve(factor, mode["q"], mode["t_inf"])
-                solved[h] = T, [(name, plate.slope(factor, name)) for name in loads]
-            except (ValueError, SingularSystemError) as exc:
-                raise type(exc)(
-                    f"crisp solve failed at alpha={alpha} h={h} "
-                    f"(modal q={mode['q']}, t_inf={mode['t_inf']}): {exc}"
-                ) from exc
+    solved = {}  # h -> (modal temperatures, [dT/dload for load in loads])
+    try:
+        for h, result in zip(hs, plate.sweep(hs, mode["q"], mode["t_inf"], loads)):
+            solved[h] = result
+    except (ValueError, SingularSystemError) as exc:
+        h = hs[len(solved)]
+        alpha = next(a for a, cut in zip(levels, cuts) if h in (cut["h"].lo, cut["h"].hi))
+        raise type(exc)(
+            f"crisp solve failed at alpha={alpha} h={h} "
+            f"(modal q={mode['q']}, t_inf={mode['t_inf']}): {exc}"
+        ) from exc
 
     def bound(cut: dict[str, Interval], pick) -> np.ndarray:
         return pick.reduce([
-            T + sum(pick((cut[n].lo - mode[n]) * s, (cut[n].hi - mode[n]) * s) for n, s in slopes)
+            T + sum(pick((cut[n].lo - mode[n]) * s, (cut[n].hi - mode[n]) * s)
+                    for n, s in zip(loads, slopes))
             for T, slopes in (solved[cut["h"].lo], solved[cut["h"].hi])
         ])
 

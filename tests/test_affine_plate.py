@@ -11,7 +11,6 @@ from fuzzyheat.fem2d import (
     BCKind,
     BoundaryConditionSet,
     DegenerateElementError,
-    PlateFactor,
     PlateParameters,
     SingularSystemError,
     solve_crisp,
@@ -44,6 +43,18 @@ CASES = {
 }
 
 
+def shapes(monkeypatch, name):
+    """The shapes of the matrices that reach ``lapack.<name>``, in call order."""
+    seen, routine = [], getattr(lapack, name)
+
+    def recording(a, *args, **kwargs):
+        seen.append(a.shape)
+        return routine(a, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, name, recording)
+    return seen
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_affine_plate_matches_dense_reference(case):
     (nx, ny), bc, p = CASES[case]
@@ -58,17 +69,15 @@ def test_one_factor_serves_every_q_and_t_inf(case):
     (nx, ny), bc, p = CASES[case]
     m = generate_structured_mesh(20.0, 10.0, nx, ny)
     plate = AffinePlate(m, p, bc)
-    factor = plate.factor(2.5)
     for q, t_inf in [(0.0, 0.0), (-3.0, 40.0), (7.5, -12.0)]:
-        T = plate.solve(factor, q, t_inf)
+        T, slopes = next(plate.sweep([2.5], q, t_inf, ("q", "t_inf")))
         ref = dense_solve(m, PlateParameters(k=p.k, G=p.G, h=2.5, q=q, t_inf=t_inf,
                                              t_fixed=p.t_fixed), bc)
         assert np.abs(T - ref).max() <= 1e-10 * np.abs(ref).max()
     # The slopes are the responses to a unit q or t_inf alone.
-    for name, q, t_inf in [("q", 1.0, 0.0), ("t_inf", 0.0, 1.0)]:
+    for slope, q, t_inf in zip(slopes, [1.0, 0.0], [0.0, 1.0]):
         ref = dense_solve(m, PlateParameters(k=p.k, G=0.0, h=2.5, q=q, t_inf=t_inf,
                                              t_fixed=0.0), bc)
-        slope = plate.slope(factor, name)
         assert np.abs(slope - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -103,19 +112,19 @@ WALL_LAST = {
 
 
 @pytest.mark.parametrize("case", sorted(WALL_LAST))
-def test_wall_last_numbering_matches_dense_reference(case):
+def test_wall_last_numbering_matches_dense_reference(monkeypatch, case):
     bc, trailing, (nx, ny) = WALL_LAST[case]
     p = PlateParameters(h=2.0, G=0.2, q=-1.0, t_inf=40.0)
     m = generate_structured_mesh(20.0, 10.0, nx, ny)
     plate = AffinePlate(m, p, bc)
-    factor = plate.factor(p.h)
-    assert factor.block.shape == (trailing, trailing)
-    T = plate.solve(factor, p.q, p.t_inf)
+    blocks = shapes(monkeypatch, "dpotrf")
+    T = next(plate.sweep([p.h], p.q, p.t_inf))[0]
+    assert blocks == ([(trailing, trailing)] if trailing else [])
     ref = dense_solve(m, p, bc)
     assert np.abs(T - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
-def test_bandwidth_of_structured_plate():
+def test_bandwidth_of_structured_plate(monkeypatch):
     """The band covers the leading block only.  Fixing the right wall
     leaves nx free nodes per row, so the diagonal neighbour (i+1, j+1)
     sits nx+1 places further on.  With convective right and top walls the
@@ -124,11 +133,12 @@ def test_bandwidth_of_structured_plate():
     the wall).  A convective left wall under a fixed top wall also leaves
     ny free nodes per column."""
     m = generate_structured_mesh(20.0, 10.0, 7, 4)
+    bands = shapes(monkeypatch, "dpbtrf")
     for bc, superdiagonals in [
         (BoundaryConditionSet(), 8), (walls(F, C, C, A), 5), (walls(C, F, D, A), 5)
     ]:
-        factor = AffinePlate(m, PlateParameters(), bc).factor(1.2)
-        assert factor.band.shape[0] - 1 == superdiagonals
+        next(AffinePlate(m, PlateParameters(), bc).sweep([1.2], 2.0, 25.0))
+        assert bands.pop()[0] - 1 == superdiagonals
 
 
 def test_all_nodes_fixed_gives_fixed_temperature():
@@ -140,16 +150,15 @@ def test_all_nodes_fixed_gives_fixed_temperature():
 def test_solves_return_new_float_arrays():
     """Temperatures are floats even for an integer ``t_fixed`` (an integer
     array would truncate the solved values), and every solve and slope
-    returns an array of its own."""
+    of a sweep, at the same ``h`` too, is an array of its own."""
     m, bc = generate_structured_mesh(20.0, 10.0, 3, 3), BoundaryConditionSet()
     for fixed in (walls(D, D, A, A), bc):
         T = solve_crisp(m, PlateParameters(t_fixed=100), fixed)
         assert T.dtype == np.float64 and T.shape == (m.n_nodes,)
         np.testing.assert_array_equal(T, solve_crisp(m, PlateParameters(t_fixed=100.0), fixed))
     plate = AffinePlate(m, PlateParameters(), bc)
-    factor = plate.factor(1.2)
-    arrays = [plate.solve(factor, 2.0, 25.0), plate.solve(factor, 2.0, 25.0),
-              plate.slope(factor, "q"), plate.slope(factor, "q")]
+    (T1, (s1,)), (T2, (s2,)) = plate.sweep([1.2, 1.2], 2.0, 25.0, ("q",))
+    arrays = [T1, T2, s1, s2]
     assert all(a.flags.writeable and a.flags.owndata for a in arrays)
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
@@ -167,25 +176,27 @@ def test_singular_message_names_the_failure():
     plate = AffinePlate(m, PlateParameters(), walls(A, A, A, A))
     pattern = r"(leading minor \d+ of 36|near-singular Cholesky pivot); condition estimate"
     with pytest.raises(SingularSystemError, match=pattern):
-        plate.factor(0.0)
+        next(plate.sweep([0.0], 2.0, 25.0))
 
 
-def test_singular_trailing_block_names_the_full_minor():
+def test_singular_trailing_block_names_the_full_minor(monkeypatch):
     """Without convection the only convective wall no longer grounds the
     plate: the leading block stays positive definite and the trailing
     block fails at its last minor, counted over all free nodes."""
     m = generate_structured_mesh(20.0, 10.0, 5, 5)
     plate = AffinePlate(m, PlateParameters(), walls(A, A, C, A))
     with pytest.raises(SingularSystemError, match=r"leading minor 36 of 36; condition"):
-        plate.factor(0.0)
-    assert plate.factor(1.2).block.shape == (6, 6)
+        next(plate.sweep([0.0], 2.0, 25.0))
+    blocks = shapes(monkeypatch, "dpotrf")
+    next(plate.sweep([1.2], 2.0, 25.0))
+    assert blocks == [(6, 6)]
 
 
 @pytest.mark.parametrize("h", [-0.5, float("nan"), float("inf")])
 def test_factor_rejects_bad_h(h):
     m = generate_structured_mesh(20.0, 10.0, 2, 2)
     with pytest.raises(ValueError, match="convection coefficient"):
-        AffinePlate(m, PlateParameters(), BoundaryConditionSet()).factor(h)
+        next(AffinePlate(m, PlateParameters(), BoundaryConditionSet()).sweep([h], 2.0, 25.0))
 
 
 @pytest.mark.parametrize("q,t_inf", [(float("nan"), 25.0), (2.0, float("-inf"))])
@@ -193,7 +204,7 @@ def test_solve_rejects_non_finite_parameters(q, t_inf):
     m = generate_structured_mesh(20.0, 10.0, 2, 2)
     plate = AffinePlate(m, PlateParameters(), BoundaryConditionSet())
     with pytest.raises(ValueError, match="finite"):
-        plate.solve(plate.factor(1.2), q, t_inf)
+        next(plate.sweep([1.2], q, t_inf))
 
 
 LOOP = ((0, 1, Wall.BOTTOM), (1, 2, Wall.RIGHT), (2, 0, Wall.LEFT))
@@ -220,32 +231,35 @@ def test_zero_length_loaded_edge_rejected():
 @pytest.mark.parametrize(
     "t_fixed,residual", [(100.0, "1.686e-02"), (1e200, "1.278e-02")], ids=["100.0", "1e+200"]
 )
-def test_residual_check_holds_at_any_load_scale(t_fixed, residual):
+def test_residual_check_holds_at_any_load_scale(monkeypatch, t_fixed, residual):
     """A factor 1.01 times too large leaves a relative residual above
     1e-2 at either scale; above about 1e154 the squares in a naive norm
     overflow and would hide it."""
     m = generate_structured_mesh(20.0, 10.0, 3, 2)
     plate = AffinePlate(m, PlateParameters(t_fixed=t_fixed), BoundaryConditionSet())
-    good = plate.factor(1.2)
-    assert good.block.size  # the block path: U_bb and U_lb scale with U_ll
-    bad = PlateFactor(
-        good.h, good.band * 1.01, good.coupling * 1.01, good.block * 1.01, good.pivot_ratio
-    )
-    assert np.isfinite(plate.solve(good, 2.0, 25.0)).all()
+    factor = plate._factor
+    assert factor(1.2)[2].size  # the block path: U_bb and U_lb scale with U_ll
+
+    def scaled(h):
+        band, coupling, block, ratio = factor(h)
+        return band * 1.01, coupling * 1.01, block * 1.01, ratio
+
+    assert np.isfinite(next(plate.sweep([1.2], 2.0, 25.0))[0]).all()
+    monkeypatch.setattr(plate, "_factor", scaled)
     with pytest.raises(SingularSystemError, match=rf"relative residual {residual} "):
-        plate.solve(bad, 2.0, 25.0)
+        next(plate.sweep([1.2], 2.0, 25.0))
 
 
 @pytest.mark.parametrize("cfg,scenarios,workers,counts,dpotrf,dtbtrs", [
-    (RunConfig(), ["custom"], 1, (21, 21, 21), 21, (3, 42)),
-    (RunConfig(), ["custom"], 4, (21, 21, 21), 21, (3, 42)),
-    (RunConfig(), ["h-only"], 1, (21, 21, 0), 21, (2, 21)),
-    (RunConfig(), ["q-only"], 1, (1, 1, 1), 1, (3, 2)),
-    (RunConfig(), ["tinf-only"], 1, (1, 1, 1), 1, (2, 2)),
-    (RunConfig(), ["all"], 1, (21, 21, 42), 21, (3, 63)),
-    (RunConfig(left=C), ["custom"], 1, (21, 21, 21), 21, (2, 42)),
-    (RunConfig(top=A), ["custom"], 1, (1, 1, 1), 0, (2, 2)),
-    (RunConfig(), ["h-only", "q-only"], 1, (22, 22, 1), 22, (3, 23)),
+    (RunConfig(), ["custom"], 1, (1, 21, 42), 21, (3, 42)),
+    (RunConfig(), ["custom"], 4, (1, 21, 42), 21, (3, 42)),
+    (RunConfig(), ["h-only"], 1, (1, 21, 21), 21, (2, 21)),
+    (RunConfig(), ["q-only"], 1, (1, 1, 2), 1, (3, 2)),
+    (RunConfig(), ["tinf-only"], 1, (1, 1, 2), 1, (2, 2)),
+    (RunConfig(), ["all"], 1, (1, 21, 63), 21, (3, 63)),
+    (RunConfig(left=C), ["custom"], 1, (1, 21, 42), 21, (2, 42)),
+    (RunConfig(top=A), ["custom"], 1, (1, 1, 2), 0, (2, 2)),
+    (RunConfig(), ["h-only", "q-only"], 1, (2, 22, 23), 22, (4, 23)),
 ], ids=["1", "4", "h-only", "q-only", "tinf-only", "all", "two-walls", "no-wall", "shared"])
 def test_default_sweep_factors_once_per_distinct_h(
     monkeypatch, tmp_path, cfg, scenarios, workers, counts, dpotrf, dtbtrs
@@ -254,20 +268,23 @@ def test_default_sweep_factors_once_per_distinct_h(
     and 1 when it is not, however many corners the levels' boxes have.
     The band does not depend on h, so a run assembles one plate and
     factors it once in band form, for all its scenarios, plus one
-    trailing-block factorization per distinct h of each scenario; each h
-    gets one solve at the modal (q, t_inf) and one slope per fuzzy load,
-    whatever ``--workers`` the CLI sweep is given.  A plate without a
-    convective wall does not depend on h: one factor, solve and slope
-    serve every h, and there is no trailing block.  ``counts`` are the
-    ``factor``, ``solve`` and ``slope`` calls, ``dpotrf`` the
-    trailing-block factorizations.
+    trailing-block factorization per distinct h of each scenario; each
+    scenario is one ``sweep``, and each h gets one solve at the modal
+    (q, t_inf) and one slope per fuzzy load, whatever ``--workers`` the
+    CLI sweep is given.  A plate without a convective wall does not
+    depend on h: one factor, solve and slope serve every h, and there is
+    no trailing block.  ``counts`` are the ``sweep``, ``_factor`` and
+    ``_solve`` (solves and slopes) calls, ``dpotrf`` the trailing-block
+    factorizations.
 
     ``dtbtrs`` counts the forward (transposed) and back band solves.
     Each solve and slope makes one back solve.  The forward solves are
-    the coupling ``U_lb`` (with a convective wall), the modal load and
-    the unit ``q`` load, once each for the whole run: a ``t_inf`` slope,
-    and a ``q`` slope without a flux wall (``left=C``), has zero leading
-    rows and needs none."""
+    the coupling ``U_lb`` (with a convective wall), once per plate, and
+    the modal load and the unit ``q`` load, once per sweep: a ``t_inf``
+    slope, and a ``q`` slope without a flux wall (``left=C``), has zero
+    leading rows and needs none.  So the two sweeps of ``shared`` make
+    4 forward solves: the coupling, the modal load twice and the unit
+    ``q`` load once."""
     calls = []
 
     def count(owner, name):
@@ -281,13 +298,47 @@ def test_default_sweep_factors_once_per_distinct_h(
 
     for name in ("dpbtrf", "dpotrf", "dtbtrs"):
         count(lapack, name)
-    for name in ("__init__", "factor", "solve", "slope"):
+    for name in ("__init__", "sweep", "_factor", "_solve"):
         count(AffinePlate, name)
     cmd_fuzzy_sweep(cfg, scenarios, tmp_path, workers=workers)
     assert calls.count("__init__") == 1
     assert [c for c in calls if c.startswith("dp")] == ["dpbtrf"] + dpotrf * ["dpotrf"]
-    assert tuple(map(calls.count, ("factor", "solve", "slope"))) == counts
+    assert tuple(map(calls.count, ("sweep", "_factor", "_solve"))) == counts
     assert (calls.count("dtbtrsT"), calls.count("dtbtrs")) == dtbtrs
+
+
+# The 40x40 default and a four-wall plate, whose wall block couples to
+# nearly every leading row, and a plate without a convective wall.
+REUSE = {
+    "default-40x40": CASES["default-40x40"],
+    "four-convective-walls": CASES["four-convective-walls"],
+    "no-convective-wall": ((7, 4), walls(F, D, F, A), PlateParameters()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REUSE))
+def test_sweep_items_match_fresh_one_h_sweeps_bit_for_bit(case):
+    """A sweep forward-solves the leading rows of each right-hand side at
+    its first h and reuses that solve at every later h.  Each item equals,
+    byte for byte, a one-h sweep of a fresh plate, and ``solve_crisp``
+    equals the item at ``p.h``, which is not the first.  A plate without
+    a convective wall yields the same arrays at every h."""
+    (nx, ny), bc, p = REUSE[case]
+    m = generate_structured_mesh(20.0, 10.0, nx, ny)
+    hs, loads = [0.9, p.h, 3.0], ("q", "t_inf")
+
+    def raw(item):
+        T, slopes = item
+        return [T.tobytes()] + [s.tobytes() for s in slopes]
+
+    items = list(AffinePlate(m, p, bc).sweep(hs, p.q, p.t_inf, loads))
+    assert len(items) == len(hs)
+    for h, item in zip(hs, items):
+        assert raw(item) == raw(next(AffinePlate(m, p, bc).sweep([h], p.q, p.t_inf, loads)))
+    assert items[1][0].tobytes() == solve_crisp(m, p, bc).tobytes()
+    if case == "no-convective-wall":
+        first = [items[0][0], *items[0][1]]
+        assert all(a is b for T, slopes in items for a, b in zip([T, *slopes], first))
 
 
 # 8 bytes times: K_ll and its factor, 2 (u + 1) n_lead; K_lb, which U_lb

@@ -338,13 +338,14 @@ def test_sweep_worker_count_is_byte_identical(tmp_path):
 
 def test_sweep_factors_on_the_calling_thread_for_any_worker_count(tmp_path, monkeypatch):
     threads = []
-    original = AffinePlate.factor
+    original = AffinePlate.sweep
 
-    def recording(self, h):
-        threads.append(threading.get_ident())
-        return original(self, h)
+    def recording(*args):
+        for item in original(*args):
+            threads.append(threading.get_ident())
+            yield item
 
-    monkeypatch.setattr(AffinePlate, "factor", recording)
+    monkeypatch.setattr(AffinePlate, "sweep", recording)
     cfg_path = write_config(tmp_path, MINIMAL)
     assert main(["fuzzy-sweep", "--config", cfg_path, "--out", str(tmp_path / "out"),
                  "--workers", "2"]) == 0
@@ -394,6 +395,38 @@ GOLDEN = {
     "rod-exponents": (
         "[rod]\nn_elems = 20\nsteps = 30\ndt = 1e-5\nu1 = 0.5\ntheta = 0.5\n", ["rod"], {
             "rod_timeseries.csv": "c9ca83862dc3aedbe06d0659b4c54af911a6d68cf4eee6c90d0c54d38b73891c",
+        }),
+    # Sweeps beyond the 5x5 one-wall plate: the 40x40 default; three
+    # convective walls with a 30 % h, two scenarios in subfolders; and a
+    # plate without a convective wall, which is solved at one h only.
+    "sweep-custom-40x40": ("[plate]\nnx = 40\nny = 40\n", ["fuzzy-sweep"], {
+        "envelope.csv": "24917a7338369a200182481cea60b9b1546ed7eaed855108a2fb559c36e54ecf",
+        "sensitivity.csv": "3b3125453fbf077fb7a1805b7ceb650c9b7ad401dab8c5ae5dce4864d9ae8cce",
+    }),
+    "sweep-three-walls": (
+        "[plate]\nnx = 6\nny = 4\n[boundary]\nleft = convection\nright = convection\n"
+        "top = convection\nbottom = dirichlet\n[fuzzy]\nh_pct = 0.3\n",
+        ["fuzzy-sweep", "--scenario", "all", "--scenario", "tinf-only"], {
+            "all/envelope.csv":
+                "90fc213a865819638e682f7c4837728960484d71f2411c4840bb336daf8b0096",
+            "all/sensitivity.csv":
+                "96e1d5d10c511a18ddbad4c47e95252475ca09783a0668576489f4cc12ed4727",
+            "tinf-only/envelope.csv":
+                "b15feded614b0c39d3d6376ac2a164541f717b92155cf74fdacd05f272c64b09",
+            "tinf-only/sensitivity.csv":
+                "95a1b9e9c2df5ed7c7e7dcb42c41c5e93605ca6e36fc0a001ce4220da6496fb8",
+        }),
+    "sweep-no-wall": (
+        "[boundary]\ntop = adiabatic\n",
+        ["fuzzy-sweep", "--scenario", "all", "--scenario", "h-only"], {
+            "all/envelope.csv":
+                "b71ffe1f386495303c87820a7a5b2efef1ed09d6059aa4f292c9599287ddb375",
+            "all/sensitivity.csv":
+                "7fe6f5232bf7e5aa2ac58aaff2a41646dd649a7634ffc5aead190d00a8c4a229",
+            "h-only/envelope.csv":
+                "209a411a29a74c0af2caee3b75d7caa2cf4fbcfa4487c97d2a5be1284fa835be",
+            "h-only/sensitivity.csv":
+                "719ce8297e73d012d36d35b1f4821eefd8861b39ea2a4fe980e28e0153bef958",
         }),
 }
 

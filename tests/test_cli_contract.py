@@ -137,10 +137,10 @@ def test_memory_error_is_one_categorized_line(tmp_path, monkeypatch, message, sh
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_memory_error_in_a_sweep_keeps_its_category(tmp_path, monkeypatch, workers):
-    def exhausted(self, h):
+    def exhausted(*args):
         raise MemoryError("Unable to allocate 1.5 GiB for an array")
 
-    monkeypatch.setattr(fem2d.AffinePlate, "factor", exhausted)
+    monkeypatch.setattr(fem2d.AffinePlate, "sweep", exhausted)
     config = tmp_path / "run.ini"
     config.write_text("[plate]\nnx = 2\n")
     code, err = run(["fuzzy-sweep", "--config", str(config), "--out", str(tmp_path / "out"),
@@ -190,8 +190,8 @@ def test_rod_states_beyond_memory_fail_before_the_first_step(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("available,what,need", [
-    (26111, None, None),
-    (26110, "sweep", 26111),
+    (25711, None, None),
+    (25710, "sweep", 25711),
     (10000, "envelope table", 12672),
 ], ids=["fits", "sweep", "table"])
 def test_sweep_arrays_beyond_memory_fail_before_any_output(tmp_path, monkeypatch, available,
@@ -202,29 +202,32 @@ def test_sweep_arrays_beyond_memory_fail_before_any_output(tmp_path, monkeypatch
     factor, 8 * 36 * (21 h values * (1 solve + 1 slope) + 2 * 11 envelope
     rows) = 18432 plus the plate's ``work_bytes``: 9 * 7 * 25 for the
     first band Cholesky of the 25 leading nodes (6 superdiagonals) and
-    its finiteness mask, and 8 * (3 * 5**2 wall blocks + 4 * 25 kept
-    forward rows + 2 * 150 triangle corners + 8 * 36 nodes), 7679 in all,
-    so 26111.  A run that does not fit factors nothing and writes
-    nothing."""
-    factors, factor = [], fem2d.AffinePlate.factor
+    its finiteness mask, and 8 * (3 * 5**2 wall blocks + 2 * 25 held
+    forward rows + 2 * 150 triangle corners + 8 * 36 nodes), 7279 in all,
+    so 25711.  The sweep holds its two forward solves without the copies
+    of their right-hand sides that a plate-wide cache compared them with,
+    2 * 25 rows fewer than before (26111).  A run that does not fit
+    solves nothing and writes nothing."""
+    solves, sweep = [], fem2d.AffinePlate.sweep
 
     def counted(*args):
-        factors.append(None)
-        return factor(*args)
+        for item in sweep(*args):
+            solves.append(None)
+            yield item
 
-    monkeypatch.setattr(fem2d.AffinePlate, "factor", counted)
+    monkeypatch.setattr(fem2d.AffinePlate, "sweep", counted)
     monkeypatch.setattr(memory, "available_memory", lambda: available)
     config = tmp_path / "run.ini"
     config.write_text("[plate]\n")
     code, err = run(["fuzzy-sweep", "--config", str(config), "--out", str(tmp_path / "out")])
     if what is None:
-        assert (code, err) == (0, "") and len(factors) == 21
+        assert (code, err) == (0, "") and len(solves) == 21
         assert (tmp_path / "out" / "envelope.csv").exists()
     else:
         assert code == 6
         assert err == (f"error: memory-error: {what} needs {need} bytes "
                        f"({need / 2**30:.3g} GiB), {available} available\n")
-        assert factors == [] and not (tmp_path / "out").exists()
+        assert solves == [] and not (tmp_path / "out").exists()
 
 
 def test_readme_config_block_is_the_defaults(tmp_path):

@@ -109,13 +109,13 @@ def test_modal_level_is_bitwise_crisp_solve():
 def test_sweep_memory_estimate_covers_its_peak(monkeypatch, name, formed):
     """The bytes a 40x40 default sweep asks ``check_memory`` for cover
     the peak that ``tracemalloc`` sees during it: the kept solves, the
-    envelope, and one factor and solve with the forward band solves they
-    keep (``AffinePlate.work_bytes``), whether the sweep forms the band
-    Cholesky or finds it formed."""
+    envelope, and one step of the plate's sweep with the forward band
+    solves it holds (``AffinePlate.work_bytes``), whether the sweep forms
+    the band Cholesky or finds it formed."""
     cfg = RunConfig(nx=40, ny=40)
     plate = AffinePlate(cfg.mesh(), cfg.parameters(), cfg.boundary_conditions())
     if formed:
-        plate.factor(cfg.h)
+        next(plate.sweep([cfg.h], cfg.q, cfg.t_inf))
     asked = []
     monkeypatch.setattr(uq, "check_memory", lambda need, what: asked.append(need))
     tracemalloc.start()
