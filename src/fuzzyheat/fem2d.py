@@ -11,20 +11,23 @@ ambient load vectors.
 :class:`AffinePlate` is the one solver.  The system is affine in ``h``,
 ``q`` and ``t_inf``, so it assembles the parameter-free pieces once per
 mesh with vectorized scatter-adds, reduces them to the free
-(non-Dirichlet) nodes and keeps that matrix in LAPACK band form.  It
-numbers the nodes of every convective wall last, so the band Cholesky
-of the ``h``-independent leading block is formed once per plate and each
-distinct ``h`` adds a small dense Cholesky on the wall nodes (static
-condensation onto the walls), or nothing on a plate without a
-convective wall.  :meth:`AffinePlate.sweep` is the one solve entry: it
+(non-Dirichlet) nodes and keeps that matrix in LAPACK band form.  Each
+triangle's six local entries on and above the diagonal are summed
+straight into one band array, which the band Cholesky then overwrites
+in place.  It numbers the nodes of every convective wall last, so the
+band Cholesky of the ``h``-independent leading block is formed once per
+plate and each distinct ``h`` adds a small dense Cholesky on the wall
+nodes (static condensation onto the walls), or nothing on a plate
+without a convective wall.  :meth:`AffinePlate.sweep` is the one solve entry: it
 yields the temperatures and the slopes in ``q`` and ``t_inf`` at each
 ``h`` of a list, by one block substitution per right-hand side, without
 iterative refinement, and one residual product that checks it; the
 forward band solve of a load's ``h``-free leading rows is made at the
 sweep's first ``h`` and reused at the others.  :func:`solve_crisp` is a
 one-``h`` sweep.  Temperatures and slopes are new float arrays,
-indexed like the mesh nodes.  A plate whose band arrays would not fit in the
-available memory raises ``MemoryError`` before allocating them.  The
+indexed like the mesh nodes.  A plate whose band, wall blocks and
+assembly arrays would not fit in the available memory raises
+``MemoryError`` before allocating the band.  The
 LAPACK and BLAS routines come from :mod:`fuzzyheat._lapack`, scipy's
 compiled wrappers loaded without importing ``scipy.linalg``.
 
@@ -147,6 +150,24 @@ def dirichlet_nodes(m: Mesh2D, bc: BoundaryConditionSet) -> list[int]:
     return np.flatnonzero(np.bincount(edges.ravel(), minlength=m.n_nodes)).tolist()
 
 
+def _conduction(coords: np.ndarray, tris: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Twice the areas and the (E, 3, 3) conduction matrices of (E, 3)
+    node-index triangles; the gradient arrays are freed on return."""
+    area2 = _doubled_areas(coords, tris)
+    x, y = coords[tris, 0], coords[tris, 1]
+    # Constant shape-function gradients (b_i, c_i) / 2A, with
+    # b_i = y_j - y_k and c_i = x_k - x_j for (i, j, k) a cyclic vertex order.
+    gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], 1)
+    gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], 1)
+    gx /= area2[:, None]
+    gy /= area2[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # _leading rejects inf
+        ke = gx[:, :, None] * gx[:, None, :]
+        ke += gy[:, :, None] * gy[:, None, :]
+        ke *= (k * (0.5 * area2))[:, None, None]
+    return area2, ke
+
+
 _EMPTY = np.empty((0, 0))
 
 
@@ -168,11 +189,13 @@ class AffinePlate:
     that ``K(h) = [[K_ll, K_lb], [K_bl, K_bb + h Kc_bb]]``.  The leading
     block does not depend on ``h``: its banded Cholesky ``U_ll``, the
     coupling ``U_lb = U_ll^-T K_lb`` and ``S0 = K_bb - U_lb^T U_lb`` are
-    formed once per plate, at its first factor, and each ``h`` adds only
-    the dense ``m x m`` Cholesky of ``S0 + h Kc_bb`` (nothing when
-    ``m = 0``).  ``U_lb`` is dense from the first row of ``K_lb`` on: the
-    last band width of rows with one wall, nearly all rows with two or
-    more.  :meth:`sweep` runs that factor at each ``h`` of a list and
+    formed once per plate, at its first factor, ``U_ll`` and ``U_lb`` in
+    place of ``K_ll`` and ``K_lb`` (a band Cholesky that fails is kept
+    as the plate's failure), and each ``h`` adds only the dense
+    ``m x m`` Cholesky of ``S0 + h Kc_bb`` (nothing when ``m = 0``).
+    ``U_lb`` is dense from the first row of ``K_lb`` on: the last band
+    width of rows with one wall, nearly all rows with two or more.
+    :meth:`sweep` runs that factor at each ``h`` of a list and
     solves it for the modal ``(q, t_inf)`` and for ``dT/dq`` and
     ``dT/dt_inf``.  The leading rows of every right-hand side do not
     depend on ``h`` either (``l_c`` and ``f_a`` vanish off the walls), so
@@ -180,27 +203,18 @@ class AffinePlate:
     for the modal loads and once for the unit ``q`` load, and at every
     ``h`` runs only the wall block and the back substitution.
     ``work_bytes`` is what one step of a sweep may allocate besides the
-    arrays it yields.  The
-    constructor raises ``MemoryError`` when its estimate of the band
-    arrays and factors exceeds the memory the platform reports available.  The tests
+    arrays it yields.  The constructor raises ``MemoryError`` when its
+    estimate of what it and the first factor allocate exceeds the memory
+    the platform reports available: one band of ``K_ll``, ``K_lb``, five
+    ``m x m`` wall blocks, 31 floats per triangle, 10 per node and 32 KiB
+    of array headers and Python objects.  The tests
     compare the result with a dense per-element assembly solved by
     ``np.linalg.solve`` (``tests/dense_plate.py``).
     """
 
     def __init__(self, m: Mesh2D, p: PlateParameters, bc: BoundaryConditionSet):
         n, coords, tris = m.n_nodes, m.coords, m.elements
-        area2 = _doubled_areas(coords, tris)
-        x, y = coords[tris, 0], coords[tris, 1]
-        # Constant shape-function gradients (b_i, c_i) / 2A, with
-        # b_i = y_j - y_k and c_i = x_k - x_j for (i, j, k) a cyclic vertex order.
-        gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], 1)
-        gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], 1)
-        gx /= area2[:, None]
-        gy /= area2[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):  # _factor rejects inf
-            ke = (p.k * (0.5 * area2))[:, None, None] * (
-                gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
-            )
+        area2, ke = _conduction(coords, tris, p.k)
 
         # Flux and convection edges; Dirichlet and adiabatic ones add nothing.
         flux_edges = _boundary_edges(m, bc, BCKind.FLUX)
@@ -232,64 +246,78 @@ class AffinePlate:
         free = free[np.lexsort((xy[:, 1 - across], xy[:, across], on_wall[free]))]
         m_wall = int(on_wall[free].sum())
         n_lead = n_free - m_wall
-        rank = np.full(n, -1, dtype=np.intp)
-        rank[free] = np.arange(n_free)
+        rank = np.full(n, -1, dtype=np.int32)
+        rank[free] = np.arange(n_free, dtype=np.int32)
 
-        def pairs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """Row and column free-node ranks of every local matrix entry."""
-            shape = (len(cells), cells.shape[1], cells.shape[1])
-            rows = np.broadcast_to(cells[:, :, None], shape)
-            cols = np.broadcast_to(cells[:, None, :], shape)
-            return rank[rows].ravel(), rank[cols].ravel()
+        def upper(cells: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, ...]:
+            """Free-node ranks ``lo <= hi`` and value of each local matrix
+            entry on or above the diagonal, cell by cell (``lo`` is -1 where
+            a fixed node takes part).  Each local matrix is symmetric bit
+            for bit, so these entries are all of it."""
+            i, j = np.triu_indices(cells.shape[1])
+            ri, rj = rank[cells[:, i]], rank[cells[:, j]]
+            return np.minimum(ri, rj), np.maximum(ri, rj), local[:, i, j]
 
-        tri_r, tri_c = pairs(tris)
-        edge_r, edge_c = pairs(conv_edges)
+        lo, hi, k_up = upper(tris, ke)
+        in_band = (lo >= 0) & (hi < n_lead)
         # The band of the leading block alone (convective edges join wall
         # nodes only); a second wall can sit far from the first in the
         # numbering, and with it the band would span the whole plate.
-        u = int((tri_c - tri_r)[(tri_r >= 0) & (tri_c < n_lead)].max(initial=0))
+        u = int((hi - lo)[in_band].max(initial=0))
         # Rows of the leading block that K_lb reaches: at least the band's
         # last u, and from the first row that touches any wall node.
-        first = int(tri_r[(tri_r >= 0) & (tri_c >= n_lead)].min(initial=n_lead))
+        first = int(lo[(lo >= 0) & (hi >= n_lead)].min(initial=n_lead))
         reach = max(n_lead - first, min(u, n_lead))
+        # K_ll in band form, factored in place; K_lb, solved in place into
+        # U_lb; five m x m wall blocks (K_bb, Kc_bb, S0, S0 + h Kc_bb and its
+        # factor) and the finiteness mask of one; 31 floats per triangle (its
+        # area, gradients and two conduction matrices as they are formed,
+        # then the kept one and the per-entry arrays of the assembly); 10
+        # per node (loads, lifts and numbering); and 32 KiB of array headers
+        # and Python objects.
+        check_memory(
+            8 * ((u + 1) * n_lead + reach * m_wall + 5 * m_wall**2 + 31 * len(tris) + 10 * n)
+            + m_wall**2 + 2**15,
+            "plate",
+        )
 
-        # K_ll and its factor, K_lb (overwritten by U_lb), and five wall
-        # blocks: K_bb, Kc_bb, S0, S0 + h Kc_bb and its factor.
-        check_memory(8 * (2 * (u + 1) * n_lead + reach * m_wall + 5 * m_wall**2), "plate")
+        def add_up(lo, hi, vals, keep, size, index) -> np.ndarray:
+            """The kept entries summed into ``size`` new floats, each at
+            ``index(lo, hi)``, in cell order as a dense assembly adds them."""
+            lo, hi = lo[keep], hi[keep].astype(np.intp)
+            return np.bincount(index(lo, hi), vals[keep], minlength=size)
 
-        def band(row: np.ndarray, col: np.ndarray, vals: np.ndarray) -> np.ndarray:
-            """Entries on or above the diagonal in the leading block, in
-            upper band form (column-major, as LAPACK reads it)."""
-            upper = (row >= 0) & (row <= col) & (col < n_lead)
-            flat = col[upper] * (u + 1) + u + row[upper] - col[upper]
-            return np.bincount(
-                flat, vals.ravel()[upper], minlength=(u + 1) * n_lead
-            ).reshape(n_lead, u + 1).T
+        def wall(lo, hi, vals, top: int, rows: int) -> np.ndarray:
+            """Free-node rows ``top`` to ``top + rows`` of the wall columns,
+            on or above the diagonal, dense and column-major, so that LAPACK
+            can overwrite it in place."""
+            keep = (lo >= top) & (lo < top + rows) & (hi >= n_lead)
+            return add_up(lo, hi, vals, keep, rows * m_wall,
+                          lambda r, c: (c - n_lead) * rows + r - top).reshape(m_wall, rows).T
 
-        def to_wall(row: np.ndarray, col: np.ndarray, vals: np.ndarray, top: int,
-                    bottom: int) -> np.ndarray:
-            """Free-node rows ``top`` to ``bottom`` (exclusive) of the wall
-            columns, dense and column-major, so that LAPACK can overwrite
-            it in place."""
-            inside = (row >= top) & (row < bottom) & (col >= n_lead)
-            return np.bincount(
-                (col[inside] - n_lead) * (bottom - top) + row[inside] - top,
-                vals.ravel()[inside],
-                minlength=(bottom - top) * m_wall,
-            ).reshape(m_wall, bottom - top).T
-
-        def lift(row: np.ndarray, col: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        def lift(lo, hi, vals) -> np.ndarray:
             """``-K[free, fixed] @ 1``: the lift per unit fixed temperature."""
-            into_free = (row >= 0) & (col < 0)
-            return -np.bincount(row[into_free], vals.ravel()[into_free], minlength=n_free)
+            return -add_up(lo, hi, vals, (lo < 0) & (hi >= 0), n_free, lambda r, c: c)
 
-        self._ab_k = band(tri_r, tri_c, ke)
-        self._k_lb = to_wall(tri_r, tri_c, ke, n_lead - reach, n_lead)
-        self._k_bb = to_wall(tri_r, tri_c, ke, n_lead, n_free)
-        self._kc_bb = to_wall(edge_r, edge_c, kc, n_lead, n_free)
+        e_lo, e_hi, kc_up = upper(conv_edges, kc)
+        self._k_lb = wall(lo, hi, k_up, n_lead - reach, reach)
+        self._k_bb = wall(lo, hi, k_up, n_lead, m_wall)
+        self._kc_bb = wall(e_lo, e_hi, kc_up, n_lead, m_wall)
+        self._l_k = lift(lo, hi, k_up)
+        self._l_c = lift(e_lo, e_hi, kc_up)
+        # K_ll last, in LAPACK upper band form (column-major, entry (r, c)
+        # at row u + r - c of column c, flat index c u + r + u), once the
+        # per-entry arrays that it does not need are freed: the band is the
+        # plate's largest array.
+        k_up = k_up[in_band]
+        hi = hi[in_band].astype(np.intp)
+        hi *= u
+        hi += lo[in_band]
+        hi += u
+        del lo, in_band
+        self._ab_k = np.bincount(hi, k_up, minlength=(u + 1) * n_lead).reshape(n_lead, u + 1).T
         self._lead: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._l_k = lift(tri_r, tri_c, ke)
-        self._l_c = lift(edge_r, edge_c, kc)
+        self._failure: str | None = None
         self._free = free
         self._tris, self._ke = tris, ke
         self._conv_edges, self._kc = conv_edges, kc
@@ -307,27 +335,41 @@ class AffinePlate:
     @property
     def work_bytes(self) -> int:
         """Bytes that the next step of a :meth:`sweep` may allocate besides
-        the arrays it yields: the band Cholesky and its finiteness mask at
-        the plate's first factor, three wall blocks, the forward band
-        solves the sweep holds (at most two: the modal and the unit ``q``
-        load), two floats per triangle corner and eight per node for the
-        residual product and the substitution."""
+        the arrays it yields: three wall blocks, the forward band solves
+        the sweep holds (at most two: the modal and the unit ``q`` load),
+        two floats per triangle corner and eight per node for the residual
+        product and the substitution.  The band Cholesky overwrites the
+        band in place, so the plate's first factor adds nothing the size
+        of the band."""
         m = self._kc_bb.shape[0]
         n_lead = self._free.size - m
-        band = self._ab_k.size if self._lead is None else 0
-        return 9 * band + 8 * (3 * m * m + 2 * n_lead + 2 * self._tris.size + 8 * self.n_nodes)
+        return 8 * (3 * m * m + 2 * n_lead + 2 * self._tris.size + 8 * self.n_nodes)
 
     def _leading(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``U_ll`` (band form), the rows of ``U_lb`` from its first
-        non-zero one, and ``S0``; formed at the plate's first factor,
-        so that a failure is reported at its ``h`` like any other."""
+        non-zero one, and ``S0``; formed at the plate's first factor, in
+        place of ``K_ll`` and ``K_lb``, so that a failure is reported at
+        its ``h`` like any other.  A band Cholesky that fails has
+        overwritten part of ``K_ll``, so its failure is kept and raised
+        again by every later factor."""
+        if self._failure is not None:
+            raise SingularSystemError(self._failure)
         if self._lead is None:
             ab, coupling, s0 = self._ab_k, self._k_lb, self._k_bb
-            if not np.isfinite(ab).all():
+            # Two reductions (NaN or inf reaches the minimum or the
+            # maximum), not a mask the size of the band.
+            if ab.size and not (np.isfinite(ab.min()) and np.isfinite(ab.max())):
                 raise ValueError(f"plate matrix overflows the float range at h={h}")
             # LAPACK's band routines are skipped on an empty leading block
             # or right-hand side: ?tbtrs corrupts the heap on either.
-            lead = _cholesky(lapack.dpbtrf, ab, 0, self._free.size) if ab.size else ab
+            if ab.size:
+                try:
+                    lead = _cholesky(lapack.dpbtrf, ab, 0, self._free.size, overwrite_ab=1)
+                except SingularSystemError as exc:
+                    self._failure = str(exc)
+                    raise
+            else:
+                lead = ab
             if coupling.size:
                 # U_ll^T is lower triangular and K_lb is zero above its last
                 # `reach` rows, so U_lb is too, and those rows need only the
@@ -358,8 +400,6 @@ class AffinePlate:
         positive definite or its squared pivot ratio is below 1e-13, and
         ``ValueError`` when a huge ``k`` or ``h`` overflows it.
         """
-        if not np.isfinite(h) or h < 0.0:
-            raise ValueError(f"convection coefficient must be finite and >= 0, got h={h}")
         n_free = self._free.size
         if n_free == 0:
             return _EMPTY, _EMPTY, _EMPTY, 1.0
@@ -393,17 +433,21 @@ class AffinePlate:
         ``h`` and held for the rest of the sweep, and those of ``h f_a``
         are zero and need none.  A plate without a convective wall does
         not depend on ``h`` and yields its first result, the same arrays,
-        again.
+        again; every ``h`` is checked at its turn all the same.
 
         Raises :class:`SingularSystemError` when the matrix is not
         positive definite, its squared pivot ratio is below 1e-13 or a
         relative residual exceeds 1e-10, and ``ValueError`` for a
         negative or non-finite ``h``, a non-finite ``q`` or ``t_inf``, or
-        a matrix, load or temperature beyond the float range.
+        a matrix, load or temperature beyond the float range.  Once the
+        band Cholesky has failed, every sweep of the plate raises its
+        :class:`SingularSystemError` again.
         """
         forward: dict[str, np.ndarray | None] = {}  # per right-hand side, made at the first h
         result = None
         for h in hs:
+            if not np.isfinite(h) or h < 0.0:
+                raise ValueError(f"convection coefficient must be finite and >= 0, got h={h}")
             if result is None or self.depends_on_h:
                 factor = self._factor(h)
                 if not (np.isfinite(q) and np.isfinite(t_inf)):
@@ -489,10 +533,11 @@ class AffinePlate:
         return T
 
 
-def _cholesky(routine, a: np.ndarray, before: int, n_free: int) -> np.ndarray:
-    """Upper Cholesky factor by a LAPACK ``?pbtrf`` or ``?potrf`` wrapper;
-    ``before`` free nodes precede ``a`` in the numbering of the minors."""
-    c, info = routine(a, lower=0)
+def _cholesky(routine, a: np.ndarray, before: int, n_free: int, **overwrite) -> np.ndarray:
+    """Upper Cholesky factor by a LAPACK ``?pbtrf`` or ``?potrf`` wrapper,
+    given its ``overwrite_*`` flag to factor ``a`` in place; ``before``
+    free nodes precede ``a`` in the numbering of the minors."""
+    c, info = routine(a, lower=0, **overwrite)
     if info > 0:
         raise SingularSystemError(
             _pivot_diagnosis(

@@ -1,5 +1,7 @@
 """Tests for the parameter-affine banded plate core against the dense test reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,8 +177,13 @@ def test_singular_message_names_the_failure():
     m = generate_structured_mesh(20.0, 10.0, 5, 5)
     plate = AffinePlate(m, PlateParameters(), walls(A, A, A, A))
     pattern = r"(leading minor \d+ of 36|near-singular Cholesky pivot); condition estimate"
-    with pytest.raises(SingularSystemError, match=pattern):
+    with pytest.raises(SingularSystemError, match=pattern) as first:
         next(plate.sweep([0.0], 2.0, 25.0))
+    # The band Cholesky runs in place, so a failed one has overwritten
+    # part of the band: the plate keeps the failure and raises it again.
+    with pytest.raises(SingularSystemError) as again:
+        next(plate.sweep([0.0], 2.0, 25.0))
+    assert str(again.value) == str(first.value)
 
 
 def test_singular_trailing_block_names_the_full_minor(monkeypatch):
@@ -197,6 +204,18 @@ def test_factor_rejects_bad_h(h):
     m = generate_structured_mesh(20.0, 10.0, 2, 2)
     with pytest.raises(ValueError, match="convection coefficient"):
         next(AffinePlate(m, PlateParameters(), BoundaryConditionSet()).sweep([h], 2.0, 25.0))
+
+
+@pytest.mark.parametrize("bc", [BoundaryConditionSet(), walls(F, D, A, A)],
+                         ids=["convective-wall", "no-convective-wall"])
+def test_sweep_checks_each_h_at_its_turn(bc):
+    """A plate without a convective wall solves at its first ``h`` only,
+    and still rejects a later bad one, as the default plate does."""
+    m = generate_structured_mesh(20.0, 10.0, 3, 3)
+    items = AffinePlate(m, PlateParameters(), bc).sweep([1.0, -1.0, float("nan")], 2.0, 25.0)
+    next(items)
+    with pytest.raises(ValueError, match=r"must be finite and >= 0, got h=-1\.0$"):
+        next(items)
 
 
 @pytest.mark.parametrize("q,t_inf", [(float("nan"), 25.0), (2.0, float("-inf"))])
@@ -341,16 +360,19 @@ def test_sweep_items_match_fresh_one_h_sweeps_bit_for_bit(case):
         assert all(a is b for T, slopes in items for a, b in zip([T, *slopes], first))
 
 
-# 8 bytes times: K_ll and its factor, 2 (u + 1) n_lead; K_lb, which U_lb
-# overwrites, reach m; and five m x m wall blocks.
+# 8 bytes times: the band K_ll, factored in place, (u + 1) n_lead; K_lb,
+# which U_lb overwrites, reach m; five m x m wall blocks; 31 per triangle
+# and 10 per node; plus the wall block's finiteness mask, m^2, and 2^15
+# bytes of array headers and Python objects.  A 5x5 plate has 50
+# triangles and 36 nodes.
 @pytest.mark.parametrize("bc,need", [
     # 25 leading nodes, 5 per row, so 6 superdiagonals and reach 6; 5 wall
     # nodes on the top row.
-    (BoundaryConditionSet(), 8 * (2 * 7 * 25 + 6 * 5 + 5 * 5**2)),
+    (BoundaryConditionSet(), 8 * (7 * 25 + 6 * 5 + 5 * 5**2 + 31 * 50 + 10 * 36) + 5**2 + 2**15),
     # Right and top walls: 11 wall nodes, 25 leading ones column by column,
     # 5 per column, so 6 superdiagonals; K_lb starts at the top of the
     # first column, rank 4, so reach = 25 - 4 = 21.
-    (walls(F, C, C, A), 8 * (2 * 7 * 25 + 21 * 11 + 5 * 11**2)),
+    (walls(F, C, C, A), 8 * (7 * 25 + 21 * 11 + 5 * 11**2 + 31 * 50 + 10 * 36) + 11**2 + 2**15),
 ], ids=["one-wall", "two-walls"])
 def test_plate_fails_fast_when_memory_is_short(monkeypatch, bc, need):
     m = generate_structured_mesh(20.0, 10.0, 5, 5)
@@ -363,6 +385,29 @@ def test_plate_fails_fast_when_memory_is_short(monkeypatch, bc, need):
         AffinePlate(m, PlateParameters(), bc)
     monkeypatch.setattr(memory, "available_memory", lambda: None)
     AffinePlate(m, PlateParameters(), bc)
+
+
+@pytest.mark.parametrize("bc", [BoundaryConditionSet(), walls(C, C, C, C), walls(F, D, A, A)],
+                         ids=["one-wall", "four-walls", "no-wall"])
+@pytest.mark.parametrize("size", [5, 40, 80])
+def test_plate_memory_estimate_covers_its_peak(monkeypatch, size, bc):
+    """The bytes a plate asks ``check_memory`` for cover the peak that
+    ``tracemalloc`` sees while it is assembled and factored the first
+    time.  A small plate is built first, so that numpy's first-call
+    caches are not counted."""
+    p = PlateParameters()
+    AffinePlate(generate_structured_mesh(20.0, 10.0, 2, 2), p, bc)
+    m = generate_structured_mesh(20.0, 10.0, size, size)
+    asked = []
+    monkeypatch.setattr(fem2d, "check_memory", lambda need, what: asked.append(need))
+    tracemalloc.start()
+    try:
+        plate = AffinePlate(m, p, bc)
+        plate._factor(p.h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(asked) == 1 and peak <= asked[0]
 
 
 MEMINFO = {"/proc/meminfo": "MemTotal:   100 kB\nMemAvailable:   64 kB\n"}

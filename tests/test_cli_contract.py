@@ -152,14 +152,16 @@ def test_memory_error_in_a_sweep_keeps_its_category(tmp_path, monkeypatch, worke
 @pytest.mark.parametrize("command", [["solve"], ["fuzzy-sweep"]])
 def test_plate_too_large_for_memory_fails_fast(tmp_path, monkeypatch, command):
     """The plate's memory estimate is checked against the available
-    memory before any band array is allocated.  The 2x5 plate's estimate
-    is 8 * (2 * 4 * 10 + 3 * 2 + 5 * 2**2) = 848 bytes."""
-    monkeypatch.setattr(memory, "available_memory", lambda: 800)
+    memory before the band is allocated.  The 2x5 plate (20 triangles, 18
+    nodes, 10 leading ones, 2 per row, and 2 on the wall) has 3
+    superdiagonals and reach 3, so its estimate is 8 * (4 * 10 + 3 * 2 +
+    5 * 2**2 + 31 * 20 + 10 * 18) + 2**2 + 2**15 = 39700 bytes."""
+    monkeypatch.setattr(memory, "available_memory", lambda: 39699)
     config = tmp_path / "run.ini"
     config.write_text("[plate]\nnx = 2\n")
     code, err = run([command[0], "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 6
-    assert re.fullmatch(r"error: memory-error: plate needs 848 bytes .*, 800 available\n", err)
+    assert re.fullmatch(r"error: memory-error: plate needs 39700 bytes .*, 39699 available\n", err)
     assert not (tmp_path / "out").exists()
 
 
@@ -190,24 +192,24 @@ def test_rod_states_beyond_memory_fail_before_the_first_step(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("available,what,need", [
-    (25711, None, None),
-    (25710, "sweep", 25711),
+    (24136, None, None),
+    (24135, "sweep", 24136),
     (10000, "envelope table", 12672),
 ], ids=["fits", "sweep", "table"])
 def test_sweep_arrays_beyond_memory_fail_before_any_output(tmp_path, monkeypatch, available,
                                                            what, need):
     """The default custom sweep: 36 nodes, 11 levels, h and q fuzzy.  The
-    plate needs 4040 bytes; the envelope table 32 * 11 levels * 36 nodes
-    = 12672, checked before sweeping; the sweep, checked before its first
-    factor, 8 * 36 * (21 h values * (1 solve + 1 slope) + 2 * 11 envelope
-    rows) = 18432 plus the plate's ``work_bytes``: 9 * 7 * 25 for the
-    first band Cholesky of the 25 leading nodes (6 superdiagonals) and
-    its finiteness mask, and 8 * (3 * 5**2 wall blocks + 2 * 25 held
-    forward rows + 2 * 150 triangle corners + 8 * 36 nodes), 7279 in all,
-    so 25711.  The sweep holds its two forward solves without the copies
-    of their right-hand sides that a plate-wide cache compared them with,
-    2 * 25 rows fewer than before (26111).  A run that does not fit
-    solves nothing and writes nothing."""
+    envelope table needs 32 * 11 levels * 36 nodes = 12672 bytes, checked
+    before sweeping; the sweep, checked before its first factor, 8 * 36 *
+    (21 h values * (1 solve + 1 slope) + 2 * 11 envelope rows) = 18432
+    plus the plate's ``work_bytes``: 8 * (3 * 5**2 wall blocks + 2 * 25
+    held forward rows + 2 * 150 triangle corners + 8 * 36 nodes) = 5704,
+    so 24136.  The band Cholesky overwrites the band in place, so
+    ``work_bytes`` no longer counts a copy of the band and its finiteness
+    mask, 9 * 7 * 25 = 1575 bytes (25711 before).  The plate's own
+    estimate, 50713 bytes (``test_plate_fails_fast_when_memory_is_short``),
+    exceeds both at this size, so here it is recorded, not checked.  A run
+    that does not fit solves nothing and writes nothing."""
     solves, sweep = [], fem2d.AffinePlate.sweep
 
     def counted(*args):
@@ -215,11 +217,14 @@ def test_sweep_arrays_beyond_memory_fail_before_any_output(tmp_path, monkeypatch
             solves.append(None)
             yield item
 
+    plate = []
+    monkeypatch.setattr(fem2d, "check_memory", lambda need, what: plate.append((need, what)))
     monkeypatch.setattr(fem2d.AffinePlate, "sweep", counted)
     monkeypatch.setattr(memory, "available_memory", lambda: available)
     config = tmp_path / "run.ini"
     config.write_text("[plate]\n")
     code, err = run(["fuzzy-sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert plate == [(50713, "plate")]
     if what is None:
         assert (code, err) == (0, "") and len(solves) == 21
         assert (tmp_path / "out" / "envelope.csv").exists()

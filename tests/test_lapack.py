@@ -52,6 +52,25 @@ def test_routines_match_scipy_linalg_bit_for_bit(seed):
         assert np.asarray(mine).tobytes() == np.asarray(reference).tobytes()
 
 
+def test_band_cholesky_factors_the_plate_layout_in_place():
+    """The plate assembles ``K_ll`` as the transpose of a C-ordered
+    ``(n, kd + 1)`` array, so in F-contiguous upper band storage, and
+    factors it with ``overwrite_ab=1``: ``?pbtrf`` returns that buffer,
+    holding the same bits as a factor into a copy."""
+    rng = np.random.default_rng(7)
+    n, kd = 12, 3
+    dense = spd(rng, n)
+    ab = np.zeros((n, kd + 1)).T
+    for i in range(kd + 1):
+        ab[kd - i, i:] = np.diagonal(dense, i)
+    assert ab.flags.f_contiguous
+    copied, info = _lapack.lapack.dpbtrf(ab, lower=0)
+    assert info == 0 and not np.shares_memory(copied, ab)
+    factor, info = _lapack.lapack.dpbtrf(ab, lower=0, overwrite_ab=1)
+    assert info == 0 and np.shares_memory(factor, ab)
+    assert factor.tobytes() == copied.tobytes() and ab.tobytes() == copied.tobytes()
+
+
 def test_scipy_linalg_imports_after_the_loader():
     """The loaded extension modules are kept out of ``sys.modules``, so a
     later ``import scipy.linalg`` loads its own and sets its attributes."""
