@@ -14,11 +14,11 @@ with ``k = 0`` and ``Q_src = 0``.
 ``X[i] = (X[i, i-1], X[i, i], X[i, i+1])``, with the zeros ``X[0, 0]``
 and ``X[n-1, 2]`` outside the matrix.  :class:`ThetaStepper` (the one way
 to step a rod, built once per run) and :func:`steady_state` share one
-factorization: a band LU (LAPACK ``dgbtrf``, through
+factorization: a tridiagonal LU (LAPACK ``dgttrf``, through
 :mod:`fuzzyheat._lapack`), so memory and work grow as O(n).
 ``ThetaStepper.march(initial, steps)`` fills a run's time-series table
 row by row from the nodal values ``initial`` at time 0: a step is three
-products and three adds into the next row and one ``dgbtrs`` solving
+products and three adds into the next row and one ``dgttrs`` solving
 that row in place, and the table is checked for overflow once per run.
 The fixed ends' rows are replaced by identity rows, the left one scaled
 so that it stays the pivot of its column, and a fixed end prints
@@ -111,37 +111,45 @@ def assemble_1d(rod: Rod1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _band_solver(S: np.ndarray, bc: EndConditions, singular: str):
-    """Band LU of the tridiagonal ``S`` with each fixed end's row replaced
-    by an identity row (the left one scaled, see below), or
+    """Tridiagonal LU (``dgttrf``) of ``S`` with each fixed end's row
+    replaced by an identity row (the left one scaled, see below), or
     :class:`SingularStepError` (``singular``) at a zero pivot.  Returns
     ``solve(rhs)``, which writes the fixed values into ``rhs`` and
     overwrites it with the solution."""
     rows = np.array(S, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ValueError(f"need a tridiagonal matrix as an (n, 3) array, got shape {rows.shape}")
+    n = len(rows)
     ends = [(row, value) for row, value in ((0, bc.left), (-1, bc.right)) if value is not None]
     rows[[row for row, _ in ends]] = (0.0, 1.0, 0.0)
     if bc.left is not None:
-        # dgbtrf pivots on the largest entry of a column.  Row 0 and its
-        # value, scaled by a power of two (exactly) at least |S[1, 0]|, stay
-        # the pivot of column 0, so the solve returns the value exactly; with
-        # row 1 as the pivot, node 0 came back with rounding noise (-2.42e-16
-        # for 0).  The right end's row has a zero in column n - 2, so it
-        # never competes for a pivot.
+        # dgttrf swaps rows i and i + 1 only where |S[i + 1, i]| > |S[i, i]|
+        # after elimination.  Row 0 and its value, scaled by a power of two
+        # (exactly) at least |S[1, 0]|, stay the pivot of column 0, so the
+        # solve returns the value exactly; with row 1 as the pivot, node 0
+        # came back with rounding noise (-2.42e-16 for 0).  The right end's
+        # row has a zero in column n - 2, so it is never swapped.
         scale = 2.0 ** max(0, math.frexp(rows[1, 0])[1])
         rows[0, 1] = scale
         ends[0] = (0, scale * bc.left)
-    ab = np.zeros((4, len(rows)))  # LAPACK band storage; row 0 takes the LU fill-in
-    ab[1, 1:], ab[2], ab[3, :-1] = rows[:-1, 2], rows[:, 1], rows[1:, 0]
-    # LAPACK directly: scipy.linalg has no banded LU whose factors can be reused.
-    lu, piv, info = lapack.dgbtrf(ab, 1, 1, overwrite_ab=True)
+    # scipy's dgttrf takes at least three rows, so a one-element rod gets an
+    # identity row below its two, decoupled from them: their solution keeps
+    # its bits, and the padding row solves to 0.
+    pad = max(0, 3 - n)
+    sub = np.concatenate((rows[1:, 0], np.zeros(pad)))
+    main = np.concatenate((rows[:, 1], np.ones(pad)))
+    sup = np.concatenate((rows[:-1, 2], np.zeros(pad)))
+    *lu, info = lapack.dgttrf(sub, main, sup, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info > 0:
         raise SingularStepError(singular)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         for row, value in ends:
             rhs[row] = value
-        return lapack.dgbtrs(lu, 1, 1, rhs, piv, overwrite_b=True)[0]
+        if pad:
+            rhs[:] = lapack.dgttrs(*lu, np.append(rhs, np.zeros(pad)), overwrite_b=1)[0][:n]
+            return rhs
+        return lapack.dgttrs(*lu, rhs, overwrite_b=1)[0]
 
     return solve
 
@@ -152,11 +160,11 @@ class ThetaStepper:
 
     Each step solves ``(M + theta*dt*A) phi_new = (M - (1-theta)*dt*A) phi
     + dt*b`` with the end conditions applied.  The step matrix is formed and
-    band-LU-factored (``dgbtrf``) once here.  :meth:`march` writes a step's
+    LU-factored (``dgttrf``) once here.  :meth:`march` writes a step's
     right-hand side into the next row of its table, three products (main,
     sub- and superdiagonal of the right-hand matrix) and three adds (the
     two off-diagonal products and the load), and solves that row in place
-    with one ``dgbtrs``; it checks finiteness once per run.  A steady state
+    with one ``dgttrs``; it checks finiteness once per run.  A steady state
     of the constrained system is an exact fixed point for any ``theta`` and
     ``dt``.  Matrices, a load or temperatures that overflow the float range
     raise ``ValueError`` (for temperatures, naming the time of the first

@@ -167,9 +167,10 @@ def propagate(plate: AffinePlate, scenario: FuzzyScenario) -> FuzzyTemperatureFi
     from its mode; the envelope is the min / max over both ends.  At
     alpha = 1 every deviation is 0, so the top level is the crisp modal
     solve, bit for bit as :func:`~fuzzyheat.fem2d.solve_crisp`.  The
-    solves kept per distinct ``h``, the envelope and what one step of
-    the sweep allocates on top (``AffinePlate.work_bytes``) are checked
-    against the available memory before the first factor
+    solves kept per distinct ``h``, the envelope, what one step of the
+    sweep allocates on top (``AffinePlate.work_bytes``) and the Python
+    objects (32 KiB and 2 KiB per level) are checked against the
+    available memory before the first factor
     (``MemoryError``).  A failed solve keeps its type and gains the
     first level whose cut ends at the failing ``h``, that ``h`` and the
     modal loads in front of its message; a bound or width beyond the
@@ -182,9 +183,12 @@ def propagate(plate: AffinePlate, scenario: FuzzyScenario) -> FuzzyTemperatureFi
     hs = list(dict.fromkeys(h for cut in cuts for h in (cut["h"].lo, cut["h"].hi)))
     # A solve and a slope per load at each distinct h (at one h without a
     # convective wall), and the two envelope arrays, n_nodes floats each;
-    # one step of the sweep at a time on top.
+    # one step of the sweep at a time on top; and the Python objects: 32 KiB
+    # per call and 2 KiB per level (its cut, and the headers, tuples and
+    # dict entries of the arrays kept at its two ends' h).
     n_h = len(hs) if plate.depends_on_h else 1
-    need = 8 * plate.n_nodes * (n_h * (1 + len(loads)) + 2 * len(levels)) + plate.work_bytes
+    need = (8 * plate.n_nodes * (n_h * (1 + len(loads)) + 2 * len(levels)) + plate.work_bytes
+            + 2**15 + 2**11 * len(levels))
     check_memory(need, "sweep")
 
     solved = {}  # h -> (modal temperatures, [dT/dload for load in loads])

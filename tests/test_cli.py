@@ -366,14 +366,14 @@ def test_sweep_rejects_workers_below_one(tmp_path, capsys, workers):
 
 # SHA-256 of output files recorded with the earlier per-step dense rod solve
 # and per-value CSV writes; they pin the factored rod stepper and the
-# streaming writers to the same bytes.  rod-theta-1 was re-recorded for the
-# band LU, which flips one ninth digit: node_5 at t = 0.0985 lies 5e-16 from
-# the rounding tie 0.02985936695 and lands on its other side (0.0298593669
-# became 0.029859367).
+# streaming writers to the same bytes.  rod-theta-1 holds one value that
+# lies 5e-16 from a rounding tie: node_5 at t = 0.0985, 0.02985936695.  The
+# band LU (dgbtrs) put it on the other side (0.029859367); the tridiagonal
+# solve (dgttrs) prints 0.0298593669 again, as the dense solve did.
 ROD_GOLDEN = "[rod]\nn_elems = 40\nsteps = 200\ndt = 5e-4\nu1 = 0.5\ntheta = {}\n"
 GOLDEN = {
     "rod-theta-1": (ROD_GOLDEN.format(1.0), ["rod"], {
-        "rod_timeseries.csv": "5257a2e0b42c00cd7dba9b28460ca4a299d2c32b55fbf5dd42d32951f0ba12e6",
+        "rod_timeseries.csv": "54a0af3f6268359e8112370d67f892e923f254c07638c2b12c2ca1372e5cb7c1",
     }),
     "rod-theta-0.5": (ROD_GOLDEN.format(0.5), ["rod"], {
         "rod_timeseries.csv": "17f5665d0b162aa2327b2907bedf3153b05508608216f5f98eaa49ac93f73c7f",
@@ -443,9 +443,11 @@ def test_outputs_match_golden_bytes(tmp_path, case):
 
 # Packages the CLI does not use.  ``scipy.sparse`` would add about a fifth
 # to its start-up time, and ``scipy.linalg`` about half: on scipy 1.17 it
-# loads ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``.  ``np.unique``
-# and ``np.setdiff1d`` load ``numpy.ma`` too.
-UNUSED = ("scipy.linalg", "scipy.sparse", "numpy.ma", "numpy.f2py", "numpy.testing")
+# loads ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``.  ``scipy``
+# itself loads ``subprocess``, ``sysconfig`` and ``scipy._lib``; the LAPACK
+# and BLAS extension modules are loaded without it.  ``np.unique`` and
+# ``np.setdiff1d`` load ``numpy.ma`` too.
+UNUSED = ("scipy", "scipy.linalg", "scipy.sparse", "numpy.ma", "numpy.f2py", "numpy.testing")
 LOADED = ("[m for m in sys.modules "
           f"if any(m == p or m.startswith(p + '.') for p in {UNUSED!r})]")
 

@@ -172,13 +172,13 @@ def test_rod_states_beyond_memory_fail_before_the_first_step(tmp_path, monkeypat
     steps + 1) * (1 + 11 nodes) = 10908 bytes, are checked against the
     available memory before stepping: no band solve (one per step) runs
     when they do not fit."""
-    solves, dgbtrs = [], lapack.dgbtrs
+    solves, dgttrs = [], lapack.dgttrs
 
     def counted(*args, **kwargs):
         solves.append(None)
-        return dgbtrs(*args, **kwargs)
+        return dgttrs(*args, **kwargs)
 
-    monkeypatch.setattr(lapack, "dgbtrs", counted)
+    monkeypatch.setattr(lapack, "dgttrs", counted)
     monkeypatch.setattr(memory, "available_memory", lambda: available)
     config = tmp_path / "run.ini"
     config.write_text("[rod]\n")
@@ -192,8 +192,8 @@ def test_rod_states_beyond_memory_fail_before_the_first_step(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("available,what,need", [
-    (24136, None, None),
-    (24135, "sweep", 24136),
+    (79432, None, None),
+    (79431, "sweep", 79432),
     (10000, "envelope table", 12672),
 ], ids=["fits", "sweep", "table"])
 def test_sweep_arrays_beyond_memory_fail_before_any_output(tmp_path, monkeypatch, available,
@@ -204,12 +204,13 @@ def test_sweep_arrays_beyond_memory_fail_before_any_output(tmp_path, monkeypatch
     (21 h values * (1 solve + 1 slope) + 2 * 11 envelope rows) = 18432
     plus the plate's ``work_bytes``: 8 * (3 * 5**2 wall blocks + 2 * 25
     held forward rows + 2 * 150 triangle corners + 8 * 36 nodes) = 5704,
-    so 24136.  The band Cholesky overwrites the band in place, so
+    plus 2**15 + 2**11 * 11 levels = 55296 for the Python objects, so
+    79432.  The band Cholesky overwrites the band in place, so
     ``work_bytes`` no longer counts a copy of the band and its finiteness
-    mask, 9 * 7 * 25 = 1575 bytes (25711 before).  The plate's own
-    estimate, 50713 bytes (``test_plate_fails_fast_when_memory_is_short``),
-    exceeds both at this size, so here it is recorded, not checked.  A run
-    that does not fit solves nothing and writes nothing."""
+    mask, 9 * 7 * 25 = 1575 bytes.  The plate's own estimate, 50713 bytes
+    (``test_plate_fails_fast_when_memory_is_short``), is recorded here,
+    not checked.  A run that does not fit solves nothing and writes
+    nothing."""
     solves, sweep = [], fem2d.AffinePlate.sweep
 
     def counted(*args):

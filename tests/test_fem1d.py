@@ -342,21 +342,21 @@ def test_march_rejects_initial_values_of_another_shape(initial):
         stepper.march(initial, 2)
 
 
-def count_dgbtrf(monkeypatch):
+def count_dgttrf(monkeypatch):
     calls = []
-    original = lapack.dgbtrf
+    original = lapack.dgttrf
 
     def counting(*args, **kwargs):
         calls.append(None)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(lapack, "dgbtrf", counting)
+    monkeypatch.setattr(lapack, "dgttrf", counting)
     return calls
 
 
 @pytest.mark.parametrize("steps,factorizations", [(200, 1), (0, 0)])
 def test_rod_run_factors_the_step_matrix_once(monkeypatch, tmp_path, steps, factorizations):
-    calls = count_dgbtrf(monkeypatch)
+    calls = count_dgttrf(monkeypatch)
     cfg = tmp_path / "rod.ini"
     cfg.write_text(f"[rod]\nn_elems = 40\nsteps = {steps}\ndt = 5e-4\nu1 = 0.5\n")
     assert main(["rod", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0

@@ -1,6 +1,7 @@
 """The bulk CSV formatter prints exactly what ``format(x, ".9g")`` does."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,7 +70,8 @@ def test_special_values_and_range_ends():
                   np.nextafter(1e280, np.inf), 1e-4, 1e-5, 123456789e-13, 0.0001234567891])
 
 
-@pytest.mark.parametrize("cols", [1, 3, 202, ioutil.CHUNK + 5, 2 * ioutil.CHUNK + 5])
+@pytest.mark.parametrize("cols", [1, 3, 202, ioutil.CHUNK // 2 + 5, ioutil.CHUNK + 5,
+                                  2 * ioutil.CHUNK + 5])
 def test_rows_across_chunks_with_a_prefix(cols):
     rng = np.random.default_rng(cols)
     table = rng.standard_normal((2 * ioutil.CHUNK // cols + 3, cols)) * 10.0 ** rng.integers(
@@ -77,6 +79,34 @@ def test_rows_across_chunks_with_a_prefix(cols):
     table[1, 0] = 0.0
     for prefix in ("", "h-only,average_width,"):
         assert written(table, prefix) == reference(table.tolist(), prefix)
+
+
+class Discard:
+    def write(self, text):
+        pass
+
+
+def write_peak(table):
+    """The peak ``tracemalloc`` sees while ``table`` is written to a
+    stream that keeps nothing."""
+    tracemalloc.start()
+    try:
+        write_csv(Discard(), None, table)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cols", [1, 8, 202])
+def test_write_peak_does_not_grow_with_the_chunks(cols):
+    """The formatter's work arrays are allocated once per call, and a chunk
+    frees what it allocates: 50 chunks peak as high as one, give or take a
+    few Python objects."""
+    rng = np.random.default_rng(cols)
+    rows = ioutil.CHUNK // cols
+    one, many = rng.standard_normal((rows, cols)), rng.standard_normal((50 * rows, cols))
+    write_peak(one)  # numpy's first-call caches
+    assert write_peak(many) <= write_peak(one) + 1024
 
 
 def test_header_is_written_first():

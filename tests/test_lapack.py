@@ -30,10 +30,9 @@ def calls(lapack, blas, rng):
     c, info = lapack.dpotrf(spd(rng, 5), lower=0)
     out += [c, info, *lapack.dpotrs(c, rng.standard_normal(5))]
 
-    ab = np.zeros((4, n))  # kl = ku = 1, row 0 for the fill-in
-    ab[1:] = rng.standard_normal((3, n))
-    lu, piv, info = lapack.dgbtrf(ab, 1, 1)
-    out += [lu, piv, info, *lapack.dgbtrs(lu, 1, 1, rng.standard_normal(n), piv)]
+    dl, d, du = rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1)
+    *lu, info = lapack.dgttrf(dl, d, du)
+    out += [*lu, info, *lapack.dgttrs(*lu, rng.standard_normal(n))]
 
     a = rng.standard_normal((4, 3))
     out += [blas.dsyrk(-1.0, a, beta=1.0, c=spd(rng, 3), trans=1),
@@ -47,7 +46,7 @@ def calls(lapack, blas, rng):
 def test_routines_match_scipy_linalg_bit_for_bit(seed):
     ours = calls(_lapack.lapack, _lapack.blas, np.random.default_rng(seed))
     theirs = calls(scipy.linalg.lapack, scipy.linalg.blas, np.random.default_rng(seed))
-    assert len(ours) == len(theirs) == 19
+    assert len(ours) == len(theirs) == 22
     for mine, reference in zip(ours, theirs):
         assert np.asarray(mine).tobytes() == np.asarray(reference).tobytes()
 
@@ -111,3 +110,24 @@ def test_falls_back_to_scipy_linalg_without_the_extension_files():
         "print(T.max())\n"
     )
     assert run_python(code) == "100.0\n"
+
+
+def test_falls_back_to_scipy_linalg_when_an_extension_does_not_load():
+    """Where loading ``_flapack`` or ``_fblas`` from scipy's ``linalg``
+    directory raises ``ImportError``, both names come from ``scipy.linalg``."""
+    code = (
+        "import sys\n"
+        "from importlib.machinery import ExtensionFileLoader\n"
+        "create_module = ExtensionFileLoader.create_module\n"
+        "def failing(self, spec):\n"
+        "    # The loader's own load only; scipy.linalg's imports succeed.\n"
+        "    if spec.name == 'scipy.linalg._fblas' and 'scipy.linalg' not in sys.modules:\n"
+        "        raise ImportError('cannot load ' + spec.name)\n"
+        "    return create_module(self, spec)\n"
+        "ExtensionFileLoader.create_module = failing\n"
+        "from fuzzyheat import _lapack\n"
+        "import scipy.linalg\n"
+        "assert _lapack.lapack is scipy.linalg.lapack and _lapack.blas is scipy.linalg.blas\n"
+        "print(_lapack.lapack.dgttrs is scipy.linalg._flapack.dgttrs)\n"
+    )
+    assert run_python(code) == "True\n"

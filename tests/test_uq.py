@@ -104,15 +104,10 @@ def test_modal_level_is_bitwise_crisp_solve():
     assert env.upper[-1].tobytes() == crisp.tobytes()
 
 
-@pytest.mark.parametrize("formed", [False, True], ids=["first-factor", "band-formed"])
-@pytest.mark.parametrize("name", ["custom", "all"])
-def test_sweep_memory_estimate_covers_its_peak(monkeypatch, name, formed):
-    """The bytes a 40x40 default sweep asks ``check_memory`` for cover
-    the peak that ``tracemalloc`` sees during it: the kept solves, the
-    envelope, and one step of the plate's sweep with the forward band
-    solves it holds (``AffinePlate.work_bytes``), whether the sweep forms
-    the band Cholesky or finds it formed."""
-    cfg = RunConfig(nx=40, ny=40)
+def sweep_peak(monkeypatch, cfg, name, formed):
+    """The bytes a sweep of ``cfg``'s plate asks ``check_memory`` for, and
+    the peak ``tracemalloc`` sees during it; with ``formed``, the plate's
+    band Cholesky is formed before."""
     plate = AffinePlate(cfg.mesh(), cfg.parameters(), cfg.boundary_conditions())
     if formed:
         next(plate.sweep([cfg.h], cfg.q, cfg.t_inf))
@@ -124,7 +119,33 @@ def test_sweep_memory_estimate_covers_its_peak(monkeypatch, name, formed):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(asked) == 1 and peak <= asked[0]
+    assert len(asked) == 1
+    return asked[0], peak
+
+
+@pytest.mark.parametrize("formed", [False, True], ids=["first-factor", "band-formed"])
+@pytest.mark.parametrize("name", ["custom", "all"])
+def test_sweep_memory_estimate_covers_its_peak(monkeypatch, name, formed):
+    """The bytes a 40x40 default sweep asks ``check_memory`` for cover
+    the peak that ``tracemalloc`` sees during it: the kept solves, the
+    envelope, and one step of the plate's sweep with the forward band
+    solves it holds (``AffinePlate.work_bytes``), whether the sweep forms
+    the band Cholesky or finds it formed."""
+    asked, peak = sweep_peak(monkeypatch, RunConfig(nx=40, ny=40), name, formed)
+    assert peak <= asked
+
+
+@pytest.mark.parametrize("levels", [11, 201])
+@pytest.mark.parametrize("name", ["custom", "all"])
+@pytest.mark.parametrize("size", [5, 20])
+def test_small_sweep_memory_estimate_covers_its_peak(monkeypatch, size, name, levels):
+    """On small plates the Python objects of a sweep outweigh its arrays:
+    its 32 KiB and 2 KiB per level cover them (a 5x5 sweep of 11 levels
+    peaked at 33,720-42,504 bytes, 40-60 % over its arrays)."""
+    sweep_peak(monkeypatch, RunConfig(nx=2, ny=2), name, False)  # numpy's first-call caches
+    cfg = RunConfig(nx=size, ny=size, alpha_level_count=levels)
+    asked, peak = sweep_peak(monkeypatch, cfg, name, False)
+    assert peak <= asked
 
 
 def test_random_samples_inside_zero_alpha_box_stay_inside_envelope():
