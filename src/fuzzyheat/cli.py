@@ -356,10 +356,11 @@ def cmd_fuzzy_sweep(
         raise CliError("config-error", f"--workers must be >= 1, got {workers}")
 
     mesh = cfg.mesh()
+    # write_envelope_csv's table: 4 floats per node and level, checked
+    # before the level grids that imply it are built.
+    check_memory(32 * cfg.alpha_level_count * mesh.n_nodes, "envelope table")
     scenarios = [cfg.scenario(selector) for selector in selectors]  # all checked before any output
     plate = AffinePlate(mesh, cfg.parameters(), cfg.boundary_conditions())  # one for all scenarios
-    # write_envelope_csv's table: 4 floats per node and level.
-    check_memory(32 * cfg.alpha_level_count * mesh.n_nodes, "envelope table")
     # Every scenario is swept before any file is written or line printed,
     # so a failing one leaves no partial output.
     envelopes = [propagate(plate, scenario) for scenario in scenarios]

@@ -60,11 +60,11 @@ class Rod1D:
     Q_src: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.length <= 0.0:
+        if not 0.0 < self.length < math.inf:
             raise ValueError(f"rod length must be positive, got {self.length}")
         if self.n_elems < 1:
             raise ValueError(f"need at least one element, got {self.n_elems}")
-        if self.k < 0.0:
+        if not 0.0 <= self.k < math.inf:
             raise ValueError(f"conductivity must be >= 0, got {self.k}")
 
     @property

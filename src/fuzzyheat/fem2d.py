@@ -15,10 +15,10 @@ mesh with vectorized scatter-adds, reduces them to the free
 triangle's six local entries on and above the diagonal are summed
 straight into one band array, which the band Cholesky then overwrites
 in place.  It numbers the nodes of every convective wall last, so the
-band Cholesky of the ``h``-independent leading block is formed once per
-plate and each distinct ``h`` adds a small dense Cholesky on the wall
-nodes (static condensation onto the walls), or nothing on a plate
-without a convective wall.  :meth:`AffinePlate.sweep` is the one solve entry: it
+band Cholesky of the ``h``-independent leading block is formed when the
+plate is built and each distinct ``h`` adds a small dense Cholesky on
+the wall nodes (static condensation onto the walls), or nothing on a
+plate without a convective wall.  :meth:`AffinePlate.sweep` is the one solve entry: it
 yields the temperatures and the slopes in ``q`` and ``t_inf`` at each
 ``h`` of a list, by one block substitution per right-hand side, without
 iterative refinement, and one residual product that checks it; the
@@ -27,7 +27,7 @@ sweep's first ``h`` and reused at the others.  :func:`solve_crisp` is a
 one-``h`` sweep.  Temperatures and slopes are new float arrays,
 indexed like the mesh nodes.  A plate whose band, wall blocks and
 assembly arrays would not fit in the available memory raises
-``MemoryError`` before allocating the band.  The
+``MemoryError`` before allocating any per-triangle array.  The
 LAPACK and BLAS routines come from :mod:`fuzzyheat._lapack`, scipy's
 compiled wrappers loaded without importing ``scipy.linalg``.
 
@@ -42,6 +42,7 @@ exactly), so no numerical quadrature is involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -80,7 +81,7 @@ class PlateParameters:
     t_fixed: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.k <= 0.0:
+        if not 0.0 < self.k < math.inf:
             raise ValueError(f"conductivity must be positive, got k={self.k}")
         if self.h < 0.0:
             raise ValueError(f"convection coefficient must be >= 0, got h={self.h}")
@@ -161,20 +162,18 @@ def _conduction(coords: np.ndarray, tris: np.ndarray, k: float) -> tuple[np.ndar
     gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], 1)
     gx /= area2[:, None]
     gy /= area2[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # _leading rejects inf
+    with np.errstate(over="ignore", invalid="ignore"):  # the band check rejects inf
         ke = gx[:, :, None] * gx[:, None, :]
         ke += gy[:, :, None] * gy[:, None, :]
         ke *= (k * (0.5 * area2))[:, None, None]
     return area2, ke
 
 
-_EMPTY = np.empty((0, 0))
-
-
 class AffinePlate:
     """The plate problem for one mesh, wall layout, ``k``, ``G`` and
-    ``t_fixed``, assembled once and affine in ``h``, ``q`` and ``t_inf``;
-    ``n_nodes`` is the length of every temperature and slope array.
+    ``t_fixed``, assembled and factored once and affine in ``h``, ``q``
+    and ``t_inf``; ``n_nodes`` is the length of every temperature and
+    slope array.
 
     On the free (non-Dirichlet) nodes the constrained system reads::
 
@@ -187,12 +186,11 @@ class AffinePlate:
     column for the left and right walls; the mesh's own row-by-row order
     without one), with the ``m`` nodes of all convective walls last, so
     that ``K(h) = [[K_ll, K_lb], [K_bl, K_bb + h Kc_bb]]``.  The leading
-    block does not depend on ``h``: its banded Cholesky ``U_ll``, the
-    coupling ``U_lb = U_ll^-T K_lb`` and ``S0 = K_bb - U_lb^T U_lb`` are
-    formed once per plate, at its first factor, ``U_ll`` and ``U_lb`` in
-    place of ``K_ll`` and ``K_lb`` (a band Cholesky that fails is kept
-    as the plate's failure), and each ``h`` adds only the dense
-    ``m x m`` Cholesky of ``S0 + h Kc_bb`` (nothing when ``m = 0``).
+    block does not depend on ``h``: the constructor forms its banded
+    Cholesky ``U_ll``, the coupling ``U_lb = U_ll^-T K_lb`` and
+    ``S0 = K_bb - U_lb^T U_lb``, ``U_ll`` and ``U_lb`` in place of
+    ``K_ll`` and ``K_lb``, and each ``h`` adds only the dense ``m x m``
+    Cholesky of ``S0 + h Kc_bb`` (nothing when ``m = 0``).
     ``U_lb`` is dense from the first row of ``K_lb`` on: the last band
     width of rows with one wall, nearly all rows with two or more.
     :meth:`sweep` runs that factor at each ``h`` of a list and
@@ -203,32 +201,24 @@ class AffinePlate:
     for the modal loads and once for the unit ``q`` load, and at every
     ``h`` runs only the wall block and the back substitution.
     ``work_bytes`` is what one step of a sweep may allocate besides the
-    arrays it yields.  The constructor raises ``MemoryError`` when its
-    estimate of what it and the first factor allocate exceeds the memory
-    the platform reports available: one band of ``K_ll``, ``K_lb``, five
-    ``m x m`` wall blocks, 31 floats per triangle, 10 per node and 32 KiB
-    of array headers and Python objects.  The tests
-    compare the result with a dense per-element assembly solved by
+    arrays it yields.
+
+    The constructor raises ``MemoryError``, before it allocates any
+    per-triangle array, when its estimate of what it allocates exceeds
+    the memory the platform reports available: one band of ``K_ll``,
+    ``K_lb``, five ``m x m`` wall blocks, 31 floats per triangle, 10 per
+    node and 32 KiB of array headers and Python objects.  It raises
+    :class:`SingularSystemError` when the leading block is not positive
+    definite, and ``ValueError`` when a huge ``k`` overflows it.  The
+    tests compare the result with a dense per-element assembly solved by
     ``np.linalg.solve`` (``tests/dense_plate.py``).
     """
 
     def __init__(self, m: Mesh2D, p: PlateParameters, bc: BoundaryConditionSet):
         n, coords, tris = m.n_nodes, m.coords, m.elements
-        area2, ke = _conduction(coords, tris, p.k)
-
         # Flux and convection edges; Dirichlet and adiabatic ones add nothing.
         flux_edges = _boundary_edges(m, bc, BCKind.FLUX)
         conv_edges = _boundary_edges(m, bc, BCKind.CONVECTION)
-        flux_length = _edge_lengths(coords, flux_edges)
-        conv_length = _edge_lengths(coords, conv_edges)
-        kc = (conv_length / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
-
-        def scatter(index: np.ndarray, weights: np.ndarray) -> np.ndarray:
-            return np.bincount(index.ravel(), np.repeat(weights, index.shape[1]), minlength=n)
-
-        self._f_q = scatter(flux_edges, 0.5 * flux_length)
-        self._f_a = scatter(conv_edges, 0.5 * conv_length)
-        self._f_G = scatter(tris, (0.5 * area2) / 3.0)
 
         fixed = np.zeros(n, dtype=bool)  # not np.setdiff1d, which imports numpy.ma
         fixed[dirichlet_nodes(m, bc)] = True
@@ -249,24 +239,18 @@ class AffinePlate:
         rank = np.full(n, -1, dtype=np.int32)
         rank[free] = np.arange(n_free, dtype=np.int32)
 
-        def upper(cells: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, ...]:
-            """Free-node ranks ``lo <= hi`` and value of each local matrix
-            entry on or above the diagonal, cell by cell (``lo`` is -1 where
-            a fixed node takes part).  Each local matrix is symmetric bit
-            for bit, so these entries are all of it."""
-            i, j = np.triu_indices(cells.shape[1])
-            ri, rj = rank[cells[:, i]], rank[cells[:, j]]
-            return np.minimum(ri, rj), np.maximum(ri, rj), local[:, i, j]
-
-        lo, hi, k_up = upper(tris, ke)
-        in_band = (lo >= 0) & (hi < n_lead)
-        # The band of the leading block alone (convective edges join wall
-        # nodes only); a second wall can sit far from the first in the
-        # numbering, and with it the band would span the whole plate.
-        u = int((hi - lo)[in_band].max(initial=0))
-        # Rows of the leading block that K_lb reaches: at least the band's
-        # last u, and from the first row that touches any wall node.
-        first = int(lo[(lo >= 0) & (hi >= n_lead)].min(initial=n_lead))
+        # The band width u of the leading block alone (convective edges
+        # join wall nodes only; a second wall can sit far from the first in
+        # the numbering, and with it the band would span the whole plate),
+        # and the rows that K_lb reaches, the band's last u and all from the
+        # first that touches a wall node, from the triangles' node pairs.
+        ranks = rank[tris]
+        u, first = 0, n_lead
+        for i, j in ((0, 1), (1, 2), (0, 2)):
+            lo, hi = np.minimum(ranks[:, i], ranks[:, j]), np.maximum(ranks[:, i], ranks[:, j])
+            u = max(u, int((hi - lo)[(lo >= 0) & (hi < n_lead)].max(initial=0)))
+            first = min(first, int(lo[(lo >= 0) & (hi >= n_lead)].min(initial=n_lead)))
+        del ranks, lo, hi
         reach = max(n_lead - first, min(u, n_lead))
         # K_ll in band form, factored in place; K_lb, solved in place into
         # U_lb; five m x m wall blocks (K_bb, Kc_bb, S0, S0 + h Kc_bb and its
@@ -280,6 +264,27 @@ class AffinePlate:
             + m_wall**2 + 2**15,
             "plate",
         )
+
+        area2, ke = _conduction(coords, tris, p.k)
+        flux_length = _edge_lengths(coords, flux_edges)
+        conv_length = _edge_lengths(coords, conv_edges)
+        kc = (conv_length / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
+
+        def scatter(index: np.ndarray, weights: np.ndarray) -> np.ndarray:
+            return np.bincount(index.ravel(), np.repeat(weights, index.shape[1]), minlength=n)
+
+        self._f_q = scatter(flux_edges, 0.5 * flux_length)
+        self._f_a = scatter(conv_edges, 0.5 * conv_length)
+        self._f_G = scatter(tris, (0.5 * area2) / 3.0)
+
+        def upper(cells: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, ...]:
+            """Free-node ranks ``lo <= hi`` and value of each local matrix
+            entry on or above the diagonal, cell by cell (``lo`` is -1 where
+            a fixed node takes part).  Each local matrix is symmetric bit
+            for bit, so these entries are all of it."""
+            i, j = np.triu_indices(cells.shape[1])
+            ri, rj = rank[cells[:, i]], rank[cells[:, j]]
+            return np.minimum(ri, rj), np.maximum(ri, rj), local[:, i, j]
 
         def add_up(lo, hi, vals, keep, size, index) -> np.ndarray:
             """The kept entries summed into ``size`` new floats, each at
@@ -299,9 +304,10 @@ class AffinePlate:
             """``-K[free, fixed] @ 1``: the lift per unit fixed temperature."""
             return -add_up(lo, hi, vals, (lo < 0) & (hi >= 0), n_free, lambda r, c: c)
 
+        lo, hi, k_up = upper(tris, ke)
         e_lo, e_hi, kc_up = upper(conv_edges, kc)
-        self._k_lb = wall(lo, hi, k_up, n_lead - reach, reach)
-        self._k_bb = wall(lo, hi, k_up, n_lead, m_wall)
+        coupling = wall(lo, hi, k_up, n_lead - reach, reach)
+        s0 = wall(lo, hi, k_up, n_lead, m_wall)
         self._kc_bb = wall(e_lo, e_hi, kc_up, n_lead, m_wall)
         self._l_k = lift(lo, hi, k_up)
         self._l_c = lift(e_lo, e_hi, kc_up)
@@ -309,15 +315,36 @@ class AffinePlate:
         # at row u + r - c of column c, flat index c u + r + u), once the
         # per-entry arrays that it does not need are freed: the band is the
         # plate's largest array.
+        in_band = (lo >= 0) & (hi < n_lead)
         k_up = k_up[in_band]
         hi = hi[in_band].astype(np.intp)
         hi *= u
         hi += lo[in_band]
         hi += u
         del lo, in_band
-        self._ab_k = np.bincount(hi, k_up, minlength=(u + 1) * n_lead).reshape(n_lead, u + 1).T
-        self._lead: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._failure: str | None = None
+        band = np.bincount(hi, k_up, minlength=(u + 1) * n_lead).reshape(n_lead, u + 1).T
+        del hi, k_up  # freed before the factor, which would otherwise raise the peak RSS
+        self._pivots = np.inf, 0.0  # the smallest and largest diagonal entry of U_ll
+        # LAPACK's band routines are skipped on an empty leading block or
+        # right-hand side: ?tbtrs corrupts the heap on either.
+        if band.size:
+            # Two reductions (NaN or inf reaches the minimum or the
+            # maximum), not a mask the size of the band.
+            if not (np.isfinite(band.min()) and np.isfinite(band.max())):
+                raise ValueError("plate matrix overflows the float range")
+            band = _cholesky(lapack.dpbtrf, band, 0, n_free, overwrite_ab=1)
+            self._pivots = np.abs(band[-1]).min(), np.abs(band[-1]).max()
+        if coupling.size:
+            # U_ll^T is lower triangular and K_lb is zero above its last
+            # `reach` rows, so U_lb is too, and those rows need only the
+            # trailing reach x reach triangle of U_ll.
+            coupling = lapack.dtbtrs(band[:, n_lead - reach:], coupling, trans="T", overwrite_b=1)[0]
+            # The upper triangle of S0, which is all that ?potrf reads.
+            # Dense products use scipy's BLAS, here and in _solve: numpy
+            # links its own OpenBLAS, and two thread pools spinning in turn
+            # slow each other down.
+            s0 = blas.dsyrk(-1.0, coupling, beta=1.0, c=s0, trans=1)
+        self._band, self._coupling, self._s0 = band, coupling, s0
         self._free = free
         self._tris, self._ke = tris, ke
         self._conv_edges, self._kc = conv_edges, kc
@@ -338,82 +365,34 @@ class AffinePlate:
         the arrays it yields: three wall blocks, the forward band solves
         the sweep holds (at most two: the modal and the unit ``q`` load),
         two floats per triangle corner and eight per node for the residual
-        product and the substitution.  The band Cholesky overwrites the
-        band in place, so the plate's first factor adds nothing the size
-        of the band."""
+        product and the substitution."""
         m = self._kc_bb.shape[0]
         n_lead = self._free.size - m
         return 8 * (3 * m * m + 2 * n_lead + 2 * self._tris.size + 8 * self.n_nodes)
 
-    def _leading(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``U_ll`` (band form), the rows of ``U_lb`` from its first
-        non-zero one, and ``S0``; formed at the plate's first factor, in
-        place of ``K_ll`` and ``K_lb``, so that a failure is reported at
-        its ``h`` like any other.  A band Cholesky that fails has
-        overwritten part of ``K_ll``, so its failure is kept and raised
-        again by every later factor."""
-        if self._failure is not None:
-            raise SingularSystemError(self._failure)
-        if self._lead is None:
-            ab, coupling, s0 = self._ab_k, self._k_lb, self._k_bb
-            # Two reductions (NaN or inf reaches the minimum or the
-            # maximum), not a mask the size of the band.
-            if ab.size and not (np.isfinite(ab.min()) and np.isfinite(ab.max())):
-                raise ValueError(f"plate matrix overflows the float range at h={h}")
-            # LAPACK's band routines are skipped on an empty leading block
-            # or right-hand side: ?tbtrs corrupts the heap on either.
-            if ab.size:
-                try:
-                    lead = _cholesky(lapack.dpbtrf, ab, 0, self._free.size, overwrite_ab=1)
-                except SingularSystemError as exc:
-                    self._failure = str(exc)
-                    raise
-            else:
-                lead = ab
-            if coupling.size:
-                # U_ll^T is lower triangular and K_lb is zero above its last
-                # `reach` rows, so U_lb is too, and those rows need only the
-                # trailing reach x reach triangle of U_ll.
-                coupling = lapack.dtbtrs(
-                    lead[:, lead.shape[1] - coupling.shape[0]:], coupling, trans="T", overwrite_b=1
-                )[0]
-                # The upper triangle of S0, which is all that ?potrf reads.
-                # Dense products use scipy's BLAS, here and in _substitute:
-                # numpy links its own OpenBLAS, and two thread pools
-                # spinning in turn slow each other down.
-                s0 = blas.dsyrk(-1.0, coupling, beta=1.0, c=s0, trans=1)
-            self._lead = lead, coupling, s0
-            self._ab_k = self._k_lb = self._k_bb = None
-        return self._lead
+    def _factor(self, h: float) -> tuple[np.ndarray, float]:
+        """``(U_bb, pivot ratio)``: the dense upper Cholesky factor of the
+        wall block ``S0 + h Kc_bb``, the only part of the factor ``U`` of
+        ``K_k + h K_c`` formed per ``h``, and the squared ratio of the
+        smallest to the largest diagonal entry of ``U``.
 
-    def _factor(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Cholesky factor ``U^T U`` of ``K_k + h K_c`` on the free nodes,
-        as ``(U_ll, U_lb, U_bb, pivot ratio)`` with
-        ``U = [[U_ll, U_lb], [0, U_bb]]``: ``U_ll`` in LAPACK upper band
-        form, the same at every ``h``; the rows of ``U_lb`` from its first
-        non-zero one (all of them with two or more convective walls); and
-        the dense upper triangle ``U_bb``, the only part formed per ``h``.
-        The pivot ratio is the squared ratio of the smallest to the
-        largest diagonal entry of ``U``.
-
-        Raises :class:`SingularSystemError` when the matrix is not
-        positive definite or its squared pivot ratio is below 1e-13, and
-        ``ValueError`` when a huge ``k`` or ``h`` overflows it.
+        Raises :class:`SingularSystemError` when the block is not positive
+        definite or the squared pivot ratio is below 1e-13, and
+        ``ValueError`` when a huge ``h`` overflows it.
         """
-        n_free = self._free.size
-        if n_free == 0:
-            return _EMPTY, _EMPTY, _EMPTY, 1.0
-        lead, coupling, s0 = self._leading(h)
+        if not self._free.size:
+            return self._s0, 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            s = s0 + h * self._kc_bb
+            s = self._s0 + h * self._kc_bb
         if not np.isfinite(s).all():
             raise ValueError(f"plate matrix overflows the float range at h={h}")
-        block = _cholesky(lapack.dpotrf, s, lead.shape[1], n_free) if s.size else s
-        d = np.abs(np.concatenate([lead[-1], np.diag(block)]))
-        ratio = float((d.min() / d.max()) ** 2)
+        block = _cholesky(lapack.dpotrf, s, self._band.shape[1], self._free.size) if s.size else s
+        d = np.abs(np.diag(block))
+        lo, hi = self._pivots
+        ratio = float((min(lo, d.min(initial=np.inf)) / max(hi, d.max(initial=0.0))) ** 2)
         if ratio < 1e-13:
             raise SingularSystemError(_pivot_diagnosis("near-singular Cholesky pivot", ratio))
-        return lead, coupling, block, ratio
+        return block, ratio
 
     def sweep(self, hs: list[float], q: float, t_inf: float, loads: tuple[str, ...] = ()):
         """Yield ``(T, [dT/dload for load in loads])`` for each ``h`` of
@@ -422,9 +401,8 @@ class AffinePlate:
         ``dT/dt_inf``, exact because ``T`` is affine in both; each a new
         float array indexed like the mesh nodes.
 
-        Each ``h`` gets one factor, a dense Cholesky of the wall block
-        (the band Cholesky is formed at the plate's first), and per
-        right-hand side one block substitution, without iterative
+        Each ``h`` gets one factor, a dense Cholesky of the wall block,
+        and per right-hand side one block substitution, without iterative
         refinement, and one residual product that checks it.  A slope is
         the plate's response to the load ``f_q`` or ``h f_a`` alone, with
         the fixed walls at 0.  ``l_c`` and ``f_a`` vanish off the
@@ -435,13 +413,11 @@ class AffinePlate:
         not depend on ``h`` and yields its first result, the same arrays,
         again; every ``h`` is checked at its turn all the same.
 
-        Raises :class:`SingularSystemError` when the matrix is not
-        positive definite, its squared pivot ratio is below 1e-13 or a
+        Raises :class:`SingularSystemError` when the wall block is not
+        positive definite, the squared pivot ratio is below 1e-13 or a
         relative residual exceeds 1e-10, and ``ValueError`` for a
         negative or non-finite ``h``, a non-finite ``q`` or ``t_inf``, or
-        a matrix, load or temperature beyond the float range.  Once the
-        band Cholesky has failed, every sweep of the plate raises its
-        :class:`SingularSystemError` again.
+        a wall block, load or temperature beyond the float range.
         """
         forward: dict[str, np.ndarray | None] = {}  # per right-hand side, made at the first h
         result = None
@@ -473,49 +449,43 @@ class AffinePlate:
             )
         return y
 
-    @staticmethod
-    def _substitute(factor: tuple, y: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``x`` with ``U^T U x = b``, given ``y``, the forward band solve of
-        ``b``'s leading rows: forward through the trailing block, back
-        through it and then through the band.  A zero diagonal leaves ``b``
-        unsolved, which the residual check reports."""
-        band, coupling, block, _ = factor
-        n_lead, reach = band.shape[1], coupling.shape[0]
-        x, x_b = y.copy(), b[n_lead:]  # the held forward solve stays as it is
-        if x_b.size:
-            tail = slice(n_lead - reach, n_lead)
-            if reach:
-                x_b = blas.dgemv(-1.0, coupling, x[tail], 1.0, x_b, trans=1)
-            x_b = lapack.dpotrs(block, x_b)[0]
-            if reach:
-                x[tail] = blas.dgemv(-1.0, coupling, x_b, 1.0, x[tail])
-        if n_lead:  # no band routine on an empty block (see _leading)
-            x = lapack.dtbtrs(band, x, overwrite_b=1)[0]
-        return np.concatenate([x, x_b])
-
     def _solve(
-        self, h: float, factor: tuple, loads: np.ndarray, t_fixed: float, at: str,
-        forward: dict, kind: str,
+        self, h: float, factor: tuple[np.ndarray, float], loads: np.ndarray, t_fixed: float,
+        at: str, forward: dict, kind: str,
     ) -> np.ndarray:
         """``T`` with ``K(h) T = loads`` on the free nodes and ``t_fixed``
-        on the fixed ones; ``at`` names the parameters in error messages.
-        ``forward[kind]`` is the forward band solve of the right-hand
-        side's leading rows, made at the sweep's first ``h``, or ``None``
-        when those rows are zero."""
+        on the fixed ones, given ``h``'s ``_factor``; ``at`` names the
+        parameters in error messages.  ``forward[kind]`` is the forward
+        band solve of the right-hand side's leading rows, made at the
+        sweep's first ``h``, or ``None`` when those rows are zero.  The
+        substitution runs forward through the wall block, back through it
+        and then through the band; a zero diagonal leaves the right-hand
+        side unsolved, which the residual check reports."""
         free = self._free
         T = np.full(self.n_nodes, t_fixed, dtype=float)
         if free.size == 0:
             return T
+        band, coupling, (block, ratio) = self._band, self._coupling, factor
+        n_lead, reach = band.shape[1], coupling.shape[0]
 
         with np.errstate(over="ignore", invalid="ignore"):
             rhs = t_fixed * (self._l_k + h * self._l_c) + loads[free]
             if not np.isfinite(rhs).all():
                 raise ValueError(f"right-hand side overflows the float range at {at}")
-            b = rhs[:factor[0].shape[1]]
-            if kind not in forward:  # no band routine on zero or empty rows (see _leading)
-                forward[kind] = lapack.dtbtrs(factor[0], b, trans="T")[0] if b.any() else None
-            y = forward[kind]
-            T[free] = self._substitute(factor, b if y is None else y, rhs)
+            x, x_b = rhs[:n_lead], rhs[n_lead:]
+            if kind not in forward:  # no band routine on zero or empty rows (see __init__)
+                forward[kind] = lapack.dtbtrs(band, x, trans="T")[0] if x.any() else None
+            x = (x if forward[kind] is None else forward[kind]).copy()  # the held one stays
+            if x_b.size:
+                tail = slice(n_lead - reach, n_lead)
+                if reach:
+                    x_b = blas.dgemv(-1.0, coupling, x[tail], 1.0, x_b, trans=1)
+                x_b = lapack.dpotrs(block, x_b)[0]
+                if reach:
+                    x[tail] = blas.dgemv(-1.0, coupling, x_b, 1.0, x[tail])
+            if n_lead:
+                x = lapack.dtbtrs(band, x, overwrite_b=1)[0]
+            T[free] = np.concatenate([x, x_b])
             if not np.isfinite(T).all():
                 raise ValueError(f"temperatures overflow the float range at {at}")
 
@@ -527,7 +497,7 @@ class AffinePlate:
             if f_norm > 0.0 and residual > 1e-10 * f_norm:
                 raise SingularSystemError(
                     _pivot_diagnosis(
-                        f"relative residual {residual / f_norm:.3e} exceeds 1e-10", factor[3]
+                        f"relative residual {residual / f_norm:.3e} exceeds 1e-10", ratio
                     )
                 )
         return T

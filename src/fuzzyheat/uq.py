@@ -158,7 +158,7 @@ def propagate(plate: AffinePlate, scenario: FuzzyScenario) -> FuzzyTemperatureFi
     The plate's ``k``, ``G``, ``t_fixed`` and wall layout hold for every
     level, and ``h``, ``q`` and ``t_inf`` come from the scenario, so one
     plate serves every scenario of a run: its ``h``-independent band
-    Cholesky is formed at its first factor and kept on the plate.  One
+    Cholesky is formed when the plate is built.  One
     :meth:`~fuzzyheat.fem2d.AffinePlate.sweep` over the distinct ``h``
     of all levels, in first-seen order, gives the modal solve and one
     slope per fuzzy load at each.  At either end of a level's ``h`` cut,
@@ -170,7 +170,7 @@ def propagate(plate: AffinePlate, scenario: FuzzyScenario) -> FuzzyTemperatureFi
     solves kept per distinct ``h``, the envelope, what one step of the
     sweep allocates on top (``AffinePlate.work_bytes``) and the Python
     objects (32 KiB and 2 KiB per level) are checked against the
-    available memory before the first factor
+    available memory before the sweep's first wall-block factor
     (``MemoryError``).  A failed solve keeps its type and gains the
     first level whose cut ends at the failing ``h``, that ``h`` and the
     modal loads in front of its message; a bound or width beyond the

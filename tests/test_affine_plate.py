@@ -173,17 +173,16 @@ def test_singular_plate_reports_condition_estimate():
 
 def test_singular_message_names_the_failure():
     """LAPACK either stops at a non-positive leading minor, which the
-    message names, or finishes with a vanishing last pivot."""
+    message names, or finishes with a vanishing last pivot.  Without a
+    convective wall the band is the whole matrix, and its Cholesky runs
+    as the plate is built: a minor that fails leaves no plate."""
     m = generate_structured_mesh(20.0, 10.0, 5, 5)
-    plate = AffinePlate(m, PlateParameters(), walls(A, A, A, A))
     pattern = r"(leading minor \d+ of 36|near-singular Cholesky pivot); condition estimate"
-    with pytest.raises(SingularSystemError, match=pattern) as first:
+    plate = None
+    with pytest.raises(SingularSystemError, match=pattern) as failure:
+        plate = AffinePlate(m, PlateParameters(), walls(A, A, A, A))
         next(plate.sweep([0.0], 2.0, 25.0))
-    # The band Cholesky runs in place, so a failed one has overwritten
-    # part of the band: the plate keeps the failure and raises it again.
-    with pytest.raises(SingularSystemError) as again:
-        next(plate.sweep([0.0], 2.0, 25.0))
-    assert str(again.value) == str(first.value)
+    assert (plate is None) == ("leading minor" in str(failure.value))
 
 
 def test_singular_trailing_block_names_the_full_minor(monkeypatch):
@@ -257,13 +256,15 @@ def test_residual_check_holds_at_any_load_scale(monkeypatch, t_fixed, residual):
     m = generate_structured_mesh(20.0, 10.0, 3, 2)
     plate = AffinePlate(m, PlateParameters(t_fixed=t_fixed), BoundaryConditionSet())
     factor = plate._factor
-    assert factor(1.2)[2].size  # the block path: U_bb and U_lb scale with U_ll
+    assert plate._coupling.size  # the block path: U_bb and U_lb scale with U_ll
 
     def scaled(h):
-        band, coupling, block, ratio = factor(h)
-        return band * 1.01, coupling * 1.01, block * 1.01, ratio
+        block, ratio = factor(h)
+        return block * 1.01, ratio
 
     assert np.isfinite(next(plate.sweep([1.2], 2.0, 25.0))[0]).all()
+    monkeypatch.setattr(plate, "_band", plate._band * 1.01)
+    monkeypatch.setattr(plate, "_coupling", plate._coupling * 1.01)
     monkeypatch.setattr(plate, "_factor", scaled)
     with pytest.raises(SingularSystemError, match=rf"relative residual {residual} "):
         next(plate.sweep([1.2], 2.0, 25.0))
@@ -292,7 +293,8 @@ def test_default_sweep_factors_once_per_distinct_h(
     (q, t_inf) and one slope per fuzzy load, whatever ``--workers`` the
     CLI sweep is given.  A plate without a convective wall does not
     depend on h: one factor, solve and slope serve every h, and there is
-    no trailing block.  ``counts`` are the ``sweep``, ``_factor`` and
+    no trailing block.  The band Cholesky runs as the plate is built,
+    before its first sweep.  ``counts`` are the ``sweep``, ``_factor`` and
     ``_solve`` (solves and slopes) calls, ``dpotrf`` the trailing-block
     factorizations.
 
@@ -321,6 +323,7 @@ def test_default_sweep_factors_once_per_distinct_h(
         count(AffinePlate, name)
     cmd_fuzzy_sweep(cfg, scenarios, tmp_path, workers=workers)
     assert calls.count("__init__") == 1
+    assert calls.index("__init__") < calls.index("dpbtrf") < calls.index("sweep")
     assert [c for c in calls if c.startswith("dp")] == ["dpbtrf"] + dpotrf * ["dpotrf"]
     assert tuple(map(calls.count, ("sweep", "_factor", "_solve"))) == counts
     assert (calls.count("dtbtrsT"), calls.count("dtbtrs")) == dtbtrs
@@ -385,6 +388,33 @@ def test_plate_fails_fast_when_memory_is_short(monkeypatch, bc, need):
         AffinePlate(m, PlateParameters(), bc)
     monkeypatch.setattr(memory, "available_memory", lambda: None)
     AffinePlate(m, PlateParameters(), bc)
+
+
+@pytest.mark.parametrize("bc", [BoundaryConditionSet(), walls(C, C, C, C), walls(F, D, A, A)],
+                         ids=["one-wall", "four-walls", "no-wall"])
+def test_plate_memory_check_precedes_the_per_triangle_arrays(monkeypatch, bc):
+    """A plate that does not fit fails before it forms a conduction
+    matrix (9 floats per triangle) or the per-entry arrays of the
+    assembly: up to its failing ``check_memory``, which holds only the
+    numbering of the nodes and the free-node ranks of the triangles,
+    ``tracemalloc`` sees a peak below 8 floats per triangle."""
+    p = PlateParameters()
+    AffinePlate(generate_structured_mesh(20.0, 10.0, 2, 2), p, bc)
+    m = generate_structured_mesh(20.0, 10.0, 60, 60)
+    peaks = []
+
+    def short(need, what):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        raise MemoryError(f"{what} needs {need} bytes")
+
+    monkeypatch.setattr(fem2d, "check_memory", short)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="plate needs"):
+            AffinePlate(m, p, bc)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1 and peaks[0] < 8 * 8 * len(m.elements)
 
 
 @pytest.mark.parametrize("bc", [BoundaryConditionSet(), walls(C, C, C, C), walls(F, D, A, A)],

@@ -19,6 +19,7 @@ from fuzzyheat.fem1d import (
     steady_state,
     write_timeseries,
 )
+from fuzzyheat.fem2d import PlateParameters
 
 
 def dense(X):
@@ -115,6 +116,25 @@ def test_rod_validation():
         Rod1D(1.0, 0)
     with pytest.raises(ValueError):
         Rod1D(1.0, 1, k=-1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: PlateParameters(k=NAN), "conductivity must be positive, got k=nan"),
+    (lambda: PlateParameters(k=INF), "conductivity must be positive, got k=inf"),
+    (lambda: Rod1D(INF, 1), "rod length must be positive, got inf"),
+    (lambda: Rod1D(NAN, 1), "rod length must be positive, got nan"),
+    (lambda: Rod1D(1.0, 1, k=NAN), "conductivity must be >= 0, got nan"),
+    (lambda: Rod1D(1.0, 1, k=INF), "conductivity must be >= 0, got inf"),
+], ids=["plate-k-nan", "plate-k-inf", "rod-length-inf", "rod-length-nan", "rod-k-nan",
+        "rod-k-inf"])
+def test_non_finite_lengths_and_conductivities_are_rejected(make, message):
+    """The library rejects what the CLI's config parser already does,
+    with the range message, rather than overflowing later."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
 
 
 # --- theta stepping ------------------------------------------------------------
