@@ -66,6 +66,9 @@ class Rod1D:
             raise ValueError(f"need at least one element, got {self.n_elems}")
         if not 0.0 <= self.k < math.inf:
             raise ValueError(f"conductivity must be >= 0, got {self.k}")
+        for name in ("u1", "Q_src"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {name}={getattr(self, name)}")
 
     @property
     def n_nodes(self) -> int:

@@ -21,13 +21,16 @@ the wall nodes (static condensation onto the walls), or nothing on a
 plate without a convective wall.  :meth:`AffinePlate.sweep` is the one solve entry: it
 yields the temperatures and the slopes in ``q`` and ``t_inf`` at each
 ``h`` of a list, by one block substitution per right-hand side, without
-iterative refinement, and one residual product that checks it; the
-forward band solve of a load's ``h``-free leading rows is made at the
-sweep's first ``h`` and reused at the others.  :func:`solve_crisp` is a
-one-``h`` sweep.  Temperatures and slopes are new float arrays,
-indexed like the mesh nodes.  A plate whose band, wall blocks and
-assembly arrays would not fit in the available memory raises
-``MemoryError`` before allocating any per-triangle array.  The
+iterative refinement, and one residual check on the free-node system;
+the forward band solve of a load's ``h``-free leading rows is made at
+the sweep's first ``h`` and reused at the others.  The residual
+product reads the nonzeros of the free-node blocks, taken from the
+assembled arrays before they are factored, so the plate keeps no
+per-triangle array.  :func:`solve_crisp` is a one-``h`` sweep.
+Temperatures and slopes are new float arrays, indexed like the mesh
+nodes.  A plate whose band, wall blocks and assembly arrays would not
+fit in the available memory raises ``MemoryError`` before allocating
+any per-triangle array.  The
 LAPACK and BLAS routines come from :mod:`fuzzyheat._lapack`, scipy's
 compiled wrappers loaded without importing ``scipy.linalg``.
 
@@ -70,7 +73,8 @@ class PlateParameters:
     ``k`` conductivity [W/(cm K)], ``G`` volumetric source [W/cm^3],
     ``h`` convection coefficient [W/(cm^2 K)], ``q`` inward boundary
     heat flux [W/cm^2], ``t_inf`` ambient temperature [K], ``t_fixed``
-    fixed-wall temperature [K].  All per unit plate thickness.
+    fixed-wall temperature [K].  All per unit plate thickness.  ``k``
+    must be positive and finite, ``h`` at least 0, and the others finite.
     """
 
     k: float = 1.5
@@ -83,8 +87,11 @@ class PlateParameters:
     def __post_init__(self) -> None:
         if not 0.0 < self.k < math.inf:
             raise ValueError(f"conductivity must be positive, got k={self.k}")
-        if self.h < 0.0:
+        if not self.h >= 0.0:
             raise ValueError(f"convection coefficient must be >= 0, got h={self.h}")
+        for name in ("G", "q", "t_inf", "t_fixed"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {name}={getattr(self, name)}")
 
 
 class BCKind(Enum):
@@ -199,15 +206,24 @@ class AffinePlate:
     depend on ``h`` either (``l_c`` and ``f_a`` vanish off the walls), so
     a sweep forward-solves them, ``U_ll^-T b_l``, once at its first ``h``
     for the modal loads and once for the unit ``q`` load, and at every
-    ``h`` runs only the wall block and the back substitution.
-    ``work_bytes`` is what one step of a sweep may allocate besides the
-    arrays it yields.
+    ``h`` runs only the wall block and the back substitution.  Each
+    solve is checked by ``||K(h) x - b|| <= 1e-10 ||f||`` on the free
+    nodes, ``b`` the right-hand side solved and ``f`` that with the fixed
+    nodes' values appended, by a product over the nonzeros of ``K_ll``,
+    ``K_lb``, ``K_bb`` and ``Kc_bb``, which the constructor reads from
+    the assembled blocks before it factors them and stores by (row,
+    column, value), both triangles, with the wall block's last; ``h
+    Kc_bb`` adds to those.  ``work_bytes`` is what one step of a sweep
+    may allocate besides the arrays it yields.
 
     The constructor raises ``MemoryError``, before it allocates any
     per-triangle array, when its estimate of what it allocates exceeds
     the memory the platform reports available: one band of ``K_ll``,
     ``K_lb``, five ``m x m`` wall blocks, 31 floats per triangle, 10 per
-    node and 32 KiB of array headers and Python objects.  It raises
+    node and 32 KiB of array headers and Python objects.  The 31 floats
+    a triangle bound each step in turn: the conduction matrices as they
+    are formed, the assembly's per-entry arrays, and the residual
+    product's entries as they are read from the blocks.  It raises
     :class:`SingularSystemError` when the leading block is not positive
     definite, and ``ValueError`` when a huge ``k`` overflows it.  The
     tests compare the result with a dense per-element assembly solved by
@@ -239,26 +255,37 @@ class AffinePlate:
         rank = np.full(n, -1, dtype=np.int32)
         rank[free] = np.arange(n_free, dtype=np.int32)
 
-        # The band width u of the leading block alone (convective edges
-        # join wall nodes only; a second wall can sit far from the first in
-        # the numbering, and with it the band would span the whole plate),
-        # and the rows that K_lb reaches, the band's last u and all from the
-        # first that touches a wall node, from the triangles' node pairs.
+        # From the triangles' node pairs: the diagonals of the leading block
+        # that hold an entry, the farthest of which is its band width u
+        # (convective edges join wall nodes only; a second wall can sit far
+        # from the first in the numbering, and with it the band would span
+        # the whole plate), and the (row, column) of each entry of K_lb,
+        # once per triangle.  K_lb reaches the band's last u rows and all
+        # from the first of those.
         ranks = rank[tris]
-        u, first = 0, n_lead
+        diagonal = np.zeros(n_lead, dtype=bool)
+        diagonal[:1] = True  # the main one; the node pairs give the others
+        coupled = []
         for i, j in ((0, 1), (1, 2), (0, 2)):
             lo, hi = np.minimum(ranks[:, i], ranks[:, j]), np.maximum(ranks[:, i], ranks[:, j])
-            u = max(u, int((hi - lo)[(lo >= 0) & (hi < n_lead)].max(initial=0)))
-            first = min(first, int(lo[(lo >= 0) & (hi >= n_lead)].min(initial=n_lead)))
-        del ranks, lo, hi
-        reach = max(n_lead - first, min(u, n_lead))
+            diagonal[(hi - lo)[(lo >= 0) & (hi < n_lead)]] = True
+            touch = (lo >= 0) & (lo < n_lead) & (hi >= n_lead)
+            coupled.append(np.stack((lo[touch], hi[touch])))
+        del ranks, lo, hi, touch
+        diagonals, coupled = np.flatnonzero(diagonal), np.concatenate(coupled, axis=1)
+        u = int(diagonals.max(initial=0))
+        reach = max(n_lead - int(coupled[0].min(initial=n_lead)), min(u, n_lead))
         # K_ll in band form, factored in place; K_lb, solved in place into
         # U_lb; five m x m wall blocks (K_bb, Kc_bb, S0, S0 + h Kc_bb and its
-        # factor) and the finiteness mask of one; 31 floats per triangle (its
-        # area, gradients and two conduction matrices as they are formed,
-        # then the kept one and the per-entry arrays of the assembly); 10
-        # per node (loads, lifts and numbering); and 32 KiB of array headers
-        # and Python objects.
+        # factor) and the finiteness mask of one; 31 floats per triangle,
+        # the most that one step holds besides those: the coordinates,
+        # gradients, area and two conduction matrices as they are formed,
+        # then the per-entry arrays of the assembly (about 15 with the node
+        # arrays on a structured plate), then the residual product's
+        # entries, three floats each, and their pieces as they are read
+        # from the blocks (about 20; 2.5 entries a triangle); 10 per node
+        # (loads, lifts and numbering); and 32 KiB of array headers and
+        # Python objects.
         check_memory(
             8 * ((u + 1) * n_lead + reach * m_wall + 5 * m_wall**2 + 31 * len(tris) + 10 * n)
             + m_wall**2 + 2**15,
@@ -276,6 +303,7 @@ class AffinePlate:
         self._f_q = scatter(flux_edges, 0.5 * flux_length)
         self._f_a = scatter(conv_edges, 0.5 * conv_length)
         self._f_G = scatter(tris, (0.5 * area2) / 3.0)
+        del area2
 
         def upper(cells: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, ...]:
             """Free-node ranks ``lo <= hi`` and value of each local matrix
@@ -305,6 +333,7 @@ class AffinePlate:
             return -add_up(lo, hi, vals, (lo < 0) & (hi >= 0), n_free, lambda r, c: c)
 
         lo, hi, k_up = upper(tris, ke)
+        del ke  # k_up holds all of it
         e_lo, e_hi, kc_up = upper(conv_edges, kc)
         coupling = wall(lo, hi, k_up, n_lead - reach, reach)
         s0 = wall(lo, hi, k_up, n_lead, m_wall)
@@ -324,6 +353,8 @@ class AffinePlate:
         del lo, in_band
         band = np.bincount(hi, k_up, minlength=(u + 1) * n_lead).reshape(n_lead, u + 1).T
         del hi, k_up  # freed before the factor, which would otherwise raise the peak RSS
+        # The residual product's entries, read before the factor overwrites them.
+        self._entries = _free_entries(band, diagonals, coupling, coupled, s0, self._kc_bb)
         self._pivots = np.inf, 0.0  # the smallest and largest diagonal entry of U_ll
         # LAPACK's band routines are skipped on an empty leading block or
         # right-hand side: ?tbtrs corrupts the heap on either.
@@ -346,8 +377,6 @@ class AffinePlate:
             s0 = blas.dsyrk(-1.0, coupling, beta=1.0, c=s0, trans=1)
         self._band, self._coupling, self._s0 = band, coupling, s0
         self._free = free
-        self._tris, self._ke = tris, ke
-        self._conv_edges, self._kc = conv_edges, kc
         self.n_nodes = n
         self._n_fixed = n - n_free
         self._G = p.G
@@ -364,11 +393,12 @@ class AffinePlate:
         """Bytes that the next step of a :meth:`sweep` may allocate besides
         the arrays it yields: three wall blocks, the forward band solves
         the sweep holds (at most two: the modal and the unit ``q`` load),
-        two floats per triangle corner and eight per node for the residual
-        product and the substitution."""
+        one float per stored entry and two per wall-block entry for the
+        residual product, and eight per node for the substitution."""
         m = self._kc_bb.shape[0]
         n_lead = self._free.size - m
-        return 8 * (3 * m * m + 2 * n_lead + 2 * self._tris.size + 8 * self.n_nodes)
+        rows, _, _, kc = self._entries
+        return 8 * (3 * m * m + 2 * n_lead + rows.size + 2 * kc.size + 8 * self.n_nodes)
 
     def _factor(self, h: float) -> tuple[np.ndarray, float]:
         """``(U_bb, pivot ratio)``: the dense upper Cholesky factor of the
@@ -439,15 +469,16 @@ class AffinePlate:
                 ]
             yield result
 
-    def _matvec(self, h: float, T: np.ndarray) -> np.ndarray:
-        """``(K_k + h K_c) @ T`` over all nodes, by element scatter-add."""
-        tris, edges, n = self._tris, self._conv_edges, self.n_nodes
-        y = np.bincount(tris.ravel(), np.einsum("eij,ej->ei", self._ke, T[tris]).ravel(), minlength=n)
-        if edges.size:
-            y += h * np.bincount(
-                edges.ravel(), np.einsum("eij,ej->ei", self._kc, T[edges]).ravel(), minlength=n
-            )
-        return y
+    def _product(self, h: float, x: np.ndarray) -> np.ndarray:
+        """``(K_k + h K_c) x`` on the free nodes, numbered as in ``_free``:
+        one gather, one multiply and one scatter-add over the stored
+        entries, ``h Kc_bb`` added to the wall block's."""
+        rows, cols, k, kc = self._entries
+        y = x.take(cols)
+        wall = k.size - kc.size
+        y[:wall] *= k[:wall]
+        y[wall:] *= k[wall:] + h * kc
+        return np.bincount(rows, y, minlength=x.size)
 
     def _solve(
         self, h: float, factor: tuple[np.ndarray, float], loads: np.ndarray, t_fixed: float,
@@ -485,7 +516,8 @@ class AffinePlate:
                     x[tail] = blas.dgemv(-1.0, coupling, x_b, 1.0, x[tail])
             if n_lead:
                 x = lapack.dtbtrs(band, x, overwrite_b=1)[0]
-            T[free] = np.concatenate([x, x_b])
+            x = np.concatenate([x, x_b])
+            T[free] = x
             if not np.isfinite(T).all():
                 raise ValueError(f"temperatures overflow the float range at {at}")
 
@@ -493,7 +525,7 @@ class AffinePlate:
             # BLAS nrm2 (what scipy.linalg.norm calls for a float vector)
             # scales as it sums, so it overflows only if the norm does.
             f_norm = np.hypot(blas.dnrm2(rhs), t_fixed * np.sqrt(self._n_fixed))
-            residual = blas.dnrm2((self._matvec(h, T) - loads)[free])
+            residual = blas.dnrm2(self._product(h, x) - rhs)
             if f_norm > 0.0 and residual > 1e-10 * f_norm:
                 raise SingularSystemError(
                     _pivot_diagnosis(
@@ -501,6 +533,53 @@ class AffinePlate:
                     )
                 )
         return T
+
+
+def _free_entries(
+    band: np.ndarray, diagonals: np.ndarray, coupling: np.ndarray, coupled: np.ndarray,
+    k_bb: np.ndarray, kc_bb: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """``(rows, columns, K_k values, Kc values)`` of the nonzeros of the
+    free-node matrix, both triangles, from its blocks as assembled:
+    ``K_ll`` in upper band form, of which only the ``diagonals`` that hold
+    an entry are read, one band row at a time; the last rows of ``K_lb``,
+    read only at its ``coupled`` (row, column) pairs, through its
+    C-contiguous transpose; and the upper triangles of ``K_bb`` and
+    ``Kc_bb``, read through theirs.  Neither the band nor ``K_lb`` is
+    copied or read whole.  ``Kc_bb`` shares ``K_bb``'s entries, which come
+    last; the ``Kc`` values are theirs."""
+    (u1, n_lead), (reach, m) = band.shape, coupling.shape
+    upper = []
+    for d in diagonals.tolist():  # band row u - d holds the entries (c - d, c)
+        row = band[u1 - 1 - d].copy()
+        c = np.flatnonzero(row)
+        upper.append((c - d, c, row[c]))
+    # Each coupled pair once, without a sort: marked in a table of the rows
+    # that touch a wall by the wall columns.
+    lead = np.flatnonzero(np.bincount(coupled[0], minlength=n_lead))
+    slot = np.zeros(n_lead, dtype=np.intp)
+    slot[lead] = np.arange(lead.size)
+    table = np.zeros((lead.size, m), dtype=bool)
+    table[slot[coupled[0]], coupled[1] - n_lead] = True
+    r, c = np.nonzero(table)
+    del slot, table
+    r = lead[r]
+    v = coupling.T[c, r - (n_lead - reach)]
+    nonzero = v != 0.0
+    upper.append((r[nonzero], c[nonzero] + n_lead, v[nonzero]))
+    flat, flat_c = k_bb.T.ravel(), kc_bb.T.ravel()
+    at = np.flatnonzero((flat != 0.0) | (flat_c != 0.0))
+    c, r = np.divmod(at, m)
+    upper.append((r + n_lead, c + n_lead, flat[at]))
+    kc = flat_c[at]
+    kc = np.concatenate([kc, kc[r != c]])  # ordered as the wall block's entries below
+    rows, cols, vals = [], [], []
+    for r, c, v in upper:  # each entry and, off the diagonal, its mirror image
+        off = r != c
+        rows += [r, c[off]]
+        cols += [c, r[off]]
+        vals += [v, v[off]]
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), kc
 
 
 def _cholesky(routine, a: np.ndarray, before: int, n_free: int, **overwrite) -> np.ndarray:

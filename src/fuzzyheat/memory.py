@@ -1,8 +1,9 @@
 """The memory a run may still allocate, as the platform reports it.
 
-The plate solver checks its band arrays, the fuzzy sweep the solves and
-envelope it keeps, and the ``fuzzy-sweep`` and ``rod`` commands the tables
-they write, against :func:`available_memory` before allocating them, so
+The mesh generator checks its arrays, the plate solver its band arrays,
+the fuzzy sweep the solves and envelope it keeps, and the ``fuzzy-sweep``
+and ``rod`` commands the tables they write, against
+:func:`available_memory` before allocating them, so
 that a run too large for the machine fails fast with ``MemoryError``
 instead of being killed part way through.
 """

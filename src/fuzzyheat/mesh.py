@@ -17,6 +17,8 @@ from enum import Enum
 
 import numpy as np
 
+from .memory import check_memory
+
 
 class Wall(str, Enum):
     LEFT = "left"
@@ -70,7 +72,9 @@ def generate_structured_mesh(
     Node ids run x-fastest from the bottom-left corner.  Each cell is
     split along its lower-left to upper-right diagonal, and the boundary
     edges are listed counter-clockwise around the plate starting from the
-    bottom-left corner, so they form a single closed loop.
+    bottom-left corner, so they form a single closed loop.  A mesh that
+    would not fit in the available memory raises ``MemoryError`` before
+    any array is allocated.
     """
     if width_cm <= 0.0 or height_cm <= 0.0:
         raise ValueError(f"plate dimensions must be positive: {width_cm} x {height_cm}")
@@ -82,6 +86,15 @@ def generate_structured_mesh(
         raise ValueError(
             f"plate {width_cm} x {height_cm} cm on a {nx} x {ny} grid is outside the float range"
         )
+
+    # 14 floats per triangle and 5 per node cover either step: building the
+    # mesh holds the cell corners, the triangle array and the mesh's copy
+    # of it (8 per triangle) and the ids, the grid and the coordinates twice
+    # (7 per node); the area check, with those freed, holds the gathered
+    # coordinates and their products (12 per triangle) and the mesh's
+    # coordinates (2 per node).  What is left over covers the array headers
+    # from about 20 x 20 cells up.
+    check_memory(8 * (14 * 2 * nx * ny + 5 * (nx + 1) * (ny + 1)), "mesh")
 
     ids = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)  # ids[j, i]
     x, y = np.meshgrid(width_cm * np.arange(nx + 1) / nx, height_cm * np.arange(ny + 1) / ny)
@@ -103,8 +116,9 @@ def generate_structured_mesh(
         np.stack([ring, np.roll(ring, -1)], axis=1),
         np.repeat(codes, [nx, ny, nx, ny]),
     )
+    del ids, x, y, ll, lr, ul, ur, tris  # the mesh holds its own copies
 
-    total = float(triangle_area(mesh.coords, tris).sum())
+    total = float(triangle_area(mesh.coords, mesh.elements).sum())
     target = width_cm * height_cm
     if abs(total - target) > 1e-9 * target:
         raise AssertionError(f"mesh area {total} != plate area {target}")

@@ -19,7 +19,7 @@ from fuzzyheat.fem2d import (
 )
 from fuzzyheat.mesh import WALLS, Mesh2D, Wall, generate_structured_mesh
 
-from dense_plate import dense_solve
+from dense_plate import assemble, dense_solve
 
 D, F, C, A = BCKind.DIRICHLET, BCKind.FLUX, BCKind.CONVECTION, BCKind.ADIABATIC
 
@@ -268,6 +268,43 @@ def test_residual_check_holds_at_any_load_scale(monkeypatch, t_fixed, residual):
     monkeypatch.setattr(plate, "_factor", scaled)
     with pytest.raises(SingularSystemError, match=rf"relative residual {residual} "):
         next(plate.sweep([1.2], 2.0, 25.0))
+
+
+# The residual product's layouts: one wall, two opposite walls (their
+# coupling block spans every leading row), four walls and none.
+PRODUCT = {
+    "default-walls": BoundaryConditionSet(),
+    "top-and-bottom": walls(F, D, C, C),
+    "four-walls": walls(C, C, C, C),
+    "no-convective-wall": walls(F, D, F, A),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT))
+def test_residual_product_matches_the_dense_matrix(case):
+    """The product on the free nodes, read from the assembled blocks
+    before they are factored, equals the dense ``K(h)`` of the test
+    reference times the same vector, at several ``h``."""
+    m = generate_structured_mesh(20.0, 10.0, 9, 6)
+    plate = AffinePlate(m, PlateParameters(), PRODUCT[case])
+    free = plate._free
+    x = np.random.default_rng(7).uniform(-50.0, 150.0, free.size)
+    for h in (0.0, 1.2, 40.0):
+        K, _ = assemble(m, PlateParameters(h=h), PRODUCT[case])
+        ref = K[np.ix_(free, free)] @ x
+        assert np.linalg.norm(plate._product(h, x) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT))
+def test_plate_keeps_no_per_triangle_array(case):
+    """After construction the plate holds arrays by node, by stored
+    entry and by wall node, none by triangle."""
+    m = generate_structured_mesh(20.0, 10.0, 9, 6)
+    plate = AffinePlate(m, PlateParameters(), PRODUCT[case])
+    held = [a for v in vars(plate).values() for a in (v if isinstance(v, tuple) else (v,))
+            if isinstance(a, np.ndarray)]
+    assert held
+    assert not [a.shape for a in held if len(m.elements) in a.shape]
 
 
 @pytest.mark.parametrize("cfg,scenarios,workers,counts,dpotrf,dtbtrs", [

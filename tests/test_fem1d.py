@@ -1,6 +1,7 @@
 """Tests for the 1D transient convection-diffusion stepper."""
 
 import io
+import re
 import warnings
 
 import numpy as np
@@ -134,6 +135,24 @@ def test_non_finite_lengths_and_conductivities_are_rejected(make, message):
     """The library rejects what the CLI's config parser already does,
     with the range message, rather than overflowing later."""
     with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: PlateParameters(h=NAN), "convection coefficient must be >= 0, got h=nan"),
+    (lambda: PlateParameters(G=NAN), "G must be finite, got G=nan"),
+    (lambda: PlateParameters(q=-INF), "q must be finite, got q=-inf"),
+    (lambda: PlateParameters(t_inf=NAN), "t_inf must be finite, got t_inf=nan"),
+    (lambda: PlateParameters(t_fixed=INF), "t_fixed must be finite, got t_fixed=inf"),
+    (lambda: Rod1D(1.0, 4, u1=INF), "u1 must be finite, got u1=inf"),
+    (lambda: Rod1D(1.0, 4, Q_src=NAN), "Q_src must be finite, got Q_src=nan"),
+], ids=["plate-h-nan", "plate-G-nan", "plate-q-inf", "plate-t_inf-nan", "plate-t_fixed-inf",
+        "rod-u1-inf", "rod-Q_src-nan"])
+def test_non_finite_loads_are_rejected_by_name(make, message):
+    """A non-finite source, flux, temperature or velocity is rejected when
+    the parameters are made, naming its field, and does not reach the
+    solver to overflow there.  A NaN ``h`` fails the ``h >= 0`` test."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
 
 

@@ -1,10 +1,12 @@
 """Tests for structured plate meshing and wall tagging."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fuzzyheat import memory
 from fuzzyheat.cli import write_nodes_csv
 from fuzzyheat.mesh import (
     WALLS,
@@ -227,3 +229,35 @@ def test_mesh_rejects_wall_count_mismatch():
 def test_plate_outside_float_range_rejected(w, h):
     with pytest.raises(ValueError, match="outside the float range"):
         generate_structured_mesh(w, h, 3, 2)
+
+
+def test_mesh_too_large_for_memory_allocates_nothing(monkeypatch):
+    """A 700 x 700 mesh (980,000 triangles) is refused before any of its
+    arrays exists: it asks for 8 * (14 * 980,000 + 5 * 701**2) bytes and
+    allocates less than the 1 MiB available."""
+    monkeypatch.setattr(memory, "available_memory", lambda: 2**20)
+    refused = r"^mesh needs 129416040 bytes \(0\.121 GiB\), 1048576 available$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match=refused):
+            generate_structured_mesh(20.0, 10.0, 700, 700)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("size", [20, 200])
+def test_mesh_memory_estimate_covers_its_peak(monkeypatch, size):
+    """The bytes a mesh asks ``check_memory`` for cover the peak that
+    ``tracemalloc`` sees while it is built and its area checked."""
+    generate_structured_mesh(1.0, 1.0, 2, 2)  # numpy's first-call caches
+    asked = []
+    monkeypatch.setattr("fuzzyheat.mesh.check_memory", lambda need, what: asked.append(need))
+    tracemalloc.start()
+    try:
+        generate_structured_mesh(20.0, 10.0, size, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert asked == [8 * (14 * 2 * size**2 + 5 * (size + 1) ** 2)] and peak <= asked[0]
