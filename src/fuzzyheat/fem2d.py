@@ -10,29 +10,30 @@ ambient load vectors.
 
 :class:`AffinePlate` is the one solver.  The system is affine in ``h``,
 ``q`` and ``t_inf``, so it assembles the parameter-free pieces once per
-mesh with vectorized scatter-adds, reduces them to the free
-(non-Dirichlet) nodes and keeps that matrix in LAPACK band form.  Each
-triangle's six local entries on and above the diagonal are summed
-straight into one band array, which the band Cholesky then overwrites
-in place.  It numbers the nodes of every convective wall last, so the
-band Cholesky of the ``h``-independent leading block is formed when the
-plate is built and each distinct ``h`` adds a small dense Cholesky on
-the wall nodes (static condensation onto the walls), or nothing on a
-plate without a convective wall.  :meth:`AffinePlate.sweep` is the one solve entry: it
+mesh with vectorized scatter-adds and reduces them to the free
+(non-Dirichlet) nodes.  The local entries on and above the diagonal are
+summed once into one duplicate-free set of (row, column, value) on the
+free nodes; the LAPACK band array of the leading block, which the band
+Cholesky then overwrites in place, the wall blocks and the residual
+product's entries are each filled from it.  It numbers the nodes of
+every convective wall last, so the band Cholesky of the
+``h``-independent leading block is formed when the plate is built and
+each distinct ``h`` adds a small dense Cholesky on the wall nodes
+(static condensation onto the walls), or nothing on a plate without a
+convective wall.  :meth:`AffinePlate.sweep` is the one solve entry: it
 yields the temperatures and the slopes in ``q`` and ``t_inf`` at each
 ``h`` of a list, by one block substitution per right-hand side, without
 iterative refinement, and one residual check on the free-node system;
 the forward band solve of a load's ``h``-free leading rows is made at
 the sweep's first ``h`` and reused at the others.  The residual
-product reads the nonzeros of the free-node blocks, taken from the
-assembled arrays before they are factored, so the plate keeps no
-per-triangle array.  :func:`solve_crisp` is a one-``h`` sweep.
-Temperatures and slopes are new float arrays, indexed like the mesh
-nodes.  A plate whose band, wall blocks and assembly arrays would not
-fit in the available memory raises ``MemoryError`` before allocating
-any per-triangle array.  The
-LAPACK and BLAS routines come from :mod:`fuzzyheat._lapack`, scipy's
-compiled wrappers loaded without importing ``scipy.linalg``.
+product runs over the nonzeros of that set, both triangles, so the
+plate keeps no per-triangle array.  :func:`solve_crisp` is a one-``h``
+sweep.  Temperatures and slopes are new float arrays, indexed like the
+mesh nodes.  A plate whose band, wall blocks and assembly arrays would
+not fit in the available memory raises ``MemoryError`` before
+allocating any per-triangle array.  The LAPACK and BLAS routines come
+from :mod:`fuzzyheat._lapack`, scipy's compiled wrappers loaded without
+importing ``scipy.linalg``.
 
 Sign conventions (unit plate thickness throughout):
   * ``q > 0`` means heat flowing INTO the plate across a flux wall and
@@ -108,13 +109,18 @@ class BoundaryConditionSet:
 
     The default layout is the demonstration plate: flux in on the left,
     fixed temperature on the right, convective exchange on top, and an
-    adiabatic bottom.
+    adiabatic bottom.  Each field must be a :class:`BCKind`.
     """
 
     left: BCKind = BCKind.FLUX
     right: BCKind = BCKind.DIRICHLET
     top: BCKind = BCKind.CONVECTION
     bottom: BCKind = BCKind.ADIABATIC
+
+    def __post_init__(self) -> None:
+        for wall in WALLS:
+            if not isinstance(self.kind(wall), BCKind):
+                raise ValueError(f"{wall.value} must be a BCKind, got {self.kind(wall)!r}")
 
     def kind(self, wall: Wall) -> BCKind:
         return getattr(self, wall.value)
@@ -209,12 +215,15 @@ class AffinePlate:
     ``h`` runs only the wall block and the back substitution.  Each
     solve is checked by ``||K(h) x - b|| <= 1e-10 ||f||`` on the free
     nodes, ``b`` the right-hand side solved and ``f`` that with the fixed
-    nodes' values appended, by a product over the nonzeros of ``K_ll``,
-    ``K_lb``, ``K_bb`` and ``Kc_bb``, which the constructor reads from
-    the assembled blocks before it factors them and stores by (row,
-    column, value), both triangles, with the wall block's last; ``h
-    Kc_bb`` adds to those.  ``work_bytes`` is what one step of a sweep
-    may allocate besides the arrays it yields.
+    nodes' values appended, by a product over the nonzeros of the
+    free-node matrix.  The constructor sums its entries on and above the
+    diagonal once, into one duplicate-free set of (row, column, ``K_k``
+    value, ``K_c`` value) sorted by row and column, fills the band of
+    ``K_ll``, ``K_lb``, ``K_bb`` and ``Kc_bb`` from that set, and keeps
+    its nonzeros for the product by (row, column, value), both
+    triangles, with the wall block's last; ``h Kc_bb`` adds to those.
+    ``work_bytes`` is what one step of a sweep may allocate besides the
+    arrays it yields.
 
     The constructor raises ``MemoryError``, before it allocates any
     per-triangle array, when its estimate of what it allocates exceeds
@@ -222,8 +231,8 @@ class AffinePlate:
     ``K_lb``, five ``m x m`` wall blocks, 31 floats per triangle, 10 per
     node and 32 KiB of array headers and Python objects.  The 31 floats
     a triangle bound each step in turn: the conduction matrices as they
-    are formed, the assembly's per-entry arrays, and the residual
-    product's entries as they are read from the blocks.  It raises
+    are formed, the per-entry arrays of the assembly and their sort, and
+    the free-node set with the residual product's entries.  It raises
     :class:`SingularSystemError` when the leading block is not positive
     definite, and ``ValueError`` when a huge ``k`` overflows it.  The
     tests compare the result with a dense per-element assembly solved by
@@ -255,37 +264,32 @@ class AffinePlate:
         rank = np.full(n, -1, dtype=np.int32)
         rank[free] = np.arange(n_free, dtype=np.int32)
 
-        # From the triangles' node pairs: the diagonals of the leading block
-        # that hold an entry, the farthest of which is its band width u
-        # (convective edges join wall nodes only; a second wall can sit far
-        # from the first in the numbering, and with it the band would span
-        # the whole plate), and the (row, column) of each entry of K_lb,
-        # once per triangle.  K_lb reaches the band's last u rows and all
-        # from the first of those.
+        # From the triangles' node pairs: the band width u of the leading
+        # block, the farthest diagonal that holds an entry (convective edges
+        # join wall nodes only; a second wall can sit far from the first in
+        # the numbering, and with it the band would span the whole plate),
+        # and the first row of K_lb.  K_lb reaches the band's last u rows
+        # and all from the first of those.
         ranks = rank[tris]
-        diagonal = np.zeros(n_lead, dtype=bool)
-        diagonal[:1] = True  # the main one; the node pairs give the others
-        coupled = []
+        u, first = 0, n_lead
         for i, j in ((0, 1), (1, 2), (0, 2)):
             lo, hi = np.minimum(ranks[:, i], ranks[:, j]), np.maximum(ranks[:, i], ranks[:, j])
-            diagonal[(hi - lo)[(lo >= 0) & (hi < n_lead)]] = True
-            touch = (lo >= 0) & (lo < n_lead) & (hi >= n_lead)
-            coupled.append(np.stack((lo[touch], hi[touch])))
-        del ranks, lo, hi, touch
-        diagonals, coupled = np.flatnonzero(diagonal), np.concatenate(coupled, axis=1)
-        u = int(diagonals.max(initial=0))
-        reach = max(n_lead - int(coupled[0].min(initial=n_lead)), min(u, n_lead))
+            u = max(u, int((hi - lo)[(lo >= 0) & (hi < n_lead)].max(initial=0)))
+            first = min(first, int(lo[(lo >= 0) & (hi >= n_lead)].min(initial=n_lead)))
+        del ranks, lo, hi
+        reach = max(n_lead - first, min(u, n_lead))
         # K_ll in band form, factored in place; K_lb, solved in place into
         # U_lb; five m x m wall blocks (K_bb, Kc_bb, S0, S0 + h Kc_bb and its
         # factor) and the finiteness mask of one; 31 floats per triangle,
         # the most that one step holds besides those: the coordinates,
-        # gradients, area and two conduction matrices as they are formed,
-        # then the per-entry arrays of the assembly (about 15 with the node
-        # arrays on a structured plate), then the residual product's
-        # entries, three floats each, and their pieces as they are read
-        # from the blocks (about 20; 2.5 entries a triangle); 10 per node
-        # (loads, lifts and numbering); and 32 KiB of array headers and
-        # Python objects.
+        # gradients, area and two conduction matrices as they are formed
+        # (about 31.6), then the per-entry arrays of the assembly, their
+        # keys and the sort that groups them (about 25 with the node arrays
+        # on a structured plate), then the free-node set, two integers and
+        # two floats an entry, and the residual product's entries, three
+        # floats each (about 21; 2 set entries and 2.5 stored entries a
+        # triangle); 10 per node (loads, lifts and numbering); and 32 KiB
+        # of array headers and Python objects.
         check_memory(
             8 * ((u + 1) * n_lead + reach * m_wall + 5 * m_wall**2 + 31 * len(tris) + 10 * n)
             + m_wall**2 + 2**15,
@@ -306,55 +310,84 @@ class AffinePlate:
         del area2
 
         def upper(cells: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, ...]:
-            """Free-node ranks ``lo <= hi`` and value of each local matrix
-            entry on or above the diagonal, cell by cell (``lo`` is -1 where
-            a fixed node takes part).  Each local matrix is symmetric bit
-            for bit, so these entries are all of it."""
-            i, j = np.triu_indices(cells.shape[1])
-            ri, rj = rank[cells[:, i]], rank[cells[:, j]]
-            return np.minimum(ri, rj), np.maximum(ri, rj), local[:, i, j]
+            """The local matrices' diagonal summed by free node, and the key
+            ``lo * n_free + hi`` and value of each entry above it, cell by
+            cell, of the free-node ranks ``lo < hi`` (``lo`` is -1 where a
+            fixed node takes part).  Each local matrix is symmetric bit for
+            bit, so these are all of it."""
+            r = rank[cells]
+            i, j = np.triu_indices(cells.shape[1], 1)
+            key = np.minimum(r[:, i], r[:, j]).astype(np.intp)
+            key *= n_free
+            key += np.maximum(r[:, i], r[:, j])
+            return (np.bincount(r[r >= 0], local.diagonal(0, 1, 2)[r >= 0], minlength=n_free),
+                    key.ravel(), local[:, i, j].ravel())
 
-        def add_up(lo, hi, vals, keep, size, index) -> np.ndarray:
-            """The kept entries summed into ``size`` new floats, each at
-            ``index(lo, hi)``, in cell order as a dense assembly adds them."""
-            lo, hi = lo[keep], hi[keep].astype(np.intp)
-            return np.bincount(index(lo, hi), vals[keep], minlength=size)
+        def lift(key: np.ndarray, vals: np.ndarray) -> np.ndarray:
+            """``-K[free, fixed] @ 1``, the lift per unit fixed temperature,
+            from the keys in ``[-n_free, 0)``: a fixed node and the free
+            node ``key + n_free``."""
+            at = (key >= -n_free) & (key < 0)
+            return -np.bincount(key[at] + n_free, vals[at], minlength=n_free)
 
-        def wall(lo, hi, vals, top: int, rows: int) -> np.ndarray:
-            """Free-node rows ``top`` to ``top + rows`` of the wall columns,
+        diag_k, key_k, up_k = upper(tris, ke)
+        del ke  # its diagonal and up_k hold all of it
+        diag_c, key_c, up_c = upper(conv_edges, kc)
+        self._l_k, self._l_c = lift(key_k, up_k), lift(key_c, up_c)
+        # One group per distinct pair, numbered by a stable sort of the keys;
+        # each group sums its pairs in cell order, as a dense assembly adds
+        # them.
+        key = np.concatenate([key_k, key_c])
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.diff(key, prepend=-n_free - 2) != 0  # below every key: the first starts
+        group = np.empty_like(order)
+        group[order] = np.cumsum(starts) - 1
+        key = key[starts]
+        sums = (np.bincount(group[:key_k.size], up_k, minlength=key.size),
+                np.bincount(group[key_k.size:], up_c, minlength=key.size))
+        del key_k, key_c, up_k, up_c, order, starts, group
+        # The free-node matrix on and above the diagonal, as one duplicate-
+        # free set (row, column, K_k value, K_c value) sorted by row and
+        # column: the diagonal merged into the free pairs.
+        at = key >= 0
+        key = np.concatenate([np.arange(n_free) * (n_free + 1), key[at]])
+        order = np.argsort(key, kind="stable")
+        rows, cols = np.divmod(key[order], n_free)
+        k = np.concatenate([diag_k, sums[0][at]])[order]
+        kc = np.concatenate([diag_c, sums[1][at]])[order]
+        del key, order, sums, at
+        in_ll, in_bb = cols < n_lead, rows >= n_lead
+
+        def block(at: np.ndarray, vals: np.ndarray, top: int, size: int) -> np.ndarray:
+            """Free-node rows ``top`` to ``top + size`` of the wall columns,
             on or above the diagonal, dense and column-major, so that LAPACK
             can overwrite it in place."""
-            keep = (lo >= top) & (lo < top + rows) & (hi >= n_lead)
-            return add_up(lo, hi, vals, keep, rows * m_wall,
-                          lambda r, c: (c - n_lead) * rows + r - top).reshape(m_wall, rows).T
+            out = np.zeros((m_wall, size))
+            out[cols[at] - n_lead, rows[at] - top] = vals[at]
+            return out.T
 
-        def lift(lo, hi, vals) -> np.ndarray:
-            """``-K[free, fixed] @ 1``: the lift per unit fixed temperature."""
-            return -add_up(lo, hi, vals, (lo < 0) & (hi >= 0), n_free, lambda r, c: c)
-
-        lo, hi, k_up = upper(tris, ke)
-        del ke  # k_up holds all of it
-        e_lo, e_hi, kc_up = upper(conv_edges, kc)
-        coupling = wall(lo, hi, k_up, n_lead - reach, reach)
-        s0 = wall(lo, hi, k_up, n_lead, m_wall)
-        self._kc_bb = wall(e_lo, e_hi, kc_up, n_lead, m_wall)
-        self._l_k = lift(lo, hi, k_up)
-        self._l_c = lift(e_lo, e_hi, kc_up)
-        # K_ll last, in LAPACK upper band form (column-major, entry (r, c)
-        # at row u + r - c of column c, flat index c u + r + u), once the
-        # per-entry arrays that it does not need are freed: the band is the
-        # plate's largest array.
-        in_band = (lo >= 0) & (hi < n_lead)
-        k_up = k_up[in_band]
-        hi = hi[in_band].astype(np.intp)
-        hi *= u
-        hi += lo[in_band]
-        hi += u
-        del lo, in_band
-        band = np.bincount(hi, k_up, minlength=(u + 1) * n_lead).reshape(n_lead, u + 1).T
-        del hi, k_up  # freed before the factor, which would otherwise raise the peak RSS
-        # The residual product's entries, read before the factor overwrites them.
-        self._entries = _free_entries(band, diagonals, coupling, coupled, s0, self._kc_bb)
+        coupling = block(~in_ll & ~in_bb, k, n_lead - reach, reach)  # all of K_lb
+        s0 = block(in_bb, k, n_lead, m_wall)
+        self._kc_bb = block(in_bb, kc, n_lead, m_wall)
+        # K_ll in LAPACK upper band form (column-major, entry (r, c) at row
+        # u + r - c of column c).
+        band = np.zeros((n_lead, u + 1))
+        band[cols[in_ll], rows[in_ll] - cols[in_ll] + u] = k[in_ll]
+        band = band.T
+        # The residual product's entries: the nonzeros, each off-diagonal
+        # one mirrored, with the wall block's (the set's last) at the end.
+        nonzero = (k != 0.0) | (kc != 0.0)
+        rows, cols, k, kc, in_bb = (a[nonzero] for a in (rows, cols, k, kc, in_bb))
+        off = rows != cols
+        head, tail = off & ~in_bb, off & in_bb
+        self._entries = (
+            np.concatenate([cols[head], rows, cols[tail]]),
+            np.concatenate([rows[head], cols, rows[tail]]),
+            np.concatenate([k[head], k, k[tail]]),
+            np.concatenate([kc[in_bb], kc[tail]]),
+        )
+        del rows, cols, k, kc
         self._pivots = np.inf, 0.0  # the smallest and largest diagonal entry of U_ll
         # LAPACK's band routines are skipped on an empty leading block or
         # right-hand side: ?tbtrs corrupts the heap on either.
@@ -533,53 +566,6 @@ class AffinePlate:
                     )
                 )
         return T
-
-
-def _free_entries(
-    band: np.ndarray, diagonals: np.ndarray, coupling: np.ndarray, coupled: np.ndarray,
-    k_bb: np.ndarray, kc_bb: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """``(rows, columns, K_k values, Kc values)`` of the nonzeros of the
-    free-node matrix, both triangles, from its blocks as assembled:
-    ``K_ll`` in upper band form, of which only the ``diagonals`` that hold
-    an entry are read, one band row at a time; the last rows of ``K_lb``,
-    read only at its ``coupled`` (row, column) pairs, through its
-    C-contiguous transpose; and the upper triangles of ``K_bb`` and
-    ``Kc_bb``, read through theirs.  Neither the band nor ``K_lb`` is
-    copied or read whole.  ``Kc_bb`` shares ``K_bb``'s entries, which come
-    last; the ``Kc`` values are theirs."""
-    (u1, n_lead), (reach, m) = band.shape, coupling.shape
-    upper = []
-    for d in diagonals.tolist():  # band row u - d holds the entries (c - d, c)
-        row = band[u1 - 1 - d].copy()
-        c = np.flatnonzero(row)
-        upper.append((c - d, c, row[c]))
-    # Each coupled pair once, without a sort: marked in a table of the rows
-    # that touch a wall by the wall columns.
-    lead = np.flatnonzero(np.bincount(coupled[0], minlength=n_lead))
-    slot = np.zeros(n_lead, dtype=np.intp)
-    slot[lead] = np.arange(lead.size)
-    table = np.zeros((lead.size, m), dtype=bool)
-    table[slot[coupled[0]], coupled[1] - n_lead] = True
-    r, c = np.nonzero(table)
-    del slot, table
-    r = lead[r]
-    v = coupling.T[c, r - (n_lead - reach)]
-    nonzero = v != 0.0
-    upper.append((r[nonzero], c[nonzero] + n_lead, v[nonzero]))
-    flat, flat_c = k_bb.T.ravel(), kc_bb.T.ravel()
-    at = np.flatnonzero((flat != 0.0) | (flat_c != 0.0))
-    c, r = np.divmod(at, m)
-    upper.append((r + n_lead, c + n_lead, flat[at]))
-    kc = flat_c[at]
-    kc = np.concatenate([kc, kc[r != c]])  # ordered as the wall block's entries below
-    rows, cols, vals = [], [], []
-    for r, c, v in upper:  # each entry and, off the diagonal, its mirror image
-        off = r != c
-        rows += [r, c[off]]
-        cols += [c, r[off]]
-        vals += [v, v[off]]
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), kc
 
 
 def _cholesky(routine, a: np.ndarray, before: int, n_free: int, **overwrite) -> np.ndarray:

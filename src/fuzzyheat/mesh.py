@@ -35,7 +35,8 @@ WALLS = tuple(Wall)
 class Mesh2D:
     """Node coordinates ``coords`` (n, 2), counter-clockwise node triples
     ``elements`` (E, 3), boundary edges ``boundary`` (B, 2) and their
-    wall codes ``walls`` (B,), all read-only."""
+    wall codes ``walls`` (B,), all read-only.  Every node id must lie in
+    ``[0, n)`` and every wall code in ``[0, len(WALLS))``."""
 
     coords: np.ndarray
     elements: np.ndarray
@@ -44,12 +45,21 @@ class Mesh2D:
 
     def __post_init__(self) -> None:
         for name, dtype, shape in (("coords", float, (-1, 2)), ("elements", np.intp, (-1, 3)),
-                                   ("boundary", np.intp, (-1, 2)), ("walls", np.int8, (-1,))):
+                                   ("boundary", np.intp, (-1, 2)), ("walls", np.intp, (-1,))):
             arr = np.array(getattr(self, name), dtype=dtype).reshape(shape)
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if len(self.walls) != len(self.boundary):
             raise ValueError(f"{len(self.walls)} wall codes for {len(self.boundary)} edges")
+        # Two reductions each, not a mask the size of the array.
+        for name, top in (("elements", self.n_nodes), ("boundary", self.n_nodes),
+                          ("walls", len(WALLS))):
+            arr = getattr(self, name)
+            if arr.size and not 0 <= arr.min() <= arr.max() < top:
+                bad = arr[(arr < 0) | (arr >= top)][0]
+                raise ValueError(f"{name} must lie in [0, {top}), got {bad}")
+        object.__setattr__(self, "walls", self.walls.astype(np.int8))  # checked before narrowing
+        for arr in (self.coords, self.elements, self.boundary, self.walls):
+            arr.setflags(write=False)
 
     @property
     def n_nodes(self) -> int:

@@ -1,5 +1,6 @@
 """Tests for the parameter-affine banded plate core against the dense test reference."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,26 @@ def walls(left, right, top, bottom):
     return BoundaryConditionSet(left=left, right=right, top=top, bottom=bottom)
 
 
+def jittered(nx, ny, seed=11):
+    """A 20 x 10 plate on an nx x ny grid whose interior nodes move by up
+    to a quarter cell, with the structured mesh's connectivity: no
+    triangle is right-angled, so the cell diagonals carry nonzero
+    entries, which are exact zeros on a structured plate."""
+    m = generate_structured_mesh(20.0, 10.0, nx, ny)
+    x, y = m.coords.T
+    inner = (x > 0.0) & (x < 20.0) & (y > 0.0) & (y < 10.0)
+    step = np.random.default_rng(seed).uniform(-0.25, 0.25, (int(inner.sum()), 2))
+    coords = m.coords.copy()
+    coords[inner] += step * [20.0 / nx, 10.0 / ny]
+    return Mesh2D(coords, m.elements, m.boundary, m.walls)
+
+
+def plate_mesh(shape):
+    """The mesh of a case: a jittered mesh as it is, or the 20 x 10
+    structured plate on an (nx, ny) grid."""
+    return shape if isinstance(shape, Mesh2D) else generate_structured_mesh(20.0, 10.0, *shape)
+
+
 CASES = {
     "default-walls": ((5, 5), BoundaryConditionSet(), PlateParameters()),
     # The bottom-left corner is both fixed and on a convective wall.
@@ -42,6 +63,7 @@ CASES = {
     # (no flux or fixed wall, so only the source loads the leading rows).
     "default-40x40": ((40, 40), BoundaryConditionSet(), PlateParameters()),
     "four-convective-walls": ((6, 5), walls(C, C, C, C), PlateParameters(G=0.2)),
+    "jittered-9x6": (jittered(9, 6), BoundaryConditionSet(), PlateParameters(G=0.2)),
 }
 
 
@@ -59,8 +81,8 @@ def shapes(monkeypatch, name):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_affine_plate_matches_dense_reference(case):
-    (nx, ny), bc, p = CASES[case]
-    m = generate_structured_mesh(20.0, 10.0, nx, ny)
+    shape, bc, p = CASES[case]
+    m = plate_mesh(shape)
     T = solve_crisp(m, p, bc)
     ref = dense_solve(m, p, bc)
     assert np.abs(T - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -68,8 +90,8 @@ def test_affine_plate_matches_dense_reference(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_one_factor_serves_every_q_and_t_inf(case):
-    (nx, ny), bc, p = CASES[case]
-    m = generate_structured_mesh(20.0, 10.0, nx, ny)
+    shape, bc, p = CASES[case]
+    m = plate_mesh(shape)
     plate = AffinePlate(m, p, bc)
     for q, t_inf in [(0.0, 0.0), (-3.0, 40.0), (7.5, -12.0)]:
         T, slopes = next(plate.sweep([2.5], q, t_inf, ("q", "t_inf")))
@@ -123,6 +145,25 @@ def test_wall_last_numbering_matches_dense_reference(monkeypatch, case):
     T = next(plate.sweep([p.h], p.q, p.t_inf))[0]
     assert blocks == ([(trailing, trailing)] if trailing else [])
     ref = dense_solve(m, p, bc)
+    assert np.abs(T - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+LAYOUTS = list(itertools.product((D, F, C, A), repeat=4))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS,
+                         ids=["".join(k.name[0] for k in layout) for layout in LAYOUTS])
+def test_every_wall_layout_matches_dense_reference(layout):
+    """All 4^4 layouts of a 4x3 plate.  With a fixed or a convective wall
+    the plate matches the dense reference; without either it has no
+    ground and is singular."""
+    bc, p = walls(*layout), PlateParameters(h=2.0, G=0.2, q=-1.0, t_inf=40.0)
+    m = generate_structured_mesh(20.0, 10.0, 4, 3)
+    if D not in layout and C not in layout:
+        with pytest.raises(SingularSystemError):
+            solve_crisp(m, p, bc)
+        return
+    T, ref = solve_crisp(m, p, bc), dense_solve(m, p, bc)
     assert np.abs(T - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -270,37 +311,48 @@ def test_residual_check_holds_at_any_load_scale(monkeypatch, t_fixed, residual):
         next(plate.sweep([1.2], 2.0, 25.0))
 
 
-# The residual product's layouts: one wall, two opposite walls (their
-# coupling block spans every leading row), four walls and none.
+# The residual product's layouts on a 9x6 plate: one wall, two opposite
+# walls (their coupling block spans every leading row), four walls and
+# none, and one wall on a plate whose cell diagonals couple their nodes.
 PRODUCT = {
-    "default-walls": BoundaryConditionSet(),
-    "top-and-bottom": walls(F, D, C, C),
-    "four-walls": walls(C, C, C, C),
-    "no-convective-wall": walls(F, D, F, A),
+    "default-walls": ((9, 6), BoundaryConditionSet()),
+    "top-and-bottom": ((9, 6), walls(F, D, C, C)),
+    "four-walls": ((9, 6), walls(C, C, C, C)),
+    "no-convective-wall": ((9, 6), walls(F, D, F, A)),
+    "jittered": (jittered(9, 6), BoundaryConditionSet()),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PRODUCT))
 def test_residual_product_matches_the_dense_matrix(case):
-    """The product on the free nodes, read from the assembled blocks
-    before they are factored, equals the dense ``K(h)`` of the test
-    reference times the same vector, at several ``h``."""
-    m = generate_structured_mesh(20.0, 10.0, 9, 6)
-    plate = AffinePlate(m, PlateParameters(), PRODUCT[case])
+    """The product on the free nodes equals the dense ``K(h)`` of the
+    test reference times the same vector, at several ``h``.  It stores
+    each (row, column) once, and on and above the diagonal exactly where
+    the dense free block has a nonzero."""
+    shape, bc = PRODUCT[case]
+    m = plate_mesh(shape)
+    plate = AffinePlate(m, PlateParameters(), bc)
     free = plate._free
     x = np.random.default_rng(7).uniform(-50.0, 150.0, free.size)
     for h in (0.0, 1.2, 40.0):
-        K, _ = assemble(m, PlateParameters(h=h), PRODUCT[case])
+        K, _ = assemble(m, PlateParameters(h=h), bc)
         ref = K[np.ix_(free, free)] @ x
         assert np.linalg.norm(plate._product(h, x) - ref) <= 1e-13 * np.linalg.norm(ref)
+    rows, cols, _, _ = plate._entries
+    stored = set(zip(rows.tolist(), cols.tolist()))
+    assert len(stored) == rows.size
+    K, _ = assemble(m, PlateParameters(h=1.2), bc)
+    dense = set(zip(*(a.tolist() for a in np.nonzero(np.triu(K[np.ix_(free, free)])))))
+    assert {(r, c) for r, c in stored if r <= c} == dense
 
 
 @pytest.mark.parametrize("case", sorted(PRODUCT))
 def test_plate_keeps_no_per_triangle_array(case):
     """After construction the plate holds arrays by node, by stored
     entry and by wall node, none by triangle."""
-    m = generate_structured_mesh(20.0, 10.0, 9, 6)
-    plate = AffinePlate(m, PlateParameters(), PRODUCT[case])
+    shape, bc = PRODUCT[case]
+    m = plate_mesh(shape)
+    plate = AffinePlate(m, PlateParameters(), bc)
     held = [a for v in vars(plate).values() for a in (v if isinstance(v, tuple) else (v,))
             if isinstance(a, np.ndarray)]
     assert held

@@ -130,6 +130,14 @@ def all_adiabatic():
     )
 
 
+@pytest.mark.parametrize("wall", list(Wall))
+def test_boundary_conditions_reject_a_kind_given_as_text(wall):
+    """A kind given by its name would match no ``BCKind`` and silently
+    leave its wall adiabatic."""
+    with pytest.raises(ValueError, match=rf"^{wall.value} must be a BCKind, got 'dirichlet'$"):
+        BoundaryConditionSet(**{wall.value: "dirichlet"})
+
+
 def test_pure_neumann_assembly_is_singular_with_constant_nullspace():
     m = generate_structured_mesh(1, 1, 1, 1)
     p = PlateParameters(k=1.0, G=0.0, h=0.0, q=0.0)

@@ -225,6 +225,29 @@ def test_mesh_rejects_wall_count_mismatch():
         Mesh2D([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)], [(0, 1)], [0, 1])
 
 
+@pytest.mark.parametrize("code", [7, -1, 256])
+def test_mesh_rejects_wall_code_out_of_range(code):
+    """A code outside ``WALLS`` would silently drop its edge's condition;
+    256 is checked before the codes are narrowed to int8, where it would
+    wrap to 0."""
+    with pytest.raises(ValueError, match=rf"^walls must lie in \[0, 4\), got {code}$"):
+        Mesh2D([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)], [(0, 1), (1, 2), (2, 0)],
+               np.array([0, 1, code]))
+
+
+@pytest.mark.parametrize("field,elements,boundary,bad", [
+    ("elements", [(0, 1, 3)], [(0, 1), (1, 2), (2, 0)], 3),
+    ("elements", [(0, -1, 2)], [(0, 1), (1, 2), (2, 0)], -1),
+    ("boundary", [(0, 1, 2)], [(0, 1), (1, 5), (2, 0)], 5),
+    ("boundary", [(0, 1, 2)], [(0, 1), (1, 2), (-2, 0)], -2),
+], ids=["element-above", "element-below", "edge-above", "edge-below"])
+def test_mesh_rejects_node_id_out_of_range(field, elements, boundary, bad):
+    """A node id outside the nodes fails at construction, not later as an
+    ``IndexError`` or a ``bincount`` error in the solver."""
+    with pytest.raises(ValueError, match=rf"^{field} must lie in \[0, 3\), got {bad}$"):
+        Mesh2D([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], elements, boundary, [0, 1, 2])
+
+
 @pytest.mark.parametrize("w,h", [(1e308, 10.0), (20.0, 1e308), (1e-320, 10.0)])
 def test_plate_outside_float_range_rejected(w, h):
     with pytest.raises(ValueError, match="outside the float range"):
