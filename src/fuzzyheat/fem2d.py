@@ -22,12 +22,14 @@ each distinct ``h`` adds a small dense Cholesky on the wall nodes
 (static condensation onto the walls), or nothing on a plate without a
 convective wall.  :meth:`AffinePlate.sweep` is the one solve entry: it
 yields the temperatures and the slopes in ``q`` and ``t_inf`` at each
-``h`` of a list, by one block substitution per right-hand side, without
-iterative refinement, and one residual check on the free-node system;
-the forward band solve of a load's ``h``-free leading rows is made at
-the sweep's first ``h`` and reused at the others.  The residual
-product runs over the nonzeros of that set, both triangles, so the
-plate keeps no per-triangle array.  :func:`solve_crisp` is a one-``h``
+``h`` of a list.  The modal load and one load per slope are the columns
+of one block of right-hand sides, solved at each ``h`` by one block
+substitution, without iterative refinement, and each column is checked
+by one residual product on the free-node system; the forward band solve
+of the block's ``h``-free leading rows is made at the sweep's first
+``h`` and reused at the others.  The loads and lifts are summed on the
+free nodes.  The residual product runs over the nonzeros of that set,
+both triangles, so the plate keeps no per-triangle array.  :func:`solve_crisp` is a one-``h``
 sweep.  Temperatures and slopes are new float arrays, indexed like the
 mesh nodes.  A plate whose band, wall blocks and assembly arrays would
 not fit in the available memory raises ``MemoryError`` before
@@ -208,12 +210,12 @@ class AffinePlate:
     width of rows with one wall, nearly all rows with two or more.
     :meth:`sweep` runs that factor at each ``h`` of a list and
     solves it for the modal ``(q, t_inf)`` and for ``dT/dq`` and
-    ``dT/dt_inf``.  The leading rows of every right-hand side do not
-    depend on ``h`` either (``l_c`` and ``f_a`` vanish off the walls), so
-    a sweep forward-solves them, ``U_ll^-T b_l``, once at its first ``h``
-    for the modal loads and once for the unit ``q`` load, and at every
+    ``dT/dt_inf``, as the columns of one block of right-hand sides.  The
+    leading rows of every right-hand side do not depend on ``h`` either
+    (``l_c`` and ``f_a`` vanish off the walls), so a sweep forward-solves
+    the block's, ``U_ll^-T B_l``, once at its first ``h``, and at every
     ``h`` runs only the wall block and the back substitution.  Each
-    solve is checked by ``||K(h) x - b|| <= 1e-10 ||f||`` on the free
+    column is checked by ``||K(h) x - b|| <= 1e-10 ||f||`` on the free
     nodes, ``b`` the right-hand side solved and ``f`` that with the fixed
     nodes' values appended, by a product over the nonzeros of the
     free-node matrix.  The constructor sums its entries on and above the
@@ -222,6 +224,8 @@ class AffinePlate:
     ``K_ll``, ``K_lb``, ``K_bb`` and ``Kc_bb`` from that set, and keeps
     its nonzeros for the product by (row, column, value), both
     triangles, with the wall block's last; ``h Kc_bb`` adds to those.
+    The lifts ``l_k`` and ``l_c`` and the loads ``f_q``, ``f_a`` and
+    ``f_G`` are summed by free node, and are float on every wall layout.
     ``work_bytes`` is what one step of a sweep may allocate besides the
     arrays it yields.
 
@@ -301,12 +305,17 @@ class AffinePlate:
         conv_length = _edge_lengths(coords, conv_edges)
         kc = (conv_length / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
 
-        def scatter(index: np.ndarray, weights: np.ndarray) -> np.ndarray:
-            return np.bincount(index.ravel(), np.repeat(weights, index.shape[1]), minlength=n)
+        def by_rank(r: np.ndarray, weights: np.ndarray) -> np.ndarray:
+            """``weights``, broadcast to the free-node ranks ``r``, summed by
+            rank in cell order, those outside ``[0, n_free)`` dropped; float
+            even where none is left, where ``np.bincount`` gives integers."""
+            at = (r >= 0) & (r < n_free)
+            sums = np.bincount(r[at], np.broadcast_to(weights, r.shape)[at], minlength=n_free)
+            return sums.astype(float, copy=False)
 
-        self._f_q = scatter(flux_edges, 0.5 * flux_length)
-        self._f_a = scatter(conv_edges, 0.5 * conv_length)
-        self._f_G = scatter(tris, (0.5 * area2) / 3.0)
+        self._f_q = by_rank(rank[flux_edges], (0.5 * flux_length)[:, None])
+        self._f_a = by_rank(rank[conv_edges], (0.5 * conv_length)[:, None])
+        self._f_G = by_rank(rank[tris], ((0.5 * area2) / 3.0)[:, None])
         del area2
 
         def upper(cells: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -320,15 +329,13 @@ class AffinePlate:
             key = np.minimum(r[:, i], r[:, j]).astype(np.intp)
             key *= n_free
             key += np.maximum(r[:, i], r[:, j])
-            return (np.bincount(r[r >= 0], local.diagonal(0, 1, 2)[r >= 0], minlength=n_free),
-                    key.ravel(), local[:, i, j].ravel())
+            return by_rank(r, local.diagonal(0, 1, 2)), key.ravel(), local[:, i, j].ravel()
 
         def lift(key: np.ndarray, vals: np.ndarray) -> np.ndarray:
             """``-K[free, fixed] @ 1``, the lift per unit fixed temperature,
             from the keys in ``[-n_free, 0)``: a fixed node and the free
             node ``key + n_free``."""
-            at = (key >= -n_free) & (key < 0)
-            return -np.bincount(key[at] + n_free, vals[at], minlength=n_free)
+            return -by_rank(key + n_free, vals)
 
         diag_k, key_k, up_k = upper(tris, ke)
         del ke  # its diagonal and up_k hold all of it
@@ -424,14 +431,18 @@ class AffinePlate:
     @property
     def work_bytes(self) -> int:
         """Bytes that the next step of a :meth:`sweep` may allocate besides
-        the arrays it yields: three wall blocks, the forward band solves
-        the sweep holds (at most two: the modal and the unit ``q`` load),
-        one float per stored entry and two per wall-block entry for the
-        residual product, and eight per node for the substitution."""
+        the arrays it yields, for a block of up to three right-hand sides
+        (the modal load and two slopes): three wall blocks, the forward
+        band solve of the block's leading rows that the sweep holds, one
+        float per stored entry and two per wall-block entry for the
+        residual product, and ten per node for the block.  Those ten are
+        the most held at once: the block with the lift and loads it is
+        formed from, or the block, its solution and that solution's two
+        parts as they are joined."""
         m = self._kc_bb.shape[0]
         n_lead = self._free.size - m
         rows, _, _, kc = self._entries
-        return 8 * (3 * m * m + 2 * n_lead + rows.size + 2 * kc.size + 8 * self.n_nodes)
+        return 8 * (3 * m * m + 3 * n_lead + rows.size + 2 * kc.size + 10 * self.n_nodes)
 
     def _factor(self, h: float) -> tuple[np.ndarray, float]:
         """``(U_bb, pivot ratio)``: the dense upper Cholesky factor of the
@@ -465,16 +476,20 @@ class AffinePlate:
         float array indexed like the mesh nodes.
 
         Each ``h`` gets one factor, a dense Cholesky of the wall block,
-        and per right-hand side one block substitution, without iterative
-        refinement, and one residual product that checks it.  A slope is
-        the plate's response to the load ``f_q`` or ``h f_a`` alone, with
-        the fixed walls at 0.  ``l_c`` and ``f_a`` vanish off the
-        convective walls, so the leading rows of every right-hand side do
-        not depend on ``h``: their forward band solve is made at the first
-        ``h`` and held for the rest of the sweep, and those of ``h f_a``
-        are zero and need none.  A plate without a convective wall does
-        not depend on ``h`` and yields its first result, the same arrays,
-        again; every ``h`` is checked at its turn all the same.
+        and one block substitution, without iterative refinement, of the
+        ``(n_free, 1 + len(loads))`` block of right-hand sides: the modal
+        load, then one column per name in ``loads``.  A slope is the
+        plate's response to the load ``f_q`` or ``h f_a`` alone, with the
+        fixed walls at 0.  ``l_c`` and ``f_a`` vanish off the convective
+        walls, so the block's leading rows do not depend on ``h``: their
+        forward band solve is made at the first ``h`` and held for the rest
+        of the sweep.  Around the wall block's ``?potrs`` each column gets
+        its own ``?gemv``, so that it takes the same bits as it would
+        alone.  Each column is then checked in turn: its right-hand side,
+        then its temperatures, within the float range, then its residual
+        product.  A plate without a convective wall does not depend on
+        ``h`` and yields its first result, the same arrays, again; every
+        ``h`` is checked at its turn all the same.
 
         Raises :class:`SingularSystemError` when the wall block is not
         positive definite, the squared pivot ratio is below 1e-13 or a
@@ -482,24 +497,66 @@ class AffinePlate:
         negative or non-finite ``h``, a non-finite ``q`` or ``t_inf``, or
         a wall block, load or temperature beyond the float range.
         """
-        forward: dict[str, np.ndarray | None] = {}  # per right-hand side, made at the first h
-        result = None
+        free, band, coupling = self._free, self._band, self._coupling
+        n_lead, reach = band.shape[1], coupling.shape[0]
+        tail = slice(n_lead - reach, n_lead)
+        t_fixed = [self._t_fixed] + [0.0] * len(loads)  # the modal column's, then each slope's
+        forward = result = None  # U_ll^-T times the block's leading rows, made at the first h
         for h in hs:
             if not np.isfinite(h) or h < 0.0:
                 raise ValueError(f"convection coefficient must be finite and >= 0, got h={h}")
-            if result is None or self.depends_on_h:
-                factor = self._factor(h)
-                if not (np.isfinite(q) and np.isfinite(t_inf)):
-                    raise ValueError(f"parameters must be finite, got q={q}, t_inf={t_inf}")
-                with np.errstate(over="ignore", invalid="ignore"):
-                    modal = q * self._f_q + (h * t_inf) * self._f_a + self._G * self._f_G
-                    unit = {"q": self._f_q, "t_inf": h * self._f_a}
-                at = f"h={h}, q={q}, t_inf={t_inf}, t_fixed={self._t_fixed}"
-                T = self._solve(h, factor, modal, self._t_fixed, at, forward, "T")
-                result = T, [
-                    self._solve(h, factor, unit[n], 0.0, f"h={h}, slope in {n}", forward, n)
-                    for n in loads
-                ]
+            if result is not None and not self.depends_on_h:
+                yield result
+                continue
+            block, ratio = self._factor(h)
+            if not (np.isfinite(q) and np.isfinite(t_inf)):
+                raise ValueError(f"parameters must be finite, got q={q}, t_inf={t_inf}")
+            at = [f"h={h}, q={q}, t_inf={t_inf}, t_fixed={self._t_fixed}"]
+            at += [f"h={h}, slope in {n}" for n in loads]
+            with np.errstate(over="ignore", invalid="ignore"):
+                unit = {"q": self._f_q, "t_inf": h * self._f_a}
+                f = [q * self._f_q + (h * t_inf) * self._f_a + self._G * self._f_G]
+                f += [unit[n] for n in loads]
+                lift = self._l_k + h * self._l_c
+                b = np.array([t * lift + f_j for t, f_j in zip(t_fixed, f)]).T
+                del unit, f, lift
+                if forward is None:  # no band routine on an empty block (see __init__)
+                    forward = lapack.dtbtrs(band, b[:n_lead], trans="T")[0] if n_lead else b[:0]
+                # From the held forward band solve: forward through the wall
+                # block, back through it and then back through the band; a
+                # zero diagonal leaves a column unsolved, which the residual
+                # check reports.
+                x, x_b = forward.copy(order="F"), b[n_lead:].copy(order="F")
+                columns = range(b.shape[1] if reach and x_b.size else 0)
+                for j in columns:
+                    x_b[:, j] = blas.dgemv(-1.0, coupling, x[tail, j], 1.0, x_b[:, j], trans=1)
+                if x_b.size:
+                    x_b = lapack.dpotrs(block, x_b, overwrite_b=1)[0]
+                for j in columns:
+                    x[tail, j] = blas.dgemv(-1.0, coupling, x_b[:, j], 1.0, x[tail, j])
+                if n_lead:
+                    x = lapack.dtbtrs(band, x, overwrite_b=1)[0]
+                x = np.concatenate([x, x_b])
+                solved = []
+                for j, (t, where) in enumerate(zip(t_fixed, at)):
+                    if not np.isfinite(b[:, j]).all():
+                        raise ValueError(f"right-hand side overflows the float range at {where}")
+                    T = np.full(self.n_nodes, t, dtype=float)
+                    T[free] = x[:, j]
+                    if not np.isfinite(T).all():
+                        raise ValueError(f"temperatures overflow the float range at {where}")
+                    # Norm of the full constrained right-hand side, fixed rows
+                    # included.  BLAS nrm2 (what scipy.linalg.norm calls for a
+                    # float vector) scales as it sums, so it overflows only if
+                    # the norm does; it rejects an empty vector.
+                    if free.size:
+                        f_norm = np.hypot(blas.dnrm2(b[:, j]), t * np.sqrt(self._n_fixed))
+                        residual = blas.dnrm2(self._product(h, x[:, j]) - b[:, j])
+                        if f_norm > 0.0 and residual > 1e-10 * f_norm:
+                            raise SingularSystemError(_pivot_diagnosis(
+                                f"relative residual {residual / f_norm:.3e} exceeds 1e-10", ratio))
+                    solved.append(T)
+            result = solved[0], solved[1:]
             yield result
 
     def _product(self, h: float, x: np.ndarray) -> np.ndarray:
@@ -512,60 +569,6 @@ class AffinePlate:
         y[:wall] *= k[:wall]
         y[wall:] *= k[wall:] + h * kc
         return np.bincount(rows, y, minlength=x.size)
-
-    def _solve(
-        self, h: float, factor: tuple[np.ndarray, float], loads: np.ndarray, t_fixed: float,
-        at: str, forward: dict, kind: str,
-    ) -> np.ndarray:
-        """``T`` with ``K(h) T = loads`` on the free nodes and ``t_fixed``
-        on the fixed ones, given ``h``'s ``_factor``; ``at`` names the
-        parameters in error messages.  ``forward[kind]`` is the forward
-        band solve of the right-hand side's leading rows, made at the
-        sweep's first ``h``, or ``None`` when those rows are zero.  The
-        substitution runs forward through the wall block, back through it
-        and then through the band; a zero diagonal leaves the right-hand
-        side unsolved, which the residual check reports."""
-        free = self._free
-        T = np.full(self.n_nodes, t_fixed, dtype=float)
-        if free.size == 0:
-            return T
-        band, coupling, (block, ratio) = self._band, self._coupling, factor
-        n_lead, reach = band.shape[1], coupling.shape[0]
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            rhs = t_fixed * (self._l_k + h * self._l_c) + loads[free]
-            if not np.isfinite(rhs).all():
-                raise ValueError(f"right-hand side overflows the float range at {at}")
-            x, x_b = rhs[:n_lead], rhs[n_lead:]
-            if kind not in forward:  # no band routine on zero or empty rows (see __init__)
-                forward[kind] = lapack.dtbtrs(band, x, trans="T")[0] if x.any() else None
-            x = (x if forward[kind] is None else forward[kind]).copy()  # the held one stays
-            if x_b.size:
-                tail = slice(n_lead - reach, n_lead)
-                if reach:
-                    x_b = blas.dgemv(-1.0, coupling, x[tail], 1.0, x_b, trans=1)
-                x_b = lapack.dpotrs(block, x_b)[0]
-                if reach:
-                    x[tail] = blas.dgemv(-1.0, coupling, x_b, 1.0, x[tail])
-            if n_lead:
-                x = lapack.dtbtrs(band, x, overwrite_b=1)[0]
-            x = np.concatenate([x, x_b])
-            T[free] = x
-            if not np.isfinite(T).all():
-                raise ValueError(f"temperatures overflow the float range at {at}")
-
-            # Norm of the full constrained right-hand side, fixed rows included.
-            # BLAS nrm2 (what scipy.linalg.norm calls for a float vector)
-            # scales as it sums, so it overflows only if the norm does.
-            f_norm = np.hypot(blas.dnrm2(rhs), t_fixed * np.sqrt(self._n_fixed))
-            residual = blas.dnrm2(self._product(h, x) - rhs)
-            if f_norm > 0.0 and residual > 1e-10 * f_norm:
-                raise SingularSystemError(
-                    _pivot_diagnosis(
-                        f"relative residual {residual / f_norm:.3e} exceeds 1e-10", ratio
-                    )
-                )
-        return T
 
 
 def _cholesky(routine, a: np.ndarray, before: int, n_free: int, **overwrite) -> np.ndarray:

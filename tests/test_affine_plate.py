@@ -266,6 +266,53 @@ def test_solve_rejects_non_finite_parameters(q, t_inf):
         next(plate.sweep([1.2], q, t_inf))
 
 
+@pytest.mark.parametrize("p,hs,q,t_inf,yielded,message", [
+    (PlateParameters(), [1.2, 1.3], 1e308, 25.0, 0,
+     "right-hand side overflows the float range at h=1.2, q=1e+308, t_inf=25.0, t_fixed=100.0"),
+    (PlateParameters(k=1e-3), [1.2, 1.3], 1e306, 25.0, 0,
+     "temperatures overflow the float range at h=1.2, q=1e+306, t_inf=25.0, t_fixed=100.0"),
+    (PlateParameters(), [1.2, 1e10, 2.0], 2.0, 1e300, 1,
+     "right-hand side overflows the float range at h=10000000000.0, q=2.0, t_inf=1e+300, "
+     "t_fixed=100.0"),
+], ids=["right-hand-side", "temperatures", "later-h"])
+def test_sweep_failure_messages_and_their_order(p, hs, q, t_inf, yielded, message):
+    """On the 5x5 default a sweep yields the items of the h values before
+    the first that fails, then raises that h's first failed check: the
+    modal right-hand side before its temperatures, and both before the
+    slopes'.  ``q = 1e308`` overflows the flux load; ``q = 1e306`` over a
+    conductivity of 1e-3 overflows the temperatures; ``h t_inf`` overflows
+    at the second h only."""
+    m = generate_structured_mesh(20.0, 10.0, 5, 5)
+    items = AffinePlate(m, p, BoundaryConditionSet()).sweep(hs, q, t_inf, ("q", "t_inf"))
+    for _ in range(yielded):
+        T, slopes = next(items)
+        assert all(np.isfinite(a).all() for a in (T, *slopes))
+    with pytest.raises(ValueError) as failure:
+        next(items)
+    assert str(failure.value) == message
+
+
+@pytest.mark.parametrize("layout", LAYOUTS,
+                         ids=["".join(k.name[0] for k in layout) for layout in LAYOUTS])
+def test_every_plate_vector_is_float(layout):
+    """The lifts, the loads and the stored values are float64 on every
+    wall layout, also where no cell adds to them (``np.bincount`` of no
+    index gives integer zeros), and the lifts' zeros are negative, as
+    the negation of float sums makes them where a fixed wall adds to
+    other nodes.  Without a fixed or a convective wall there is no plate:
+    its band Cholesky fails as it is built."""
+    m = generate_structured_mesh(20.0, 10.0, 4, 3)
+    if D not in layout and C not in layout:
+        with pytest.raises(SingularSystemError):
+            AffinePlate(m, PlateParameters(), walls(*layout))
+        return
+    plate = AffinePlate(m, PlateParameters(), walls(*layout))
+    vectors = [plate._l_k, plate._l_c, plate._f_q, plate._f_a, plate._f_G, *plate._entries[2:]]
+    assert [v.dtype for v in vectors] == [np.float64] * len(vectors)
+    for lift in (plate._l_k, plate._l_c):
+        assert np.signbit(lift[lift == 0.0]).all()
+
+
 LOOP = ((0, 1, Wall.BOTTOM), (1, 2, Wall.RIGHT), (2, 0, Wall.LEFT))
 
 
@@ -359,15 +406,15 @@ def test_plate_keeps_no_per_triangle_array(case):
 
 
 @pytest.mark.parametrize("cfg,scenarios,workers,counts,dpotrf,dtbtrs", [
-    (RunConfig(), ["custom"], 1, (1, 21, 42), 21, (3, 42)),
-    (RunConfig(), ["custom"], 4, (1, 21, 42), 21, (3, 42)),
+    (RunConfig(), ["custom"], 1, (1, 21, 42), 21, (2, 21)),
+    (RunConfig(), ["custom"], 4, (1, 21, 42), 21, (2, 21)),
     (RunConfig(), ["h-only"], 1, (1, 21, 21), 21, (2, 21)),
-    (RunConfig(), ["q-only"], 1, (1, 1, 2), 1, (3, 2)),
-    (RunConfig(), ["tinf-only"], 1, (1, 1, 2), 1, (2, 2)),
-    (RunConfig(), ["all"], 1, (1, 21, 63), 21, (3, 63)),
-    (RunConfig(left=C), ["custom"], 1, (1, 21, 42), 21, (2, 42)),
-    (RunConfig(top=A), ["custom"], 1, (1, 1, 2), 0, (2, 2)),
-    (RunConfig(), ["h-only", "q-only"], 1, (2, 22, 23), 22, (4, 23)),
+    (RunConfig(), ["q-only"], 1, (1, 1, 2), 1, (2, 1)),
+    (RunConfig(), ["tinf-only"], 1, (1, 1, 2), 1, (2, 1)),
+    (RunConfig(), ["all"], 1, (1, 21, 63), 21, (2, 21)),
+    (RunConfig(left=C), ["custom"], 1, (1, 21, 42), 21, (2, 21)),
+    (RunConfig(top=A), ["custom"], 1, (1, 1, 2), 0, (1, 1)),
+    (RunConfig(), ["h-only", "q-only"], 1, (2, 22, 23), 22, (3, 22)),
 ], ids=["1", "4", "h-only", "q-only", "tinf-only", "all", "two-walls", "no-wall", "shared"])
 def test_default_sweep_factors_once_per_distinct_h(
     monkeypatch, tmp_path, cfg, scenarios, workers, counts, dpotrf, dtbtrs
@@ -382,18 +429,17 @@ def test_default_sweep_factors_once_per_distinct_h(
     CLI sweep is given.  A plate without a convective wall does not
     depend on h: one factor, solve and slope serve every h, and there is
     no trailing block.  The band Cholesky runs as the plate is built,
-    before its first sweep.  ``counts`` are the ``sweep``, ``_factor`` and
-    ``_solve`` (solves and slopes) calls, ``dpotrf`` the trailing-block
-    factorizations.
+    before its first sweep.  ``counts`` are the ``sweep`` and ``_factor``
+    calls and the distinct temperature and slope arrays the sweeps
+    yield, ``dpotrf`` the trailing-block factorizations.
 
     ``dtbtrs`` counts the forward (transposed) and back band solves.
-    Each solve and slope makes one back solve.  The forward solves are
-    the coupling ``U_lb`` (with a convective wall), once per plate, and
-    the modal load and the unit ``q`` load, once per sweep: a ``t_inf``
-    slope, and a ``q`` slope without a flux wall (``left=C``), has zero
-    leading rows and needs none.  So the two sweeps of ``shared`` make
-    4 forward solves: the coupling, the modal load twice and the unit
-    ``q`` load once."""
+    Each h solves the modal load and every slope as one block, so it
+    makes one back solve.  The forward solves are the coupling ``U_lb``
+    (with a convective wall), once per plate, and the leading rows of a
+    sweep's block, once per sweep at its first h.  So the two sweeps of
+    ``shared`` make 3 forward solves, and a plate without a convective
+    wall, which has no coupling and solves at one h, makes 1 of each."""
     calls = []
 
     def count(owner, name):
@@ -407,13 +453,21 @@ def test_default_sweep_factors_once_per_distinct_h(
 
     for name in ("dpbtrf", "dpotrf", "dtbtrs"):
         count(lapack, name)
-    for name in ("__init__", "sweep", "_factor", "_solve"):
+    for name in ("__init__", "sweep", "_factor"):
         count(AffinePlate, name)
+    arrays, sweep = {}, AffinePlate.sweep  # every array yielded, kept alive, by identity
+
+    def collecting(*args, **kwargs):
+        for T, slopes in sweep(*args, **kwargs):
+            arrays.update((id(a), a) for a in (T, *slopes))
+            yield T, slopes
+
+    monkeypatch.setattr(AffinePlate, "sweep", collecting)
     cmd_fuzzy_sweep(cfg, scenarios, tmp_path, workers=workers)
     assert calls.count("__init__") == 1
     assert calls.index("__init__") < calls.index("dpbtrf") < calls.index("sweep")
     assert [c for c in calls if c.startswith("dp")] == ["dpbtrf"] + dpotrf * ["dpotrf"]
-    assert tuple(map(calls.count, ("sweep", "_factor", "_solve"))) == counts
+    assert (calls.count("sweep"), calls.count("_factor"), len(arrays)) == counts
     assert (calls.count("dtbtrsT"), calls.count("dtbtrs")) == dtbtrs
 
 

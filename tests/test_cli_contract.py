@@ -192,8 +192,8 @@ def test_rod_states_beyond_memory_fail_before_the_first_step(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("available,what,need", [
-    (78264, None, None),
-    (78263, "sweep", 78264),
+    (79040, None, None),
+    (79039, "sweep", 79040),
     (10000, "envelope table", 12672),
 ], ids=["fits", "sweep", "table"])
 def test_sweep_arrays_beyond_memory_fail_before_any_output(tmp_path, monkeypatch, available,
@@ -203,10 +203,11 @@ def test_sweep_arrays_beyond_memory_fail_before_any_output(tmp_path, monkeypatch
     before the level grids and the plate are built; the sweep, checked
     before its first wall-block factor, 8 * 36 * (21 h values * (1 solve
     + 1 slope) + 2 * 11 envelope rows) = 18432 plus the plate's
-    ``work_bytes``: 8 * (3 * 5**2 wall blocks + 2 * 25 held forward rows
-    + 128 stored entries of the free-node matrix + 2 * 13 of its wall
-    block + 8 * 36 nodes) = 4536, plus 2**15 + 2**11 * 11 levels = 55296
-    for the Python objects, so 78264.  The stored entries are the 30 free
+    ``work_bytes``: 8 * (3 * 5**2 wall blocks + 3 * 25 held forward rows
+    of a three-column block + 128 stored entries of the free-node matrix
+    + 2 * 13 of its wall block + 10 * 36 nodes) = 5312, plus 2**15 +
+    2**11 * 11 levels = 55296 for the Python objects, so 79040.  The
+    stored entries are the 30 free
     nodes with themselves and, 98 times, with a grid neighbour (the cells'
     diagonals give exact zeros, which are not stored); the wall block's 13
     are its 5 free nodes with themselves and, 8 times, with a neighbour on

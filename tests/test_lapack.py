@@ -70,6 +70,32 @@ def test_band_cholesky_factors_the_plate_layout_in_place():
     assert factor.tobytes() == copied.tobytes() and ab.tobytes() == copied.tobytes()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_block_solves_match_one_column_at_a_time(k):
+    """The plate's sweep substitutes the modal load and its slopes as one
+    ``k``-column block: each column gets the same bits from ``?tbtrs``
+    (both ``trans``) and ``?potrs`` as it gets alone."""
+    rng = np.random.default_rng(k)
+    n, kd = 60, 6
+    dense = spd(rng, n)
+    ab = np.zeros((kd + 1, n))
+    for i in range(kd + 1):
+        ab[kd - i, i:] = np.diagonal(dense, i)
+    u = _lapack.lapack.dpbtrf(ab, lower=0)[0]
+    b = np.asfortranarray(rng.standard_normal((n, k)))
+    for trans in ("N", "T"):
+        block = _lapack.lapack.dtbtrs(u, b, trans=trans)[0]
+        for j in range(k):
+            alone = _lapack.lapack.dtbtrs(u, b[:, j].copy(), trans=trans)[0]
+            assert block[:, j].tobytes() == alone.tobytes()
+    for m in (7, 64, 300):
+        c = _lapack.lapack.dpotrf(spd(rng, m), lower=0)[0]
+        b = np.asfortranarray(rng.standard_normal((m, k)))
+        block = _lapack.lapack.dpotrs(c, b)[0]
+        for j in range(k):
+            assert block[:, j].tobytes() == _lapack.lapack.dpotrs(c, b[:, j].copy())[0].tobytes()
+
+
 def test_scipy_linalg_imports_after_the_loader():
     """The loaded extension modules are kept out of ``sys.modules``, so a
     later ``import scipy.linalg`` loads its own and sets its attributes."""

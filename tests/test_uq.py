@@ -129,7 +129,7 @@ def test_sweep_memory_estimate_covers_its_peak(monkeypatch, name, formed):
     """The bytes a 40x40 default sweep asks ``check_memory`` for cover
     the peak that ``tracemalloc`` sees during it: the kept solves, the
     envelope, and one step of the plate's sweep with the forward band
-    solves it holds (``AffinePlate.work_bytes``), whether the sweep forms
+    solve of the block it holds (``AffinePlate.work_bytes``), whether the sweep forms
     the band Cholesky or finds it formed."""
     asked, peak = sweep_peak(monkeypatch, RunConfig(nx=40, ny=40), name, formed)
     assert peak <= asked
